@@ -127,9 +127,12 @@ def sliding_abs_correlation(
     w = spec.window
     if t_total < w:
         raise ValueError(f"series has {t_total} steps, window needs {w}")
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"pair ({i}, {j}) references a node outside 0..{n - 1}")
+    index = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    outside = np.flatnonzero(np.any((index < 0) | (index >= n), axis=1))
+    if outside.size:
+        i, j = index[outside[0]]
+        raise ValueError(f"pair ({i}, {j}) references a node outside 0..{n - 1}")
+    ii, jj = index[:, 0], index[:, 1]
 
     windows = sliding_window_view(x, w, axis=0)  # (T - w + 1, N, w)
     centered = windows - windows.mean(axis=2, keepdims=True)
@@ -138,14 +141,15 @@ def sliding_abs_correlation(
     # and scored 0
     flat = np.ptp(windows, axis=2) == 0.0
 
-    defined = np.zeros((t_total - w + 1, len(pairs)))
-    for k, (i, j) in enumerate(pairs):
-        num = np.einsum("tw,tw->t", centered[:, i, :], centered[:, j, :])
-        ok = ~(flat[:, i] | flat[:, j])
-        r = np.zeros(t_total - w + 1)
-        denom = np.sqrt(sumsq[ok, i] * sumsq[ok, j])
-        r[ok] = np.abs(num[ok]) / denom
-        defined[:, k] = np.clip(r, 0.0, 1.0)
+    # window products accumulate in offset order, so every score rounds the
+    # same whichever pairs are requested with it
+    num = centered[:, ii, 0] * centered[:, jj, 0]
+    for k in range(1, w):
+        num = num + centered[:, ii, k] * centered[:, jj, k]
+    ok = ~(flat[:, ii] | flat[:, jj])
+    defined = np.zeros(num.shape)
+    defined[ok] = np.abs(num[ok]) / np.sqrt(sumsq[:, ii][ok] * sumsq[:, jj][ok])
+    defined = np.clip(defined, 0.0, 1.0)
 
     full = np.vstack([np.repeat(defined[:1], w - 1, axis=0), defined])
     return full[:: spec.stride]

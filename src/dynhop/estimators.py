@@ -36,8 +36,8 @@ import numpy as np
 
 from .edge_dynamics import NodeSignalSeries, WindowSpec, sliding_abs_correlation
 from .filters import FilterSpec, bind_filter, filter_response, fit_lowpass_coefficients
-from .graphs import StaticGraph, build_laplacian, eigendecompose
-from .multihop import PruneSpec, build_topology_slice
+from .graphs import StaticGraph, adjacency_laplacian, build_laplacian, eigendecompose
+from .multihop import LATENT_WEIGHT_RULES, LatentTopology, PruneSpec, expand_prune_merge
 
 __all__ = [
     "ALGORITHMS",
@@ -69,7 +69,7 @@ ALGORITHMS = (
 
 _SPATIAL = frozenset({"gdlms", "gsd"})
 _SIGN = frozenset({"gsign", "gsd"})
-_DYNAMIC = frozenset({"dynamic-multihop", "sgm-then-glms", "glms-then-sgm"})
+_SGM = frozenset({"sgm-then-glms", "glms-then-sgm"})
 
 # estimates whose magnitude passes this can never recover and would soon
 # overflow norm computations; flag divergence here instead of waiting for inf
@@ -189,6 +189,10 @@ class EstimatorConfig:
             raise ValueError("hops must be >= 1")
         if self.weights_source not in ("estimates", "ground-truth"):
             raise ValueError(f"unknown weights_source {self.weights_source!r}")
+        if self.latent_weight not in LATENT_WEIGHT_RULES:
+            raise ValueError(
+                f"unknown latent_weight {self.latent_weight!r}; expected one of {LATENT_WEIGHT_RULES}"
+            )
 
     @property
     def name(self) -> str:
@@ -197,12 +201,19 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class EstimationTrace:
-    """Per-step outputs of one estimation run."""
+    """Per-step outputs of one estimation run.
+
+    ``latent_candidates`` / ``latent_survivors`` count the latent pairs
+    before and after pruning at each step of dynamic-multihop; they are 0
+    for every other algorithm.
+    """
 
     estimates: np.ndarray  # (T, N), estimate aligned with each observation
     residual_norms: np.ndarray
     step_sizes: np.ndarray
     edge_counts: np.ndarray  # edges of the topology used at each step
+    latent_candidates: np.ndarray
+    latent_survivors: np.ndarray
     diverged: bool = False
     diverged_at: int | None = None
 
@@ -332,8 +343,8 @@ def run_estimation(
 
     algo = cfg.algorithm
     window = cfg.window.window
-    static_weights = np.asarray(g.weights, dtype=float)
-    base_lap = build_laplacian(g)
+    static_adjacency = g.adjacency()
+    base_lap = adjacency_laplacian(static_adjacency)
 
     rebind_spec: FilterSpec | None = None  # fixed polynomial response, fitted once
 
@@ -366,21 +377,29 @@ def run_estimation(
     apply_c = static_apply
     current_edge_count = g.edge_count
 
-    # single-entry cache: any change of edge set or weights triggers a re-bind
-    cache_key: tuple | None = None
+    # single-entry cache: any change of the merged adjacency triggers a re-bind
+    cached_adjacency: np.ndarray | None = None
     cached_apply: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def bind_cached(graph: StaticGraph) -> Callable[[np.ndarray], np.ndarray]:
-        nonlocal cache_key, cached_apply
-        key = (graph.edges, graph.weights)
-        if key != cache_key:
-            cached_apply = bind(build_laplacian(graph), rebinding=True)
-            cache_key = key
+    def bind_cached(adjacency: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        nonlocal cached_adjacency, cached_apply
+        if cached_adjacency is None or not np.array_equal(adjacency, cached_adjacency):
+            cached_apply = bind(adjacency_laplacian(adjacency), rebinding=True)
+            cached_adjacency = adjacency
         return cached_apply
 
-    all_pairs: list[tuple[int, int]] = []
-    if algo in ("sgm-then-glms", "glms-then-sgm"):
-        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # pair index arrays, built only for the topology the algorithm refreshes
+    if algo == "dynamic-multihop":
+        base = g.edge_mask()
+        edge_pairs = np.array(g.edges, dtype=int).reshape(-1, 2)
+    elif algo in _SGM:
+        all_pairs = np.column_stack(np.triu_indices(n, 1))
+
+    def symmetric(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        adjacency = np.zeros((n, n))
+        adjacency[pairs[:, 0], pairs[:, 1]] = weights
+        adjacency[pairs[:, 1], pairs[:, 0]] = weights
+        return adjacency
 
     def history_rows(t: int) -> np.ndarray | None:
         """Trailing window of strictly causal signal history, or None."""
@@ -393,55 +412,57 @@ def run_estimation(
             return None  # diverged history carries no usable statistics
         return rows
 
-    def sgm_graph(rows: np.ndarray) -> StaticGraph:
+    def multihop_topology(t: int) -> LatentTopology:
+        rows = history_rows(t)
+        if cfg.refresh_weights and rows is not None:
+            adjacency = symmetric(edge_pairs, _last_window_scores(rows, edge_pairs))
+            scorer = lambda _t, pairs: _last_window_scores(rows, pairs)
+        else:
+            adjacency = static_adjacency
+            # no usable history: score candidates as unsupported
+            scorer = lambda _t, pairs: np.zeros(len(pairs))
+        return expand_prune_merge(
+            base,
+            adjacency,
+            cfg.hops,
+            cfg.prune,
+            t=t,
+            latent_weight=cfg.latent_weight,
+            candidate_scores=scorer,
+        )
+
+    def sgm_topology(t: int) -> tuple[np.ndarray, int]:
+        """Correlation-thresholded adjacency over all pairs, and its edge count."""
+        rows = history_rows(t)
+        if rows is None:
+            return static_adjacency, g.edge_count
         scores = _last_window_scores(rows, all_pairs)
-        keep = scores > cfg.prune.threshold
-        edges = tuple(p for p, k in zip(all_pairs, keep) if k)
-        weights = tuple(float(s) for s, k in zip(scores, keep) if k)
-        return StaticGraph(n, edges, weights)
+        keep = cfg.prune.survives(scores)
+        return symmetric(all_pairs, np.where(keep, scores, 0.0)), int(np.count_nonzero(keep))
 
     estimates = np.zeros((t_total, n))
     residual_norms = np.zeros(t_total)
     step_sizes = np.zeros(t_total)
     edge_counts = np.zeros(t_total, dtype=int)
+    latent_candidates = np.zeros(t_total, dtype=int)
+    latent_survivors = np.zeros(t_total, dtype=int)
     x_hat = np.zeros(n)
     diverged = False
     diverged_at: int | None = None
-    sgm_topology = g  # topology in force for glms-then-sgm
+    next_topology = (static_adjacency, g.edge_count)  # in force for glms-then-sgm
 
     for t in range(t_total):
         if algo == "dynamic-multihop":
-            rows = history_rows(t)
-            if cfg.refresh_weights and rows is not None:
-                weights_t = _last_window_scores(rows, g.edges)
-                scorer = None
-                if cfg.prune.metric == "correlation" or cfg.latent_weight == "correlation":
-                    scorer = lambda _t, pairs: _last_window_scores(rows, list(pairs))
-            else:
-                weights_t = static_weights
-                scorer = None
-                if cfg.prune.metric == "correlation" or cfg.latent_weight == "correlation":
-                    # no usable history: score candidates as unsupported
-                    scorer = lambda _t, pairs: np.zeros(len(pairs))
-            topo = build_topology_slice(
-                g,
-                weights_t,
-                cfg.hops,
-                cfg.prune,
-                t=t,
-                latent_weight=cfg.latent_weight,
-                candidate_scores=scorer,
+            topo = multihop_topology(t)
+            apply_c = bind_cached(topo.adjacency)
+            current_edge_count = g.edge_count + topo.survivors
+            latent_candidates[t] = topo.candidates
+            latent_survivors[t] = topo.survivors
+        elif algo in _SGM:
+            adjacency, current_edge_count = (
+                sgm_topology(t) if algo == "sgm-then-glms" else next_topology
             )
-            apply_c = bind_cached(topo.graph)
-            current_edge_count = topo.graph.edge_count
-        elif algo == "sgm-then-glms":
-            rows = history_rows(t)
-            topo_graph = sgm_graph(rows) if rows is not None else g
-            apply_c = bind_cached(topo_graph)
-            current_edge_count = topo_graph.edge_count
-        elif algo == "glms-then-sgm":
-            apply_c = bind_cached(sgm_topology)
-            current_edge_count = sgm_topology.edge_count
+            apply_c = bind_cached(adjacency)
 
         residual = np.where(stream.mask[t], stream.observations[t] - x_hat, 0.0)
         residual_norm = float(np.linalg.norm(residual))
@@ -461,8 +482,7 @@ def run_estimation(
         edge_counts[t] = current_edge_count
 
         if algo == "glms-then-sgm":
-            rows = history_rows(t + 1)
-            sgm_topology = sgm_graph(rows) if rows is not None else g
+            next_topology = sgm_topology(t + 1)
 
     estimates.setflags(write=False)
     return EstimationTrace(
@@ -470,6 +490,8 @@ def run_estimation(
         residual_norms=residual_norms,
         step_sizes=step_sizes,
         edge_counts=edge_counts,
+        latent_candidates=latent_candidates,
+        latent_survivors=latent_survivors,
         diverged=diverged,
         diverged_at=diverged_at,
     )

@@ -20,6 +20,7 @@ __all__ = [
     "StaticGraph",
     "SpectralDecomposition",
     "build_laplacian",
+    "adjacency_laplacian",
     "incidence",
     "hodge1_laplacian",
     "eigendecompose",
@@ -110,13 +111,24 @@ class StaticGraph:
             a[j, i] = w
         return a
 
+    def edge_mask(self) -> np.ndarray:
+        """Dense symmetric boolean matrix of the edge set, zero-weight edges included."""
+        m = np.zeros((self.node_count, self.node_count), dtype=bool)
+        for i, j in self.edges:
+            m[i, j] = m[j, i] = True
+        return m
+
     def degrees(self) -> np.ndarray:
         return self.adjacency().sum(axis=1)
 
 
 def build_laplacian(g: StaticGraph) -> np.ndarray:
     """Combinatorial Laplacian ``D - A``; rows sum to zero, PSD."""
-    a = g.adjacency()
+    return adjacency_laplacian(g.adjacency())
+
+
+def adjacency_laplacian(a: np.ndarray) -> np.ndarray:
+    """``D - A`` of a dense symmetric, non-negative adjacency matrix."""
     return np.diag(a.sum(axis=1)) - a
 
 

@@ -31,6 +31,16 @@ EXIT_ALL_DIVERGED = 4
 PRESETS = {"brain": brain_preset, "stock": stock_preset}
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = SyntheticSpec(
         nodes=args.nodes,
@@ -232,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="merge written reports into summary.json")
     rep.add_argument("--out-dir", required=True)
-    rep.add_argument("--final-window", type=int, default=50)
+    rep.add_argument("--final-window", type=_positive_int, default=50)
     rep.set_defaults(func=_cmd_report)
     return parser
 

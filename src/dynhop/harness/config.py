@@ -8,6 +8,7 @@ an irreproducible experiment.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -48,6 +49,20 @@ def _require(section: dict, key: str, where: str):
     if key not in section or section[key] is None:
         raise ConfigError(f"missing required key {key!r} in {where}")
     return section[key]
+
+
+def _flag(section: dict, key: str, default: bool, where: str) -> bool:
+    """A JSON boolean; strings such as "false" are rejected, never read as truthy."""
+    value = section.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
+
+
+# labels become report file names, so they may not carry path separators
+LABEL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 
 def deep_merge(base: dict, overlay: dict) -> dict:
@@ -116,7 +131,7 @@ def _parse_dataset(raw: dict) -> DatasetSpec:
             series_csv=raw.get("series_csv"),
             synthetic=synthetic,
             graph=raw.get("graph", "build"),
-            normalize=bool(raw.get("normalize", True)),
+            normalize=_flag(raw, "normalize", True, "dataset"),
         )
     except ValueError as err:
         raise ConfigError(f"bad dataset: {err}") from err
@@ -130,7 +145,7 @@ def _parse_noise(raw: dict) -> NoiseMaskSpec:
             missing_fraction=float(raw.get("missing_fraction", 0.0)),
             seed=int(raw.get("seed", 0)),
             runs=int(raw.get("runs", 1)),
-            snr_in_db=bool(raw.get("snr_in_db", False)),
+            snr_in_db=_flag(raw, "snr_in_db", False, "noise"),
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad noise: {err}") from err
@@ -195,10 +210,15 @@ def _parse_algorithm(raw: dict, index: int) -> EstimatorConfig:
             kwargs["window"] = WindowSpec(**raw["window"])
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad {where}.window: {err}") from err
-    for key in ("label", "hops", "p_exponent", "diffusion_eps", "refresh_weights",
-                "latent_weight", "weights_source"):
+    for key in ("label", "hops", "p_exponent", "diffusion_eps", "latent_weight", "weights_source"):
         if raw.get(key) is not None:
             kwargs[key] = raw[key]
+    kwargs["refresh_weights"] = _flag(raw, "refresh_weights", True, where)
+    label = kwargs.get("label")
+    if label is not None and not (isinstance(label, str) and LABEL.fullmatch(label)):
+        raise ConfigError(
+            f"{where}.label {label!r} must match {LABEL.pattern} (it names the report files)"
+        )
     try:
         return EstimatorConfig(**kwargs)
     except (TypeError, ValueError) as err:

@@ -7,6 +7,11 @@ intermediaries rather than a direct edge. Each hop order contributes the
 pairs that first appear at that power; pruning keeps the pairs whose score
 strictly exceeds a threshold; merging stacks the survivors on top of the
 original graph, whose own edges are never pruned.
+
+One array pass, :func:`expand_prune_merge`, does all of this on dense
+(N, N) matrices and masks. ``hop_expand``, ``prune``, ``merge`` and
+``build_topology_slice`` are tuple and :class:`TopologySlice` views of the
+same stages, for inspection and export.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .edge_dynamics import EdgeWeightSeries, NodeSignalSeries, WindowSpec, sliding_abs_correlation
-from .graphs import StaticGraph, build_laplacian
+from .graphs import StaticGraph, adjacency_laplacian
 
 __all__ = [
     "EPS_ZERO",
@@ -27,7 +32,9 @@ __all__ = [
     "HopCandidateSet",
     "TopologySlice",
     "DynamicTopology",
+    "LatentTopology",
     "spectral_normalize",
+    "expand_prune_merge",
     "hop_expand",
     "prune",
     "merge",
@@ -44,8 +51,9 @@ EPS_ZERO = 1e-12
 PRUNE_METRICS = ("weight-magnitude", "correlation")
 LATENT_WEIGHT_RULES = ("score", "correlation")
 
-# scorer(t, pairs) -> array of non-negative scores, one per pair
-PairScorer = Callable[[int, Sequence[tuple[int, int]]], np.ndarray]
+# scorer(t, pairs) -> array of non-negative scores, one per row of the
+# (P, 2) integer array of node pairs
+PairScorer = Callable[[int, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,10 @@ class PruneSpec:
             raise ValueError("threshold must be finite and >= 0")
         if self.metric not in PRUNE_METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {PRUNE_METRICS}")
+
+    def survives(self, scores: np.ndarray) -> np.ndarray:
+        """Boolean mask of the scores that strictly exceed the threshold."""
+        return scores > self.threshold
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,23 @@ class TopologySlice:
 
 
 @dataclass(frozen=True)
+class LatentTopology:
+    """One merged step as dense symmetric (N, N) arrays.
+
+    ``adjacency`` holds the original edges at their step weights plus the
+    surviving latent edges at their latent weights. ``hop`` is the
+    provenance by hop order: 1 on an original edge, p on a latent edge first
+    reachable at order p, 0 where there is no edge. ``candidates`` and
+    ``survivors`` count latent pairs before and after pruning.
+    """
+
+    adjacency: np.ndarray
+    hop: np.ndarray
+    candidates: int
+    survivors: int
+
+
+@dataclass(frozen=True)
 class DynamicTopology:
     """Per-step merged graphs over a base topology."""
 
@@ -127,6 +156,111 @@ def spectral_normalize(laplacian: np.ndarray) -> np.ndarray | None:
     return laplacian / lam_max
 
 
+def _expand(
+    normalized_laplacian: np.ndarray, base: np.ndarray, hops: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hop order and power magnitude of every latent candidate.
+
+    Upper-triangular (N, N) arrays: entry (i, j) of the first holds the
+    order p at which the pair first qualifies (0 if it never does), of the
+    second its |power entry| at that order.
+    """
+    n = normalized_laplacian.shape[0]
+    taken = base | np.eye(n, dtype=bool)
+    order = np.zeros((n, n), dtype=int)
+    magnitude = np.zeros((n, n))
+    power = normalized_laplacian
+    for p in range(2, hops + 1):
+        power = power @ normalized_laplacian
+        entry = np.abs(np.triu(power, 1))
+        fresh = (entry > EPS_ZERO) & ~taken
+        order[fresh] = p
+        magnitude[fresh] = entry[fresh]
+        taken |= fresh | fresh.T
+    return order, magnitude
+
+
+def _pair_scores(scorer: PairScorer, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    if rows.size == 0:
+        return np.zeros(0)
+    scores = np.asarray(scorer(t, np.column_stack((rows, cols))), dtype=float)
+    if scores.shape != rows.shape:
+        raise ValueError("pairs and scores must have equal length")
+    if not np.all(scores >= 0):
+        raise ValueError("scores must be >= 0")
+    return scores
+
+
+def _merge(
+    adjacency: np.ndarray,
+    base: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    hop: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merged adjacency and provenance (1 original, p latent from order p)."""
+    merged = adjacency.copy()
+    merged[rows, cols] = weights
+    merged[cols, rows] = weights
+    provenance = base.astype(int)
+    provenance[rows, cols] = hop
+    provenance[cols, rows] = hop
+    return merged, provenance
+
+
+def expand_prune_merge(
+    base: np.ndarray,
+    adjacency: np.ndarray,
+    hops: int,
+    prune_spec: PruneSpec,
+    *,
+    t: int = 0,
+    latent_weight: str = "score",
+    candidate_scores: PairScorer | None = None,
+) -> LatentTopology:
+    """Expand, prune, and merge one step on dense (N, N) arrays.
+
+    ``base`` marks the original edge set (an edge of weight 0 still counts)
+    and ``adjacency`` carries its weights at step t. Candidates of order p
+    are the pairs whose |entry| of the p-th power of the spectrally
+    normalized Laplacian exceeds EPS_ZERO, that are not original edges and
+    did not qualify at a lower order. ``candidate_scores`` must be supplied
+    when either the pruning metric or the latent weight rule is
+    "correlation"; it is called with a (P, 2) array of pairs.
+    """
+    if hops < 1:
+        raise ValueError("hops must be >= 1")
+    if latent_weight not in LATENT_WEIGHT_RULES:
+        raise ValueError(f"unknown latent weight rule {latent_weight!r}")
+    needs_scores = prune_spec.metric == "correlation" or latent_weight == "correlation"
+    if needs_scores and candidate_scores is None:
+        raise ValueError("correlation scoring requires a candidate_scores callback")
+
+    n = adjacency.shape[0]
+    order = np.zeros((n, n), dtype=int)
+    magnitude = np.zeros((n, n))
+    if hops >= 2:
+        normalized = spectral_normalize(adjacency_laplacian(adjacency))
+        if normalized is not None:
+            order, magnitude = _expand(normalized, base, hops)
+    rows, cols = np.nonzero(order)
+    scores = magnitude[rows, cols]
+    if prune_spec.metric == "correlation":
+        scores = _pair_scores(candidate_scores, t, rows, cols)
+    keep = prune_spec.survives(scores)
+    kept_rows, kept_cols, weights = rows[keep], cols[keep], scores[keep]
+    if latent_weight == "correlation" and prune_spec.metric != "correlation":
+        weights = _pair_scores(candidate_scores, t, kept_rows, kept_cols)
+    merged, provenance = _merge(
+        adjacency, base, kept_rows, kept_cols, order[kept_rows, kept_cols], weights
+    )
+    return LatentTopology(merged, provenance, candidates=rows.size, survivors=kept_rows.size)
+
+
+# -- tuple views of the array core ------------------------------------------------
+
+
 def hop_expand(
     normalized_laplacian: np.ndarray, g: StaticGraph, hops: int, t: int = 0
 ) -> list[HopCandidateSet]:
@@ -143,39 +277,44 @@ def hop_expand(
         raise ValueError(
             f"operator shape {normalized_laplacian.shape} does not match {n} nodes"
         )
-    taken = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(taken, True)
-    for i, j in g.edges:
-        taken[i, j] = taken[j, i] = True
-
-    out: list[HopCandidateSet] = []
-    power = normalized_laplacian
+    order, magnitude = _expand(normalized_laplacian, g.edge_mask(), hops)
+    out = []
     for p in range(2, hops + 1):
-        power = power @ normalized_laplacian
-        magnitude = np.abs(np.triu(power, 1))
-        fresh = (magnitude > EPS_ZERO) & ~taken
-        index = np.argwhere(fresh)  # row-major: ascending pair order
-        pairs = tuple((int(i), int(j)) for i, j in index)
-        scores = tuple(float(magnitude[i, j]) for i, j in index)
-        out.append(HopCandidateSet(hop=p, pairs=pairs, scores=scores, time=t))
-        fresh_sym = fresh | fresh.T
-        taken |= fresh_sym
+        rows, cols = np.nonzero(order == p)  # row-major: ascending pair order
+        out.append(HopCandidateSet(
+            hop=p,
+            pairs=tuple(zip(rows.tolist(), cols.tolist())),
+            scores=tuple(magnitude[rows, cols].tolist()),
+            time=t,
+        ))
     return out
 
 
 def prune(candidates: HopCandidateSet, spec: PruneSpec) -> HopCandidateSet:
     """Keep exactly the candidates whose score strictly exceeds the threshold."""
-    kept = [
-        (pair, score)
-        for pair, score in zip(candidates.pairs, candidates.scores)
-        if score > spec.threshold
-    ]
+    keep = spec.survives(np.asarray(candidates.scores, dtype=float)).tolist()
     return HopCandidateSet(
         hop=candidates.hop,
-        pairs=tuple(p for p, _ in kept),
-        scores=tuple(s for _, s in kept),
+        pairs=tuple(p for p, k in zip(candidates.pairs, keep) if k),
+        scores=tuple(s for s, k in zip(candidates.scores, keep) if k),
         time=candidates.time,
     )
+
+
+def _as_slice(g_t: StaticGraph, merged: np.ndarray, provenance: np.ndarray, t: int) -> TopologySlice:
+    """Original edges first, then latent edges in ascending (hop, pair) order."""
+    rows, cols = np.nonzero(np.triu(provenance > 1))
+    order = np.argsort(provenance[rows, cols], kind="stable")
+    rows, cols = rows[order], cols[order]
+    latent = tuple(zip(rows.tolist(), cols.tolist()))
+    graph = StaticGraph(
+        g_t.node_count,
+        g_t.edges + latent,
+        g_t.weights + tuple(merged[rows, cols].tolist()),
+        g_t.labels,
+    )
+    tags = ("original",) * g_t.edge_count + tuple(f"hop{p}" for p in provenance[rows, cols])
+    return TopologySlice(graph=graph, provenance=tags, time=t)
 
 
 def merge(
@@ -187,31 +326,31 @@ def merge(
     """Union of the current graph with surviving latent edges.
 
     Original edges keep their weights at t. Latent edges take their score,
-    or whatever ``weight_rule(pair, score, hop)`` returns. A pair appearing
-    twice across inputs signals an upstream bug and raises.
+    or whatever ``weight_rule(pair, score, hop)`` returns, and follow the
+    original edges in ascending (hop, pair) order. A pair appearing twice
+    across inputs signals an upstream bug and raises.
     """
-    edges = list(g_t.edges)
-    weights = list(g_t.weights)
-    provenance = ["original"] * len(edges)
-    seen = set(edges)
+    n = g_t.node_count
+    base = g_t.edge_mask()
+    seen = base.copy()
+    rows, cols, hop, weights = [], [], [], []
     for cand in pruned:
         for pair, score in zip(cand.pairs, cand.scores):
-            if pair in seen:
+            i, j = sorted(int(v) for v in pair)
+            if i == j or not (0 <= i and j < n):
+                raise ValueError(f"latent pair {pair!r} is a self-loop or outside 0..{n - 1}")
+            if seen[i, j]:
                 raise ValueError(f"duplicate edge {pair} across merge inputs")
-            seen.add(pair)
-            w = score if weight_rule is None else float(weight_rule(pair, score, cand.hop))
-            edges.append(pair)
-            weights.append(w)
-            provenance.append(f"hop{cand.hop}")
-    graph = StaticGraph(g_t.node_count, tuple(edges), tuple(weights), g_t.labels)
-    return TopologySlice(graph=graph, provenance=tuple(provenance), time=t)
-
-
-def _rescored(cands: HopCandidateSet, scorer: PairScorer) -> HopCandidateSet:
-    if not cands.pairs:
-        return cands
-    scores = np.asarray(scorer(cands.time, cands.pairs), dtype=float)
-    return HopCandidateSet(cands.hop, cands.pairs, tuple(float(s) for s in scores), cands.time)
+            seen[i, j] = True
+            rows.append(i)
+            cols.append(j)
+            hop.append(cand.hop)
+            weights.append(score if weight_rule is None else float(weight_rule(pair, score, cand.hop)))
+    merged, provenance = _merge(
+        g_t.adjacency(), base, np.array(rows, dtype=int), np.array(cols, dtype=int),
+        np.array(hop, dtype=int), np.array(weights, dtype=float),
+    )
+    return _as_slice(g_t, merged, provenance, t)
 
 
 def build_topology_slice(
@@ -224,31 +363,18 @@ def build_topology_slice(
     latent_weight: str = "score",
     candidate_scores: PairScorer | None = None,
 ) -> TopologySlice:
-    """Expand, prune, and merge a single step.
-
-    ``candidate_scores`` must be supplied when either the pruning metric or
-    the latent weight rule is "correlation".
-    """
-    if hops < 1:
-        raise ValueError("hops must be >= 1")
-    if latent_weight not in LATENT_WEIGHT_RULES:
-        raise ValueError(f"unknown latent weight rule {latent_weight!r}")
-    needs_scores = prune_spec.metric == "correlation" or latent_weight == "correlation"
-    if needs_scores and candidate_scores is None:
-        raise ValueError("correlation scoring requires a candidate_scores callback")
-
+    """Expand, prune, and merge a single step (see :func:`expand_prune_merge`)."""
     g_t = g.with_weights(weights_t)
-    candidate_sets: list[HopCandidateSet] = []
-    if hops >= 2:
-        normalized = spectral_normalize(build_laplacian(g_t))
-        if normalized is not None:
-            candidate_sets = hop_expand(normalized, g, hops, t=t)
-    if prune_spec.metric == "correlation":
-        candidate_sets = [_rescored(c, candidate_scores) for c in candidate_sets]
-    pruned = [prune(c, prune_spec) for c in candidate_sets]
-    if latent_weight == "correlation" and prune_spec.metric != "correlation":
-        pruned = [_rescored(c, candidate_scores) for c in pruned]
-    return merge(g_t, pruned, None, t=t)
+    topo = expand_prune_merge(
+        g.edge_mask(),
+        g_t.adjacency(),
+        hops,
+        prune_spec,
+        t=t,
+        latent_weight=latent_weight,
+        candidate_scores=candidate_scores,
+    )
+    return _as_slice(g_t, topo.adjacency, topo.hop, t)
 
 
 def build_dynamic_topology(

@@ -68,6 +68,47 @@ def test_invalid_json_is_config_error(tmp_path):
         load_config(path)
 
 
+def test_bad_latent_weight_rejected_at_config_time(tmp_path):
+    cfg = run_config(tmp_path, algorithms=[{"algorithm": "dynamic-multihop", "latent_weight": "bogus"}])
+    with pytest.raises(ConfigError, match="latent_weight"):
+        resolve_config(load_config(cfg["path"]))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("dataset", "normalize", "false"),
+    ("dataset", "normalize", 0),
+    ("noise", "snr_in_db", "true"),
+    ("algorithms", "refresh_weights", "false"),
+])
+def test_flags_accept_only_json_booleans(tmp_path, section, key, value):
+    raw = run_config(tmp_path)["raw"]
+    target = raw["algorithms"][0] if section == "algorithms" else raw[section]
+    target[key] = value
+    with pytest.raises(ConfigError, match=key):
+        resolve_config(raw)
+
+
+def test_flags_parse_json_booleans(tmp_path):
+    raw = run_config(tmp_path)["raw"]
+    raw["noise"]["snr_in_db"] = True
+    raw["algorithms"][0]["refresh_weights"] = False
+    rc = resolve_config(raw)
+    assert rc.dataset.normalize is False and rc.noise.snr_in_db is True
+    assert rc.algorithms[0].refresh_weights is False and rc.algorithms[1].refresh_weights is True
+
+
+@pytest.mark.parametrize("label", ["../escaped", "a/b", "..", "", ".hidden", "x y", 7])
+def test_labels_that_are_not_plain_file_names_rejected(tmp_path, label):
+    cfg = run_config(tmp_path, algorithms=[{"algorithm": "glms", "label": label}])
+    with pytest.raises(ConfigError, match="label"):
+        resolve_config(load_config(cfg["path"]))
+
+
+def test_plain_labels_accepted(tmp_path):
+    cfg = run_config(tmp_path, algorithms=[{"algorithm": "glms", "label": "glms_slow-0.5"}])
+    assert resolve_config(load_config(cfg["path"])).algorithms[0].name == "glms_slow-0.5"
+
+
 def test_resolved_config_round_trip(tmp_path):
     cfg = run_config(tmp_path)
     resolved = resolve_config(load_config(cfg["path"]))
@@ -202,6 +243,14 @@ def test_report_summary(tmp_path):
     entry = summary["algorithms"]["glms"]
     assert {"runs", "diverged_runs", "mean_mse", "final_window_mean_mse",
             "mean_degree", "distinct_degree_values"} <= set(entry)
+
+
+@pytest.mark.parametrize("window", ["-3", "0", "2.5"])
+def test_report_final_window_must_be_a_positive_integer(tmp_path, capsys, window):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--out-dir", str(tmp_path), "--final-window", window])
+    assert exc.value.code == 2
+    assert "--final-window" in capsys.readouterr().err
 
 
 def test_report_without_reports_is_data_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dynhop import (
     EdgeWeightSeries,
@@ -99,6 +100,72 @@ def test_series_shorter_than_window():
 def test_pair_out_of_range():
     with pytest.raises(ValueError):
         sliding_abs_correlation(NodeSignalSeries(np.zeros((9, 2))), WindowSpec(5), [(0, 2)])
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (-1, 1), (1, -2)])
+def test_out_of_range_pair_message_names_the_pair(pair):
+    series = NodeSignalSeries(np.arange(18.0).reshape(9, 2))
+    with pytest.raises(ValueError, match=rf"pair \({pair[0]}, {pair[1]}\) references a node outside 0..1"):
+        sliding_abs_correlation(series, WindowSpec(5), [(0, 1), pair, (1, 0)])
+
+
+def ordered_pair_reference(values, spec, pairs):
+    """Per-pair, per-window loop summing the window products in offset order.
+
+    Centring, sums of squares and the flat test are the same array
+    expressions the batched pass uses; only the pair products are looped.
+    """
+    w = spec.window
+    windows = sliding_window_view(values, w, axis=0)
+    centered = windows - windows.mean(axis=2, keepdims=True)
+    sumsq = np.einsum("tnw,tnw->tn", centered, centered)
+    flat = np.ptp(windows, axis=2) == 0.0
+    defined = np.zeros((windows.shape[0], len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        for s in range(windows.shape[0]):
+            if flat[s, i] or flat[s, j]:
+                continue
+            num = centered[s, i, 0] * centered[s, j, 0]
+            for o in range(1, w):
+                num = num + centered[s, i, o] * centered[s, j, o]
+            defined[s, k] = min(abs(num) / math.sqrt(sumsq[s, i] * sumsq[s, j]), 1.0)
+    full = np.vstack([np.repeat(defined[:1], w - 1, axis=0), defined])
+    return full[:: spec.stride]
+
+
+def _bit_exact_case(name, rng):
+    n = 6
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j][::3] + [(2, 2)]
+    values = rng.standard_normal((31, n)) * rng.uniform(0.1, 50.0, size=n)
+    if name == "single-window":
+        return values[:10], WindowSpec(10), pairs
+    if name == "flat-window":
+        values[5:20, 1] = 4.25
+        values[:, 3] = -1.5
+        return values, WindowSpec(7), pairs
+    if name == "stride":
+        return values, WindowSpec(6, 4), pairs
+    return values, WindowSpec(8), []
+
+
+@pytest.mark.parametrize("name", ["single-window", "flat-window", "stride", "no-pairs"])
+def test_batched_scores_equal_ordered_per_pair_loop_bit_for_bit(name, rng):
+    values, spec, pairs = _bit_exact_case(name, rng)
+    got = sliding_abs_correlation(NodeSignalSeries(values), spec, pairs)
+    expected = ordered_pair_reference(values, spec, pairs)
+    assert got.shape == expected.shape == (-(-values.shape[0] // spec.stride), len(pairs))
+    assert np.array_equal(got, expected)
+    if name == "flat-window":
+        assert np.any(got == 0.0) and np.any(got > 0.0)
+
+
+def test_pair_scores_do_not_depend_on_the_other_pairs(rng):
+    series = NodeSignalSeries(rng.standard_normal((10, 12)))
+    every = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    together = sliding_abs_correlation(series, WindowSpec(10), every)
+    for k in (0, 17, len(every) - 1):
+        alone = sliding_abs_correlation(series, WindowSpec(10), [every[k]])
+        assert np.array_equal(alone[:, 0], together[:, k])
 
 
 @settings(max_examples=30, deadline=None)

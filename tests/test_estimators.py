@@ -315,6 +315,24 @@ def test_config_validation():
         EstimatorConfig("glmp", p_exponent=2.5)
     with pytest.raises(ValueError):
         EstimatorConfig("glms", hops=0)
+    with pytest.raises(ValueError, match="latent_weight"):
+        EstimatorConfig("dynamic-multihop", latent_weight="bogus")
+
+
+def test_trace_counts_latent_candidates_and_survivors(rng):
+    # a low threshold on the correlation metric keeps latent edges every step
+    g = random_graph(rng, 12, 14)
+    rows = rng.standard_normal((40, 12))
+    stream = ObservationStream(rows, rng.random((40, 12)) < 0.7)
+    common = dict(step=StepSizeRule.fixed(0.5), window=WindowSpec(10, 1))
+    latent = run_estimation(stream, g, EstimatorConfig(
+        "dynamic-multihop", hops=6, prune=PruneSpec(0.015, "correlation"), **common))
+    assert latent.latent_survivors[10:].min() > 0
+    assert np.all(latent.latent_survivors <= latent.latent_candidates)
+    assert np.array_equal(latent.edge_counts, g.edge_count + latent.latent_survivors)
+    for algo in ("glms", "sgm-then-glms", "glms-then-sgm"):
+        other = run_estimation(stream, g, EstimatorConfig(algo, **common))
+        assert not other.latent_candidates.any() and not other.latent_survivors.any()
 
 
 def test_dynamic_rebinding_above_exact_size_limit(rng):

@@ -16,7 +16,7 @@ from dynhop import (
     prune,
     spectral_normalize,
 )
-from dynhop.multihop import topology_to_csv, windowed_pair_scorer
+from dynhop.multihop import EPS_ZERO, expand_prune_merge, topology_to_csv, windowed_pair_scorer
 from dynhop.edge_dynamics import NodeSignalSeries, WindowSpec
 from conftest import random_graph
 
@@ -191,6 +191,86 @@ def test_merge_two_steps_recomputation_oracle(rng):
         assert via_slice.provenance == direct.provenance
         merged_sets.append(set(direct.graph.edges))
     assert merged_sets[0] != merged_sets[1]
+
+
+# -- the array core ----------------------------------------------------------------
+
+def tuple_chain_reference(g, weights, hops, spec, latent_weight, score_matrix):
+    """Expand, prune and merge with per-pair Python loops over a set of taken pairs."""
+    n = g.node_count
+    merged = g.with_weights(weights).adjacency()
+    lap = np.diag(merged.sum(axis=1)) - merged
+    lam_max = float(np.linalg.eigvalsh(lap)[-1])
+    edge_count = g.edge_count
+    if hops < 2 or lam_max <= 0.0:
+        return merged, edge_count
+    norm = lap / lam_max
+    taken = set(g.edges)
+    power = norm
+    for _ in range(2, hops + 1):
+        power = power @ norm
+        cands = [((i, j), abs(power[i, j])) for i in range(n) for j in range(i + 1, n)
+                 if abs(power[i, j]) > EPS_ZERO and (i, j) not in taken]
+        taken.update(pair for pair, _ in cands)
+        if spec.metric == "correlation":
+            cands = [(pair, score_matrix[pair]) for pair, _ in cands]
+        kept = [(pair, score) for pair, score in cands if score > spec.threshold]
+        if latent_weight == "correlation" and spec.metric != "correlation":
+            kept = [(pair, score_matrix[pair]) for pair, _ in kept]
+        for (i, j), score in kept:
+            merged[i, j] = merged[j, i] = score
+            edge_count += 1
+    return merged, edge_count
+
+
+@pytest.mark.parametrize("metric, threshold", [("weight-magnitude", 0.01), ("correlation", 0.5)])
+@pytest.mark.parametrize("latent_weight", ["score", "correlation"])
+@pytest.mark.parametrize("hops, zero_weights", [(1, False), (3, False), (6, False), (4, True)])
+def test_array_core_matches_slice_view_and_loop_reference(
+    rng, metric, threshold, latent_weight, hops, zero_weights
+):
+    spec = PruneSpec(threshold, metric)
+    for _ in range(4):
+        n = int(rng.integers(6, 15))
+        g = random_graph(rng, n)
+        weights = np.zeros(g.edge_count) if zero_weights else rng.uniform(0.0, 1.0, g.edge_count)
+        score_matrix = rng.uniform(0.0, 1.0, (n, n))
+        score_matrix = np.maximum(score_matrix, score_matrix.T)
+        scorer = lambda _t, pairs: score_matrix[pairs[:, 0], pairs[:, 1]]
+
+        topo = expand_prune_merge(
+            g.edge_mask(), g.with_weights(weights).adjacency(), hops, spec,
+            latent_weight=latent_weight, candidate_scores=scorer,
+        )
+        view = build_topology_slice(
+            g, weights, hops, spec, latent_weight=latent_weight, candidate_scores=scorer
+        )
+        assert np.array_equal(topo.adjacency, view.graph.adjacency())
+        assert g.edge_count + topo.survivors == view.graph.edge_count
+        assert np.count_nonzero(np.triu(topo.hop)) == view.graph.edge_count
+        tags = {pair: tag for pair, tag in zip(view.graph.edges, view.provenance)}
+        for (i, j), tag in tags.items():
+            assert topo.hop[i, j] == topo.hop[j, i] == (1 if tag == "original" else int(tag[3:]))
+
+        merged, edge_count = tuple_chain_reference(g, weights, hops, spec, latent_weight, score_matrix)
+        assert np.array_equal(topo.adjacency, merged)
+        assert view.graph.edge_count == edge_count
+        if hops == 1 or zero_weights:
+            assert topo.candidates == topo.survivors == 0
+            assert np.array_equal(topo.adjacency, g.with_weights(weights).adjacency())
+        else:
+            assert topo.survivors > 0
+
+
+def test_array_core_counts_candidates_before_pruning(rng):
+    g = random_graph(rng, 12, 14)
+    adjacency = g.adjacency()
+    everything = expand_prune_merge(g.edge_mask(), adjacency, 4, PruneSpec(0.0))
+    nothing = expand_prune_merge(g.edge_mask(), adjacency, 4, PruneSpec(1e9))
+    assert everything.candidates == nothing.candidates == everything.survivors > 0
+    assert nothing.survivors == 0
+    expected = sum(len(c.pairs) for c in hop_expand(normalized(g), g, 4))
+    assert everything.candidates == expected
 
 
 # -- whole-series construction ---------------------------------------------------
