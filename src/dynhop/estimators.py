@@ -30,14 +30,20 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .edge_dynamics import NodeSignalSeries, WindowSpec, sliding_abs_correlation
-from .filters import FilterSpec, bind_filter, filter_response, fit_lowpass_coefficients
+from .filters import (
+    FilterSpec,
+    _matvec,
+    bind_filter,
+    filter_response,
+    fit_lowpass_coefficients,
+)
 from .graphs import StaticGraph, adjacency_laplacian, build_laplacian, eigendecompose
-from .multihop import LATENT_WEIGHT_RULES, LatentTopology, PruneSpec, expand_prune_merge
+from .multihop import LATENT_WEIGHT_RULES, PruneSpec, expand_prune_merge
 
 __all__ = [
     "ALGORITHMS",
@@ -70,6 +76,7 @@ ALGORITHMS = (
 _SPATIAL = frozenset({"gdlms", "gsd"})
 _SIGN = frozenset({"gsign", "gsd"})
 _SGM = frozenset({"sgm-then-glms", "glms-then-sgm"})
+_REBINDING = _SGM | {"dynamic-multihop"}  # algorithms that rebuild their topology
 
 # estimates whose magnitude passes this can never recover and would soon
 # overflow norm computations; flag divergence here instead of waiting for inf
@@ -126,8 +133,10 @@ def adaptive_mu(residual_norm: float, rule: StepSizeRule) -> float:
 class ObservationStream:
     """Per-step noisy observations with a boolean sampling mask.
 
-    Unobserved entries are zeroed on construction, so downstream code can
-    rely on masked coordinates carrying no information.
+    One run is shaped (T, N); a stack of R Monte-Carlo runs over the same
+    steps and nodes is shaped (R, T, N) (see :meth:`stack`). Unobserved
+    entries are zeroed on construction, so downstream code can rely on
+    masked coordinates carrying no information.
     """
 
     observations: np.ndarray
@@ -136,9 +145,9 @@ class ObservationStream:
     def __post_init__(self) -> None:
         obs = np.asarray(self.observations, dtype=float)
         mask = np.asarray(self.mask, dtype=bool)
-        if obs.ndim != 2 or obs.shape != mask.shape:
+        if obs.ndim not in (2, 3) or obs.shape != mask.shape:
             raise ValueError(
-                f"observations {obs.shape} and mask {mask.shape} must be equal 2-D shapes"
+                f"observations {obs.shape} and mask {mask.shape} must be equal 2-D or 3-D shapes"
             )
         obs = np.where(mask, obs, 0.0)
         obs.setflags(write=False)
@@ -147,13 +156,23 @@ class ObservationStream:
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "mask", mask)
 
+    @classmethod
+    def stack(cls, streams: Sequence["ObservationStream"]) -> "ObservationStream":
+        """R single-run streams of one (T, N) shape as one (R, T, N) stream."""
+        shapes = sorted({s.observations.shape for s in streams})
+        if len(shapes) != 1 or len(shapes[0]) != 2:
+            raise ValueError(f"need one or more 2-D streams of one shape, got shapes {shapes}")
+        return cls(
+            np.stack([s.observations for s in streams]), np.stack([s.mask for s in streams])
+        )
+
     @property
     def steps(self) -> int:
-        return self.observations.shape[0]
+        return self.observations.shape[-2]
 
     @property
     def node_count(self) -> int:
-        return self.observations.shape[1]
+        return self.observations.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -201,11 +220,13 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class EstimationTrace:
-    """Per-step outputs of one estimation run.
+    """Per-step outputs of one estimation run, or of a stack of R runs.
 
     ``latent_candidates`` / ``latent_survivors`` count the latent pairs
     before and after pruning at each step of dynamic-multihop; they are 0
-    for every other algorithm.
+    for every other algorithm. The trace of a stacked (R, T, N) stream puts
+    the run axis first on every array, and ``diverged`` / ``diverged_at``
+    become tuples with one entry per run.
     """
 
     estimates: np.ndarray  # (T, N), estimate aligned with each observation
@@ -214,12 +235,12 @@ class EstimationTrace:
     edge_counts: np.ndarray  # edges of the topology used at each step
     latent_candidates: np.ndarray
     latent_survivors: np.ndarray
-    diverged: bool = False
-    diverged_at: int | None = None
+    diverged: bool | tuple[bool, ...] = False
+    diverged_at: int | None | tuple[int | None, ...] = None
 
     @property
     def steps(self) -> int:
-        return self.estimates.shape[0]
+        return self.estimates.shape[-2]
 
 
 def error_nonlinearity(e: np.ndarray, algorithm: str, p_exponent: float | None = None) -> np.ndarray:
@@ -242,7 +263,7 @@ def error_nonlinearity(e: np.ndarray, algorithm: str, p_exponent: float | None =
 
 
 def diffusion_operator(laplacian: np.ndarray, eps: float) -> Callable[[np.ndarray], np.ndarray]:
-    """One-step spatial diffusion x -> x - eps * L x.
+    """One-step spatial diffusion x -> x - eps * L x, on (..., N) signals.
 
     Non-expansive for 0 < eps < 2 / lambda_max; values outside that range
     only warn, since exploratory use is legitimate.
@@ -256,7 +277,7 @@ def diffusion_operator(laplacian: np.ndarray, eps: float) -> Callable[[np.ndarra
         )
 
     def op(x: np.ndarray) -> np.ndarray:
-        return x - eps * (laplacian @ x)
+        return x - eps * _matvec(laplacian, x)
 
     return op
 
@@ -315,19 +336,141 @@ def _last_window_scores(rows: np.ndarray, pairs) -> np.ndarray:
     return sliding_abs_correlation(series, spec, pairs)[-1]
 
 
+class _Binder:
+    """Binds one algorithm's operator to Laplacians, for one run_estimation call.
+
+    Above EXACT_REBIND_LIMIT nodes, per-step ideal re-binding (a full
+    eigendecomposition per topology change) is replaced by a non-negative
+    polynomial fitted to the ideal response once, on the first re-bound
+    Laplacian, over a padded domain so topology drift cannot push
+    eigenvalues past it. The switch is announced with one warning.
+    """
+
+    def __init__(self, cfg: EstimatorConfig, node_count: int) -> None:
+        self.cfg = cfg
+        self.node_count = node_count
+        self.rebind_spec: FilterSpec | None = None
+
+    def __call__(self, lap: np.ndarray, rebinding: bool) -> Callable[[np.ndarray], np.ndarray]:
+        cfg = self.cfg
+        if cfg.algorithm in _SPATIAL:
+            lam_max = float(np.linalg.eigvalsh(lap)[-1])
+            eps = cfg.diffusion_eps if cfg.diffusion_eps is not None else (
+                1.0 / lam_max if lam_max > 0 else 0.0
+            )
+            return diffusion_operator(lap, eps)
+        spec = cfg.filter
+        if rebinding and spec.kind == "ideal-band-limited" and self.node_count > EXACT_REBIND_LIMIT:
+            if self.rebind_spec is None:
+                pad = 1.5
+                order = spec.order + spec.order % 2  # squared fit needs even order
+                lam_max = float(np.linalg.eigvalsh(lap)[-1])
+                grid = np.linspace(0.0, pad * lam_max, 16 * order + 8)
+                theta = fit_lowpass_coefficients(
+                    grid, spec.passband_fraction / pad, order, nonnegative=True
+                )
+                self.rebind_spec = FilterSpec("chebyshev", spec.passband_fraction, order, theta)
+                warnings.warn(
+                    f"{cfg.name}: {self.node_count} nodes exceed EXACT_REBIND_LIMIT="
+                    f"{EXACT_REBIND_LIMIT}; topology re-binds use a fitted order-{order} "
+                    "polynomial instead of the ideal filter",
+                    stacklevel=3,
+                )
+            spec = self.rebind_spec
+        return bind_filter(lap, spec)
+
+
+class _RebindCache:
+    """One run's single-entry cache: any change of the adjacency re-binds."""
+
+    def __init__(self, adjacency: np.ndarray, apply: Callable, bind: _Binder) -> None:
+        self.adjacency = adjacency
+        self.apply = apply
+        self.bind = bind
+
+    def __call__(self, adjacency: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        if not np.array_equal(adjacency, self.adjacency):
+            self.apply = self.bind(adjacency_laplacian(adjacency), rebinding=True)
+            self.adjacency = adjacency
+        return self.apply
+
+
+# (window of history or None, step) -> (adjacency, edge count, latent
+# candidates, latent survivors) of the topology in force at that step
+TopologyRule = Callable[[np.ndarray | None, int], tuple[np.ndarray, int, int, int]]
+
+
+def _symmetric(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    adjacency = np.zeros((n, n))
+    adjacency[pairs[:, 0], pairs[:, 1]] = weights
+    adjacency[pairs[:, 1], pairs[:, 0]] = weights
+    return adjacency
+
+
+def _topology_rule(g: StaticGraph, cfg: EstimatorConfig) -> TopologyRule:
+    """Per-step topology of the algorithms that rebuild it.
+
+    sgm-then-glms refreshes its topology before each update and
+    glms-then-sgm after it, for the next step; both read the history up to
+    the previous step, so one rule serves both.
+    """
+    n = g.node_count
+    static_adjacency = g.adjacency()
+    if cfg.algorithm == "dynamic-multihop":
+        base = g.edge_mask()
+        edge_pairs = np.array(g.edges, dtype=int).reshape(-1, 2)
+
+        def multihop(rows: np.ndarray | None, t: int) -> tuple[np.ndarray, int, int, int]:
+            if cfg.refresh_weights and rows is not None:
+                adjacency = _symmetric(n, edge_pairs, _last_window_scores(rows, edge_pairs))
+                scorer = lambda _t, pairs: _last_window_scores(rows, pairs)
+            else:
+                adjacency = static_adjacency
+                # no usable history: score candidates as unsupported
+                scorer = lambda _t, pairs: np.zeros(len(pairs))
+            topo = expand_prune_merge(
+                base,
+                adjacency,
+                cfg.hops,
+                cfg.prune,
+                t=t,
+                latent_weight=cfg.latent_weight,
+                candidate_scores=scorer,
+            )
+            return topo.adjacency, g.edge_count + topo.survivors, topo.candidates, topo.survivors
+
+        return multihop
+
+    all_pairs = np.column_stack(np.triu_indices(n, 1))
+
+    def correlation_thresholded(rows: np.ndarray | None, t: int) -> tuple[np.ndarray, int, int, int]:
+        if rows is None:
+            return static_adjacency, g.edge_count, 0, 0
+        scores = _last_window_scores(rows, all_pairs)
+        keep = cfg.prune.survives(scores)
+        adjacency = _symmetric(n, all_pairs, np.where(keep, scores, 0.0))
+        return adjacency, int(np.count_nonzero(keep)), 0, 0
+
+    return correlation_thresholded
+
+
 def run_estimation(
     stream: ObservationStream,
     g: StaticGraph,
     cfg: EstimatorConfig,
     ground_truth: NodeSignalSeries | None = None,
 ) -> EstimationTrace:
-    """Run one online estimation pass over an observation stream.
+    """Run the online estimation pass over a (T, N) or (R, T, N) stream.
 
-    The dynamic family refreshes edge weights from the strictly causal
-    estimate history (steps before the window fills fall back to the static
-    graph), rebuilds its topology, re-binds the filter, and then applies the
-    same masked correction step as every static baseline. ``ground_truth``
-    is only consulted when ``cfg.weights_source == "ground-truth"``.
+    The R runs of a stacked stream advance together: each step is one
+    masked update of the (R, N) state, and run r's outputs are bit-identical
+    to a separate call on run r's (T, N) stream. Static baselines bind their
+    operator once for all runs. The dynamic family keeps one topology and
+    re-bind cache per run: it refreshes edge weights from that run's
+    strictly causal estimate history (steps before the window fills fall
+    back to the static graph), rebuilds its topology, and re-binds the
+    filter. ``ground_truth`` is only consulted when
+    ``cfg.weights_source == "ground-truth"``.
     """
     n = g.node_count
     t_total = stream.steps
@@ -341,160 +484,84 @@ def run_estimation(
         if ground_truth.values.shape != (t_total, n):
             raise ValueError("ground_truth shape must match the stream")
 
+    stacked = stream.observations.ndim == 3
+    observations = stream.observations if stacked else stream.observations[None]
+    mask = stream.mask if stacked else stream.mask[None]
+    runs = observations.shape[0]
     algo = cfg.algorithm
     window = cfg.window.window
+    rebinding = algo in _REBINDING
+
+    bind = _Binder(cfg, n)
     static_adjacency = g.adjacency()
-    base_lap = adjacency_laplacian(static_adjacency)
+    # the dynamic family binds the static graph through its re-bind route,
+    # so every run's cache starts out holding it
+    static_apply = bind(adjacency_laplacian(static_adjacency), rebinding)
+    if rebinding:
+        topology = _topology_rule(g, cfg)
+        caches = [_RebindCache(static_adjacency, static_apply, bind) for _ in range(runs)]
 
-    rebind_spec: FilterSpec | None = None  # fixed polynomial response, fitted once
+    estimates = np.zeros((runs, t_total, n))
+    residual_norms = np.zeros((runs, t_total))
+    step_sizes = np.zeros((runs, t_total))
+    edge_counts = np.full((runs, t_total), g.edge_count)
+    latent_candidates = np.zeros((runs, t_total), dtype=int)
+    latent_survivors = np.zeros((runs, t_total), dtype=int)
 
-    def bind(lap: np.ndarray, rebinding: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-        nonlocal rebind_spec
-        if algo in _SPATIAL:
-            lam_max = float(np.linalg.eigvalsh(lap)[-1])
-            eps = cfg.diffusion_eps if cfg.diffusion_eps is not None else (
-                1.0 / lam_max if lam_max > 0 else 0.0
-            )
-            return diffusion_operator(lap, eps)
-        spec = cfg.filter
-        if rebinding and spec.kind == "ideal-band-limited" and n > EXACT_REBIND_LIMIT:
-            # per-step exact diagonalization is too costly at this size; fit
-            # a non-negative polynomial to the ideal response once, over a
-            # padded domain so topology drift cannot push eigenvalues past it
-            if rebind_spec is None:
-                pad = 1.5
-                order = spec.order + spec.order % 2  # squared fit needs even order
-                lam_max = float(np.linalg.eigvalsh(lap)[-1])
-                grid = np.linspace(0.0, pad * lam_max, 16 * order + 8)
-                theta = fit_lowpass_coefficients(
-                    grid, spec.passband_fraction / pad, order, nonnegative=True
-                )
-                rebind_spec = FilterSpec("chebyshev", spec.passband_fraction, order, theta)
-            spec = rebind_spec
-        return bind_filter(lap, spec)
-
-    static_apply = bind(base_lap)
-    apply_c = static_apply
-    current_edge_count = g.edge_count
-
-    # single-entry cache: any change of the merged adjacency triggers a re-bind
-    cached_adjacency: np.ndarray | None = None
-    cached_apply: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def bind_cached(adjacency: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        nonlocal cached_adjacency, cached_apply
-        if cached_adjacency is None or not np.array_equal(adjacency, cached_adjacency):
-            cached_apply = bind(adjacency_laplacian(adjacency), rebinding=True)
-            cached_adjacency = adjacency
-        return cached_apply
-
-    # pair index arrays, built only for the topology the algorithm refreshes
-    if algo == "dynamic-multihop":
-        base = g.edge_mask()
-        edge_pairs = np.array(g.edges, dtype=int).reshape(-1, 2)
-    elif algo in _SGM:
-        all_pairs = np.column_stack(np.triu_indices(n, 1))
-
-    def symmetric(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        adjacency = np.zeros((n, n))
-        adjacency[pairs[:, 0], pairs[:, 1]] = weights
-        adjacency[pairs[:, 1], pairs[:, 0]] = weights
-        return adjacency
-
-    def history_rows(t: int) -> np.ndarray | None:
-        """Trailing window of strictly causal signal history, or None."""
+    def history_rows(r: int, t: int) -> np.ndarray | None:
+        """Trailing window of run r's strictly causal signal history, or None."""
         if t < window:
             return None
         if cfg.weights_source == "ground-truth":
             return ground_truth.values[t - window : t]
-        rows = np.asarray(estimates[t - window : t])
+        rows = estimates[r, t - window : t]
         if not np.all(np.isfinite(rows)):
             return None  # diverged history carries no usable statistics
         return rows
 
-    def multihop_topology(t: int) -> LatentTopology:
-        rows = history_rows(t)
-        if cfg.refresh_weights and rows is not None:
-            adjacency = symmetric(edge_pairs, _last_window_scores(rows, edge_pairs))
-            scorer = lambda _t, pairs: _last_window_scores(rows, pairs)
+    x_hat = np.zeros((runs, n))
+    for t in range(t_total):
+        residual = np.where(mask[:, t], observations[:, t] - x_hat, 0.0)
+        # each run's dot product is the one np.linalg.norm takes, bit for bit
+        norms = np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0]
+        norms = np.sqrt(norms, out=residual_norms[:, t])
+        # math.exp per run: np.exp is not guaranteed to round the same way
+        mu = step_sizes[:, t]
+        mu[:] = [adaptive_mu(v, cfg.step) for v in norms.tolist()]
+        shaped = error_nonlinearity(residual, algo, cfg.p_exponent)
+        if rebinding:
+            filtered = np.empty_like(shaped)
+            for r, cache in enumerate(caches):
+                adjacency, edge_counts[r, t], latent_candidates[r, t], latent_survivors[r, t] = (
+                    topology(history_rows(r, t), t)
+                )
+                filtered[r] = cache(adjacency)(shaped[r])
         else:
-            adjacency = static_adjacency
-            # no usable history: score candidates as unsupported
-            scorer = lambda _t, pairs: np.zeros(len(pairs))
-        return expand_prune_merge(
-            base,
-            adjacency,
-            cfg.hops,
-            cfg.prune,
-            t=t,
-            latent_weight=cfg.latent_weight,
-            candidate_scores=scorer,
+            filtered = static_apply(shaped)
+        x_hat = np.add(x_hat, mu[:, None] * filtered, out=estimates[:, t])
+
+    if algo == "dynamic-multihop" and np.any(
+        latent_candidates.any(axis=1) & ~latent_survivors.any(axis=1)
+    ):
+        warnings.warn(
+            f"{cfg.name}: prune threshold {cfg.prune.threshold} ({cfg.prune.metric}) kept none "
+            "of the latent candidates at any step; the run reduces to re-weighted glms",
+            stacklevel=2,
         )
 
-    def sgm_topology(t: int) -> tuple[np.ndarray, int]:
-        """Correlation-thresholded adjacency over all pairs, and its edge count."""
-        rows = history_rows(t)
-        if rows is None:
-            return static_adjacency, g.edge_count
-        scores = _last_window_scores(rows, all_pairs)
-        keep = cfg.prune.survives(scores)
-        return symmetric(all_pairs, np.where(keep, scores, 0.0)), int(np.count_nonzero(keep))
-
-    estimates = np.zeros((t_total, n))
-    residual_norms = np.zeros(t_total)
-    step_sizes = np.zeros(t_total)
-    edge_counts = np.zeros(t_total, dtype=int)
-    latent_candidates = np.zeros(t_total, dtype=int)
-    latent_survivors = np.zeros(t_total, dtype=int)
-    x_hat = np.zeros(n)
-    diverged = False
-    diverged_at: int | None = None
-    next_topology = (static_adjacency, g.edge_count)  # in force for glms-then-sgm
-
-    for t in range(t_total):
-        if algo == "dynamic-multihop":
-            topo = multihop_topology(t)
-            apply_c = bind_cached(topo.adjacency)
-            current_edge_count = g.edge_count + topo.survivors
-            latent_candidates[t] = topo.candidates
-            latent_survivors[t] = topo.survivors
-        elif algo in _SGM:
-            adjacency, current_edge_count = (
-                sgm_topology(t) if algo == "sgm-then-glms" else next_topology
-            )
-            apply_c = bind_cached(adjacency)
-
-        residual = np.where(stream.mask[t], stream.observations[t] - x_hat, 0.0)
-        residual_norm = float(np.linalg.norm(residual))
-        mu_t = adaptive_mu(residual_norm, cfg.step)
-        shaped = error_nonlinearity(residual, algo, cfg.p_exponent)
-        x_hat = x_hat + mu_t * apply_c(shaped)
-
-        if not diverged and (
-            not np.all(np.isfinite(x_hat)) or np.max(np.abs(x_hat)) > DIVERGENCE_GUARD
-        ):
-            diverged = True
-            diverged_at = t
-
-        estimates[t] = x_hat
-        residual_norms[t] = residual_norm
-        step_sizes[t] = mu_t
-        edge_counts[t] = current_edge_count
-
-        if algo == "glms-then-sgm":
-            next_topology = sgm_topology(t + 1)
-
+    # a run diverges at its first non-finite estimate or one beyond the
+    # guard (NaN and inf fail the comparison as well)
+    blown = ~np.all(np.abs(estimates) <= DIVERGENCE_GUARD, axis=2)
+    diverged = tuple(bool(b) for b in blown.any(axis=1))
+    first = tuple(int(np.argmax(b)) if d else None for b, d in zip(blown, diverged))
     estimates.setflags(write=False)
-    return EstimationTrace(
-        estimates=estimates,
-        residual_norms=residual_norms,
-        step_sizes=step_sizes,
-        edge_counts=edge_counts,
-        latent_candidates=latent_candidates,
-        latent_survivors=latent_survivors,
-        diverged=diverged,
-        diverged_at=diverged_at,
+    arrays = (
+        estimates, residual_norms, step_sizes, edge_counts, latent_candidates, latent_survivors
     )
+    if not stacked:
+        arrays = tuple(a[0] for a in arrays)
+        diverged, first = diverged[0], first[0]
+    return EstimationTrace(*arrays, diverged=diverged, diverged_at=first)
 
 
 def trace_to_csv(trace: EstimationTrace, path: str | Path) -> None:

@@ -110,11 +110,21 @@ def fit_lowpass_coefficients(
     return tuple(theta / lam_max ** np.arange(order + 1))
 
 
+def _matvec(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for every vector v of a (..., N) stack.
+
+    Each vector gets its own matrix-vector product, so it carries the same
+    bits as ``matrix @ v`` alone; one matrix-matrix product over the stack
+    would round differently.
+    """
+    return np.matmul(matrix, vec[..., None])[..., 0]
+
+
 def _apply_polynomial(matrix: np.ndarray, coefficients, vec: np.ndarray) -> np.ndarray:
     acc = coefficients[0] * vec
     power = vec
     for c in coefficients[1:]:
-        power = matrix @ power
+        power = _matvec(matrix, power)
         acc = acc + c * power
     return acc
 
@@ -188,11 +198,12 @@ def bind_filter(
     spec: FilterSpec,
     decomp: SpectralDecomposition | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Pre-bind a filter to one operator; returns a vector->vector callable.
+    """Pre-bind a filter to one operator; returns a callable on (..., N) signals.
 
     Binding does the expensive work once (eigendecomposition or coefficient
     fit), so per-step application inside online loops is a single dense
-    matvec or a short matvec chain.
+    matvec or a short matvec chain per signal. A stack of signals is
+    filtered signal by signal, bit-identical to filtering each alone.
     """
     if spec.kind == "chebyshev":
         coeffs = _resolve_coefficients(spec, laplacian, decomp)
@@ -206,6 +217,6 @@ def bind_filter(
     dense = filter_matrix(decomp, spec)
 
     def apply_dense(vec: np.ndarray) -> np.ndarray:
-        return dense @ vec
+        return _matvec(dense, vec)
 
     return apply_dense

@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import __version__
 from ..edge_dynamics import NodeSignalSeries
-from ..estimators import EstimatorConfig, run_estimation
+from ..estimators import EstimatorConfig, ObservationStream, run_estimation
 from ..graphs import StaticGraph, graph_from_csv
 from .data import GraphBuildSpec, SplitSpec, build_initial_graph, ingest_csv, normalize_by_train_mean
 from .metrics import AlgorithmMetrics, MetricsReport, mse_curve
@@ -87,6 +87,10 @@ def run_experiment(
 ) -> MetricsReport:
     """R seeded runs of every algorithm on one split of one dataset.
 
+    The R noisy streams are simulated once and shared by every algorithm;
+    each algorithm advances its R runs together in one ``run_estimation``
+    call over the stacked (R, T, N) stream, so memory grows as R x T x N.
+
     Noise variance follows the training-split signal variance regardless of
     the evaluated split, so sweeps on the validation split (e.g. step-size
     or threshold selection) see the same noise level as the test split.
@@ -101,25 +105,23 @@ def run_experiment(
     truth_series = NodeSignalSeries(truth, labels=series.labels)
     train_var = series.values[splits.rows("train")].var(axis=0, ddof=1)
 
+    stream = ObservationStream.stack(
+        [
+            simulate_observations(truth_series, noise, r, signal_variance=train_var)
+            for r in range(noise.runs)
+        ]
+    )
     n = graph.node_count
     results = []
     for cfg in algorithms:
-        traces = []
-        for r in range(noise.runs):
-            stream = simulate_observations(truth_series, noise, r, signal_variance=train_var)
-            traces.append(run_estimation(stream, graph, cfg, ground_truth=truth_series))
-        mse = mse_curve(traces, truth)
-        degree = np.mean(
-            [2.0 * tr.edge_counts.astype(float) / n for tr in traces], axis=0
-        )
-        diverged = sum(1 for tr in traces if tr.diverged)
+        trace = run_estimation(stream, graph, cfg, ground_truth=truth_series)
         results.append(
             AlgorithmMetrics(
                 label=cfg.name,
-                mse=mse,
-                avg_degree=degree,
+                mse=mse_curve(trace.estimates, truth),
+                avg_degree=np.mean(2.0 * trace.edge_counts.astype(float) / n, axis=0),
                 runs=noise.runs,
-                diverged_runs=diverged,
+                diverged_runs=sum(trace.diverged),
             )
         )
     times = np.arange(rows.start + 1, rows.stop + 1)

@@ -45,7 +45,8 @@ def mse_curve(traces: Sequence, ground_truth: np.ndarray) -> np.ndarray:
     """Per-step mean squared error, averaged over nodes and runs.
 
     ``traces`` may hold EstimationTrace objects or raw (T, N) estimate
-    arrays. All runs must match the ground truth's shape.
+    arrays, or be the (R, T, N) estimates of a stacked trace. All runs must
+    match the ground truth's shape.
     """
     if len(traces) < 1:
         raise ValueError("need at least one run")

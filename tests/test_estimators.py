@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynhop import (
+    ALGORITHMS,
+    EstimationTrace,
     EstimatorConfig,
     FilterSpec,
     ObservationStream,
@@ -22,6 +26,7 @@ from dynhop import (
     run_estimation,
     stability_bound,
 )
+from dynhop import estimators
 from dynhop.edge_dynamics import NodeSignalSeries
 from dynhop.estimators import trace_summary_json, trace_to_csv
 from conftest import random_graph
@@ -348,6 +353,151 @@ def test_dynamic_rebinding_above_exact_size_limit(rng):
     assert trace.steps == 12
     assert not trace.diverged
     assert np.all(np.isfinite(trace.estimates))
+
+
+def test_short_stream_dynamic_runs_bind_the_static_graph_once(rng, monkeypatch):
+    # before the window fills every step uses the static graph, so the one
+    # binding that seeds the re-bind cache is the only one
+    binds = []
+    original = estimators.bind_filter
+    monkeypatch.setattr(estimators, "bind_filter",
+                        lambda lap, spec: binds.append(spec) or original(lap, spec))
+    g = random_graph(rng, 10)
+    rows = rng.standard_normal((4, 10))
+    stream = ObservationStream(rows, rng.random((4, 10)) < 0.7)
+    for algo in ("dynamic-multihop", "sgm-then-glms", "glms-then-sgm", "glms"):
+        binds.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # no latent candidate survives here
+            trace = run_estimation(stream, g, EstimatorConfig(algo, window=WindowSpec(10, 1)))
+        assert trace.steps == 4
+        assert len(binds) == 1, algo
+
+
+def test_exact_rebind_limit_switch_warns_once_per_call(rng):
+    g = random_graph(rng, 201, 300)
+    rows = rng.standard_normal((2, 3, 201))
+    stream = ObservationStream(rows, np.ones(rows.shape, dtype=bool))
+    cfg = EstimatorConfig("dynamic-multihop", filter=FilterSpec(passband_fraction=0.4),
+                          step=StepSizeRule.fixed(0.5), hops=2, prune=PruneSpec(0.01),
+                          window=WindowSpec(5, 1))
+    with pytest.warns(UserWarning) as record:
+        trace = run_estimation(stream, g, cfg)
+    switches = [str(w.message) for w in record if "EXACT_REBIND_LIMIT" in str(w.message)]
+    assert switches == ["dynamic-multihop: 201 nodes exceed EXACT_REBIND_LIMIT=200; topology "
+                        "re-binds use a fitted order-12 polynomial instead of the ideal filter"]
+    assert np.all(np.isfinite(trace.estimates))
+    assert trace.diverged == (False, False)
+
+
+def test_prune_that_keeps_nothing_warns(rng):
+    g = random_graph(rng, 12, 14)
+    rows = rng.standard_normal((40, 12))
+    stream = ObservationStream(rows, rng.random((40, 12)) < 0.7)
+    common = dict(step=StepSizeRule.fixed(0.5), window=WindowSpec(10, 1), hops=6)
+    cfg = EstimatorConfig("dynamic-multihop", prune=PruneSpec(0.99), **common)
+    with pytest.warns(UserWarning) as record:
+        trace = run_estimation(stream, g, cfg)
+    assert trace.latent_candidates.any() and not trace.latent_survivors.any()
+    assert [str(w.message) for w in record] == [
+        "dynamic-multihop: prune threshold 0.99 (weight-magnitude) kept none of the latent "
+        "candidates at any step; the run reduces to re-weighted glms"
+    ]
+    latent = EstimatorConfig("dynamic-multihop", prune=PruneSpec(0.015, "correlation"), **common)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_estimation(stream, g, latent).latent_survivors.any()
+
+
+# -- run-batched estimation ------------------------------------------------------------
+
+def assert_stack_matches_single_runs(stream, g, cfg, ground_truth=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # prune, diffusion-range and overflow warnings
+        stacked = run_estimation(stream, g, cfg, ground_truth)
+        singles = [
+            run_estimation(ObservationStream(obs, mask), g, cfg, ground_truth)
+            for obs, mask in zip(stream.observations, stream.mask)
+        ]
+    assert stacked.steps == stream.steps
+    for r, single in enumerate(singles):
+        # the residual norm is np.linalg.norm's, bit for bit
+        previous = np.vstack([np.zeros(g.node_count), single.estimates[:-1]])
+        residual = np.where(stream.mask[r], stream.observations[r] - previous, 0.0)
+        norms = [np.linalg.norm(v) for v in residual]
+        assert np.array_equal(single.residual_norms, norms, equal_nan=True)
+        for field in dataclasses.fields(EstimationTrace):
+            got, want = getattr(stacked, field.name)[r], getattr(single, field.name)
+            nan = isinstance(want, np.ndarray) and want.dtype.kind == "f"
+            assert np.array_equal(got, want, equal_nan=nan), (cfg.name, r, field.name)
+    return stacked
+
+
+def batch_config(algo, **kwargs):
+    prune = {"dynamic-multihop": PruneSpec(0.015, "correlation"),
+             "sgm-then-glms": PruneSpec(0.6), "glms-then-sgm": PruneSpec(0.6)}
+    kwargs.setdefault("step", StepSizeRule.fixed(0.5))
+    return EstimatorConfig(algo, filter=kwargs.pop("filter", FilterSpec(passband_fraction=0.4)),
+                           hops=3, prune=prune.get(algo, PruneSpec(0.2)),
+                           window=WindowSpec(5, 1), **kwargs)
+
+
+BATCH_CASES = [
+    *(pytest.param(batch_config(a), id=a) for a in ALGORITHMS),
+    *(pytest.param(batch_config(a, step=RULE), id=f"{a}-adaptive")
+      for a in ("glms", "dynamic-multihop", "sgm-then-glms")),
+    *(pytest.param(batch_config(a, filter=FilterSpec("chebyshev", 0.4, order=6)),
+                   id=f"{a}-chebyshev") for a in ("glms", "glmp", "dynamic-multihop")),
+    *(pytest.param(batch_config(a, weights_source="ground-truth"), id=f"{a}-ground-truth")
+      for a in ("dynamic-multihop", "glms-then-sgm")),
+]
+
+
+@pytest.mark.parametrize("cfg", BATCH_CASES)
+def test_stacked_runs_match_single_runs_bit_for_bit(cfg, rng):
+    g = random_graph(rng, 26, 40)
+    truth = rng.standard_normal((40, 26))
+    runs = truth + 0.3 * rng.standard_normal((3, 40, 26))
+    stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
+    stacked = assert_stack_matches_single_runs(stream, g, cfg, NodeSignalSeries(truth))
+    if cfg.algorithm == "dynamic-multihop" and cfg.weights_source == "estimates":
+        # the runs saw different histories, so their topologies differ
+        assert not np.array_equal(stacked.edge_counts[0], stacked.edge_counts[1])
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_stacked_run_diverging_next_to_converging_runs(algo, rng):
+    # a step between the full-mask and the sparse-mask stability bounds
+    # diverges only in the fully observed run
+    g = random_graph(rng, 10)
+    spec = FilterSpec(passband_fraction=0.4)
+    sparse = np.zeros(10, dtype=bool)
+    sparse[np.argmin(np.diag(ideal_projector(g, 0.4)))] = True  # least in-band node
+    mu = 0.5 * (stability_bound(g, spec, "full") + stability_bound(g, spec, sparse.astype(float)))
+    truth = bandlimited_vector(g, 0.4, rng)
+    masks = np.stack([np.tile(m, (200, 1)) for m in (sparse, np.ones(10, dtype=bool), sparse)])
+    stream = ObservationStream(np.broadcast_to(truth, masks.shape), masks)
+    stacked = assert_stack_matches_single_runs(stream, g, batch_config(
+        algo, filter=spec, step=StepSizeRule.fixed(mu)))
+    if algo == "glms":
+        assert stacked.diverged == (False, True, False)
+        assert stacked.diverged_at[1] is not None
+        assert np.all(np.isfinite(stacked.estimates[[0, 2]]))
+
+
+def test_stacking_needs_equal_2d_shapes(rng):
+    a = ObservationStream(rng.standard_normal((5, 3)), np.ones((5, 3), dtype=bool))
+    b = ObservationStream(rng.standard_normal((6, 3)), np.ones((6, 3), dtype=bool))
+    with pytest.raises(ValueError, match="one shape"):
+        ObservationStream.stack([a, b])
+    with pytest.raises(ValueError, match="one shape"):
+        ObservationStream.stack([])
+    stacked = ObservationStream.stack([a, a])
+    assert stacked.observations.shape == (2, 5, 3) and stacked.steps == 5
+    with pytest.raises(ValueError, match="one shape"):
+        ObservationStream.stack([stacked, stacked])
+    with pytest.raises(ValueError, match="2-D or 3-D"):
+        ObservationStream(np.zeros((1, 2, 5, 3)), np.ones((1, 2, 5, 3), dtype=bool))
 
 
 # -- stability bound -------------------------------------------------------------------

@@ -67,6 +67,38 @@ def test_identical_reruns_are_bit_identical():
         assert np.array_equal(x.avg_degree, y.avg_degree)
 
 
+def test_batched_runs_reduce_like_separate_runs():
+    # the shared stacked stream and batched estimation give the curves that
+    # separately simulated and estimated runs give, bit for bit
+    from dynhop import run_estimation
+    from dynhop.edge_dynamics import NodeSignalSeries
+    from dynhop.harness import mse_curve, simulate_observations
+
+    dataset = synthetic_dataset()
+    noise = NoiseMaskSpec(snr=3.0, missing_fraction=0.3, seed=5, runs=3)
+    cfgs = [
+        EstimatorConfig("dynamic-multihop", step=StepSizeRule.adaptive(0.8, 3.5),
+                        hops=3, prune=PruneSpec(0.015), window=WindowSpec(10, 1)),
+        EstimatorConfig("gsd", step=StepSizeRule.fixed(0.9)),
+        EstimatorConfig("sgm-then-glms", step=StepSizeRule.fixed(0.9), prune=PruneSpec(0.8)),
+    ]
+    report = run_experiment(dataset, noise, cfgs)
+
+    series, graph, splits = _resolve_dataset(dataset, GraphBuildSpec())
+    truth = series.values[splits.rows("test")]
+    train_var = series.values[splits.rows("train")].var(axis=0, ddof=1)
+    for cfg, got in zip(cfgs, report.algorithms):
+        traces = [
+            run_estimation(simulate_observations(NodeSignalSeries(truth), noise, r, train_var),
+                           graph, cfg, ground_truth=NodeSignalSeries(truth))
+            for r in range(noise.runs)
+        ]
+        degree = np.mean([2.0 * tr.edge_counts / graph.node_count for tr in traces], axis=0)
+        assert np.array_equal(got.mse, mse_curve(traces, truth))
+        assert np.array_equal(got.avg_degree, degree)
+        assert got.diverged_runs == sum(tr.diverged for tr in traces)
+
+
 def test_report_times_are_absolute_one_based():
     dataset = synthetic_dataset()
     noise = NoiseMaskSpec(snr=3.0, missing_fraction=0.0, seed=1, runs=1)
