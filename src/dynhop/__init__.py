@@ -8,14 +8,7 @@ node signals on top of them, alongside the usual static-topology baselines.
 
 __version__ = "0.1.0"
 
-from .edge_dynamics import (
-    EdgeWeightSeries,
-    NodeSignalSeries,
-    WindowSpec,
-    edge_weight_series,
-    sliding_abs_correlation,
-    time_varying_laplacian,
-)
+from .edge_dynamics import NodeSignalSeries, WindowSpec, sliding_abs_correlation
 from .estimators import (
     ALGORITHMS,
     EstimationTrace,
@@ -25,31 +18,25 @@ from .estimators import (
     adaptive_mu,
     diffusion_operator,
     error_nonlinearity,
-    lms_step,
     run_estimation,
     stability_bound,
 )
-from .filters import FilterSpec, apply_edge_filter, apply_filter, bind_filter, fit_lowpass_coefficients
+from .filters import FilterSpec, apply_filter, bind_filter, fit_lowpass_coefficients
 from .graphs import (
     SpectralDecomposition,
     StaticGraph,
     build_laplacian,
     eigendecompose,
-    gft,
     graph_from_csv,
     graph_from_json,
     graph_to_csv,
     graph_to_json,
-    hodge1_laplacian,
-    igft,
     incidence,
 )
 from .multihop import (
-    DynamicTopology,
     HopCandidateSet,
     PruneSpec,
     TopologySlice,
-    build_dynamic_topology,
     build_topology_slice,
     hop_expand,
     merge,
@@ -59,8 +46,6 @@ from .multihop import (
 
 __all__ = [
     "ALGORITHMS",
-    "DynamicTopology",
-    "EdgeWeightSeries",
     "EstimationTrace",
     "EstimatorConfig",
     "FilterSpec",
@@ -75,32 +60,24 @@ __all__ = [
     "WindowSpec",
     "__version__",
     "adaptive_mu",
-    "apply_edge_filter",
     "apply_filter",
     "bind_filter",
-    "build_dynamic_topology",
     "build_laplacian",
     "build_topology_slice",
     "diffusion_operator",
-    "edge_weight_series",
     "eigendecompose",
     "error_nonlinearity",
     "fit_lowpass_coefficients",
-    "gft",
     "graph_from_csv",
     "graph_from_json",
     "graph_to_csv",
     "graph_to_json",
-    "hodge1_laplacian",
     "hop_expand",
-    "igft",
     "incidence",
-    "lms_step",
     "merge",
     "prune",
     "run_estimation",
     "sliding_abs_correlation",
     "spectral_normalize",
     "stability_bound",
-    "time_varying_laplacian",
 ]

@@ -1,11 +1,12 @@
 """Time-varying edge weights from sliding-window correlation of node signals.
 
-The weight of an edge at step t is the absolute Pearson correlation of its
-endpoints over the trailing window ending at t. Absolute values keep weights
-non-negative (a Laplacian requirement) while retaining both positively and
-negatively coupled pairs.
+Row t of :func:`sliding_abs_correlation` holds the absolute Pearson
+correlation of each pair over the trailing window ending at t. Absolute
+values keep weights non-negative (a Laplacian requirement) while retaining
+both positively and negatively coupled pairs. The online estimators score
+step t from the window ending at t - 1, the strictly causal history.
 
-Warm-up: steps before the first full window repeat the first defined row
+Warm-up: rows before the first full window repeat the first defined row
 (constant extrapolation backward). Zero-variance windows score 0 — no
 evidence of interaction. Both policies keep every weight in [0, 1] and every
 derived Laplacian valid.
@@ -13,24 +14,16 @@ derived Laplacian valid.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .graphs import StaticGraph, incidence
-
 __all__ = [
     "WindowSpec",
     "NodeSignalSeries",
-    "EdgeWeightSeries",
     "sliding_abs_correlation",
-    "edge_weight_series",
-    "time_varying_laplacian",
-    "weights_to_csv",
 ]
 
 
@@ -83,34 +76,6 @@ class NodeSignalSeries:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class EdgeWeightSeries:
-    """Per-step non-negative weights on a fixed edge set.
-
-    ``edges`` is the canonical edge list shared with the originating
-    :class:`StaticGraph`; column k of ``weights`` is the trajectory of edge
-    k. Rows follow the stride of the window spec that produced them.
-    """
-
-    edges: tuple[tuple[int, int], ...]
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[1] != len(self.edges):
-            raise ValueError(f"weights shape {w.shape} does not match {len(self.edges)} edges")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("edge weights must be finite and >= 0")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "edges", tuple((int(i), int(j)) for i, j in self.edges))
-
-    @property
-    def steps(self) -> int:
-        return self.weights.shape[0]
-
-
 def sliding_abs_correlation(
     series: NodeSignalSeries,
     spec: WindowSpec,
@@ -154,38 +119,3 @@ def sliding_abs_correlation(
     full = np.vstack([np.repeat(defined[:1], w - 1, axis=0), defined])
     return full[:: spec.stride]
 
-
-def edge_weight_series(
-    g: StaticGraph, series: NodeSignalSeries, spec: WindowSpec
-) -> EdgeWeightSeries:
-    """Windowed |correlation| restricted to the graph's edge set.
-
-    Correlations between non-adjacent pairs are simply never computed; the
-    fixed edge set is what keeps the result sparse.
-    """
-    if series.node_count != g.node_count:
-        raise ValueError(
-            f"series has {series.node_count} nodes, graph has {g.node_count}"
-        )
-    scores = sliding_abs_correlation(series, spec, g.edges)
-    return EdgeWeightSeries(g.edges, scores)
-
-
-def time_varying_laplacian(g: StaticGraph, ws: EdgeWeightSeries, t: int) -> np.ndarray:
-    """Laplacian of the fixed topology under the weights at step t."""
-    if ws.edges != g.edges:
-        raise ValueError("weight series edge set does not match the graph")
-    if not 0 <= t < ws.steps:
-        raise ValueError(f"step {t} outside 0..{ws.steps - 1}")
-    b = incidence(g)
-    return (b * ws.weights[t]) @ b.T
-
-
-def weights_to_csv(ws: EdgeWeightSeries, path: str | Path) -> None:
-    """Long-format dump: one row per (step, edge)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "edge_src", "edge_dst", "weight"])
-        for t in range(ws.steps):
-            for (i, j), w in zip(ws.edges, ws.weights[t]):
-                writer.writerow([t, i, j, repr(float(w))])

@@ -17,6 +17,10 @@ estimate. They differ in the operator and non-linearity:
   glms-then-sgm      update first, then refresh the topology for the next
                      step
 
+Both sgm orderings build the topology of step t from the estimate history up
+to step t - 1, so here they are the same estimator and their traces are
+bit-identical; the paper's distinction between them is not reproduced.
+
 Divergence (non-finite values, or magnitudes beyond an overflow guard) is
 flagged in the trace; the run keeps going so the blow-up stays visible in
 downstream metrics.
@@ -24,12 +28,9 @@ downstream metrics.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,11 +56,8 @@ __all__ = [
     "adaptive_mu",
     "error_nonlinearity",
     "diffusion_operator",
-    "lms_step",
     "run_estimation",
     "stability_bound",
-    "trace_to_csv",
-    "trace_summary",
 ]
 
 ALGORITHMS = (
@@ -183,7 +181,8 @@ class EstimatorConfig:
     weights (useful as a reduction check: dynamic-multihop with hops=1 and
     static weights must reproduce glms exactly). ``weights_source`` selects
     whether windowed correlations are computed on the running estimates
-    (deployment setting) or on a supplied ground-truth history.
+    (deployment setting) or on a supplied ground-truth history. Only
+    ``window.window`` is read; ``window.stride`` must be 1.
     """
 
     algorithm: str
@@ -211,6 +210,11 @@ class EstimatorConfig:
         if self.latent_weight not in LATENT_WEIGHT_RULES:
             raise ValueError(
                 f"unknown latent_weight {self.latent_weight!r}; expected one of {LATENT_WEIGHT_RULES}"
+            )
+        if self.window.stride != 1:
+            raise ValueError(
+                f"window.stride must be 1, got {self.window.stride}: online estimation "
+                "refreshes edge weights every step"
             )
 
     @property
@@ -280,18 +284,6 @@ def diffusion_operator(laplacian: np.ndarray, eps: float) -> Callable[[np.ndarra
         return x - eps * _matvec(laplacian, x)
 
     return op
-
-
-def lms_step(
-    estimate: np.ndarray,
-    observation: np.ndarray,
-    mask: np.ndarray,
-    filter_op: Callable[[np.ndarray], np.ndarray],
-    mu: float,
-) -> np.ndarray:
-    """One correction step: estimate + mu * C(masked residual)."""
-    residual = np.where(mask, observation - estimate, 0.0)
-    return estimate + mu * filter_op(residual)
 
 
 def stability_bound(
@@ -563,27 +555,3 @@ def run_estimation(
         diverged, first = diverged[0], first[0]
     return EstimationTrace(*arrays, diverged=diverged, diverged_at=first)
 
-
-def trace_to_csv(trace: EstimationTrace, path: str | Path) -> None:
-    """Long-format estimates: one row per (step, node)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "estimate"])
-        for t in range(trace.steps):
-            for i, v in enumerate(trace.estimates[t]):
-                writer.writerow([t, i, repr(float(v))])
-
-
-def trace_summary(trace: EstimationTrace) -> dict:
-    """JSON-ready per-run summary (norms, steps, edge counts, divergence)."""
-    return {
-        "residual_norms": [float(v) for v in trace.residual_norms],
-        "step_sizes": [float(v) for v in trace.step_sizes],
-        "edge_counts": [int(v) for v in trace.edge_counts],
-        "diverged": bool(trace.diverged),
-        "diverged_at": None if trace.diverged_at is None else int(trace.diverged_at),
-    }
-
-
-def trace_summary_json(trace: EstimationTrace) -> str:
-    return json.dumps(trace_summary(trace), sort_keys=True)

@@ -21,9 +21,7 @@ __all__ = [
     "ideal_response",
     "fit_lowpass_coefficients",
     "filter_response",
-    "filter_matrix",
     "apply_filter",
-    "apply_edge_filter",
     "bind_filter",
 ]
 
@@ -148,49 +146,18 @@ def filter_response(decomp: SpectralDecomposition, spec: FilterSpec) -> np.ndarr
     return np.polynomial.polynomial.polyval(decomp.eigenvalues, np.asarray(coeffs))
 
 
-def filter_matrix(decomp: SpectralDecomposition, spec: FilterSpec) -> np.ndarray:
-    """Dense operator U diag(h) U^T."""
-    h = filter_response(decomp, spec)
-    u = decomp.eigenvectors
-    return (u * h) @ u.T
-
-
 def apply_filter(
     x: np.ndarray,
     laplacian: np.ndarray,
     spec: FilterSpec,
     decomp: SpectralDecomposition | None = None,
 ) -> np.ndarray:
-    """Filter a node signal.
-
-    For the ideal kind an eigendecomposition is computed, or reused when
-    passed via ``decomp``. The polynomial kind works by iterated
-    matrix-vector products only.
-    """
+    """Filter one node signal (see :func:`bind_filter`)."""
     x = np.asarray(x, dtype=float)
     n = laplacian.shape[0]
     if x.shape != (n,):
         raise ValueError(f"signal length {x.shape} does not match operator size {n}")
-    if spec.kind == "chebyshev":
-        coeffs = _resolve_coefficients(spec, laplacian, decomp)
-        return _apply_polynomial(laplacian, coeffs, x)
-    if decomp is None:
-        decomp = eigendecompose(laplacian)
-    return filter_matrix(decomp, spec) @ x
-
-
-def apply_edge_filter(
-    w: np.ndarray,
-    edge_laplacian: np.ndarray,
-    spec: FilterSpec,
-    decomp: SpectralDecomposition | None = None,
-) -> np.ndarray:
-    """Filter an edge signal through the edge-space Laplacian.
-
-    Identical machinery to :func:`apply_filter`; the operator simply lives
-    in edge space (one dimension per edge).
-    """
-    return apply_filter(w, edge_laplacian, spec, decomp)
+    return bind_filter(laplacian, spec, decomp)(x)
 
 
 def bind_filter(
@@ -214,7 +181,8 @@ def bind_filter(
         return apply_poly
     if decomp is None:
         decomp = eigendecompose(laplacian)
-    dense = filter_matrix(decomp, spec)
+    u = decomp.eigenvectors
+    dense = (u * filter_response(decomp, spec)) @ u.T  # U diag(h) U^T
 
     def apply_dense(vec: np.ndarray) -> np.ndarray:
         return _matvec(dense, vec)

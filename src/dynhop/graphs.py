@@ -1,4 +1,4 @@
-"""Undirected weighted graphs and their node/edge spectral operators.
+"""Undirected weighted graphs and their spectral operators.
 
 One orientation convention is used throughout: the signed incidence matrix
 puts +1 at the lower-indexed endpoint of each edge and -1 at the higher.
@@ -22,10 +22,7 @@ __all__ = [
     "build_laplacian",
     "adjacency_laplacian",
     "incidence",
-    "hodge1_laplacian",
     "eigendecompose",
-    "gft",
-    "igft",
     "graph_to_csv",
     "graph_from_csv",
     "graph_to_json",
@@ -99,10 +96,6 @@ class StaticGraph:
         """Same topology, new per-edge weights."""
         return StaticGraph(self.node_count, self.edges, tuple(float(w) for w in weights), self.labels)
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map from canonical pair to position in the edge list."""
-        return {pair: k for k, pair in enumerate(self.edges)}
-
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix with zero diagonal."""
         a = np.zeros((self.node_count, self.node_count))
@@ -117,9 +110,6 @@ class StaticGraph:
         for i, j in self.edges:
             m[i, j] = m[j, i] = True
         return m
-
-    def degrees(self) -> np.ndarray:
-        return self.adjacency().sum(axis=1)
 
 
 def build_laplacian(g: StaticGraph) -> np.ndarray:
@@ -145,28 +135,6 @@ def incidence(g: StaticGraph) -> np.ndarray:
     return b
 
 
-def hodge1_laplacian(b: np.ndarray, weights: Sequence[float] | None = None) -> np.ndarray:
-    """Edge-space Laplacian built from a signed incidence matrix.
-
-    With weights w, the weighted incidence is ``B sqrt(diag(w))`` so that the
-    node-space product gives ``B diag(w) B.T`` and the edge-space product
-    returned here shares its non-zero spectrum. Unit weights give the plain
-    ``B.T B``.
-    """
-    b = np.asarray(b, dtype=float)
-    n_e = b.shape[1]
-    if weights is None:
-        bw = b
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n_e,):
-            raise ValueError(f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {n_e} edge columns")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and >= 0")
-        bw = b * np.sqrt(w)
-    return bw.T @ bw
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenpairs of a symmetric matrix, eigenvalues ascending."""
@@ -184,10 +152,6 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
 
-    @property
-    def dimension(self) -> int:
-        return self.eigenvalues.size
-
 
 def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     """Full symmetric eigendecomposition, eigenvalues sorted ascending.
@@ -202,22 +166,6 @@ def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
         raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(m)
     return SpectralDecomposition(vals, vecs)
-
-
-def gft(x: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
-    """Project a node signal onto the eigenvector basis."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d.dimension,):
-        raise ValueError(f"signal length {x.shape} does not match dimension {d.dimension}")
-    return d.eigenvectors.T @ x
-
-
-def igft(s: np.ndarray, d: SpectralDecomposition) -> np.ndarray:
-    """Reconstruct a node signal from its spectral coefficients."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (d.dimension,):
-        raise ValueError(f"spectrum length {s.shape} does not match dimension {d.dimension}")
-    return d.eigenvectors @ s
 
 
 # -- serialization ----------------------------------------------------------

@@ -13,7 +13,7 @@ from .data import (
     series_to_csv,
 )
 from .experiment import DatasetSpec, brain_preset, run_experiment, stock_preset, write_reports
-from .metrics import AlgorithmMetrics, MetricsReport, degree_curve, mse_curve
+from .metrics import AlgorithmMetrics, MetricsReport, mse_curve
 from .simulate import NoiseMaskSpec, simulate_observations
 from .synthetic import SyntheticSpec, make_synthetic_dataset, regime_active_pairs, regime_segments
 
@@ -31,7 +31,6 @@ __all__ = [
     "SyntheticSpec",
     "brain_preset",
     "build_initial_graph",
-    "degree_curve",
     "ingest_csv",
     "make_synthetic_dataset",
     "mse_curve",

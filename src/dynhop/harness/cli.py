@@ -95,14 +95,8 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
             prune = dict(entry.get("prune") or {})
             prune["threshold"] = args.tau
             entry["prune"] = prune
-        if args.window is not None or args.stride is not None:
-            window = dict(entry.get("window") or {})
-            if args.window is not None:
-                window["window"] = args.window
-            if args.stride is not None:
-                window["stride"] = args.stride
-            window.setdefault("window", 10)
-            entry["window"] = window
+        if args.window is not None:
+            entry["window"] = {**(entry.get("window") or {}), "window": args.window}
         step = dict(entry.get("step") or {})
         kind = step.get("kind", "fixed")
         if kind == "fixed" and args.mu is not None:
@@ -152,15 +146,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_curve(path: Path) -> tuple[list[int], list[float]]:
+def _read_curve(path: Path) -> list[float]:
+    """Value column of a written ``t,<value>`` curve CSV."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        times, values = [], []
-        for row in reader:
-            times.append(int(row[0]))
-            values.append(float(row[1]))
-    return times, values
+        rows = list(csv.reader(fh))[1:]
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    try:
+        return [float(row[1]) for row in rows]
+    except (IndexError, ValueError) as err:
+        raise DataError(f"{path}: malformed curve row: {err}") from None
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -168,20 +163,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{manifest_path} not found; run an experiment first")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as err:
+        raise DataError(f"{manifest_path} is not valid JSON: {err}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: top level must be a JSON object")
     summary: dict = {"version": manifest.get("version"), "algorithms": {}}
     window = args.final_window
     for label, counts in sorted((manifest.get("results") or {}).items()):
         entry = dict(counts)
         mse_path = out / f"{label}_mse.csv"
         if mse_path.exists():
-            _, mse = _read_curve(mse_path)
-            tail = mse[-window:] if window and len(mse) >= 1 else mse
+            mse = _read_curve(mse_path)
+            tail = mse[-window:]
             entry["mean_mse"] = sum(mse) / len(mse)
             entry["final_window_mean_mse"] = sum(tail) / len(tail)
         deg_path = out / f"{label}_degree.csv"
         if deg_path.exists():
-            _, deg = _read_curve(deg_path)
+            deg = _read_curve(deg_path)
             entry["mean_degree"] = sum(deg) / len(deg)
             entry["distinct_degree_values"] = len(set(deg))
         summary["algorithms"][label] = entry
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--hops", type=int, default=None)
     run.add_argument("--tau", type=float, default=None)
     run.add_argument("--window", type=int, default=None)
-    run.add_argument("--stride", type=int, default=None)
     run.add_argument("--mu", type=float, default=None)
     run.add_argument("--mu-min", type=float, default=None)
     run.add_argument("--mu-max", type=float, default=None)

@@ -14,7 +14,14 @@ from .. import __version__
 from ..edge_dynamics import NodeSignalSeries
 from ..estimators import EstimatorConfig, ObservationStream, run_estimation
 from ..graphs import StaticGraph, graph_from_csv
-from .data import GraphBuildSpec, SplitSpec, build_initial_graph, ingest_csv, normalize_by_train_mean
+from .data import (
+    DataError,
+    GraphBuildSpec,
+    SplitSpec,
+    build_initial_graph,
+    ingest_csv,
+    normalize_by_train_mean,
+)
 from .metrics import AlgorithmMetrics, MetricsReport, mse_curve
 from .simulate import NoiseMaskSpec, simulate_observations
 from .synthetic import SyntheticSpec, make_synthetic_dataset
@@ -70,10 +77,14 @@ def _resolve_dataset(
     elif dataset.graph == "generator":
         graph = generator_graph
     else:
-        graph = graph_from_csv(dataset.graph)
+        try:
+            graph = graph_from_csv(dataset.graph)
+        except (IndexError, ValueError) as err:
+            raise DataError(f"graph CSV {dataset.graph}: {err}") from None
         if graph.node_count != series.node_count:
-            raise ValueError(
-                f"graph has {graph.node_count} nodes, series has {series.node_count}"
+            raise DataError(
+                f"graph CSV {dataset.graph} has {graph.node_count} nodes, "
+                f"series has {series.node_count}"
             )
     return series, graph, splits
 

@@ -1,4 +1,4 @@
-"""Evaluation metrics: per-step MSE over runs and average node degree."""
+"""Evaluation metrics: per-step MSE over runs and per-algorithm report curves."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..multihop import DynamicTopology
-
-__all__ = ["AlgorithmMetrics", "MetricsReport", "mse_curve", "degree_curve"]
+__all__ = ["AlgorithmMetrics", "MetricsReport", "mse_curve"]
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,3 @@ def mse_curve(traces: Sequence, ground_truth: np.ndarray) -> np.ndarray:
     stack = np.stack(arrays)  # (R, T, N)
     return np.mean((stack - truth[None]) ** 2, axis=(0, 2))
 
-
-def degree_curve(topology: DynamicTopology) -> np.ndarray:
-    """Average unweighted node degree per step: 2 |E_t| / N."""
-    if topology.steps == 0:
-        raise ValueError("topology has no slices")
-    n = topology.base.node_count
-    return np.array([2.0 * s.graph.edge_count / n for s in topology.slices])

@@ -11,19 +11,16 @@ original graph, whose own edges are never pruned.
 One array pass, :func:`expand_prune_merge`, does all of this on dense
 (N, N) matrices and masks. ``hop_expand``, ``prune``, ``merge`` and
 ``build_topology_slice`` are tuple and :class:`TopologySlice` views of the
-same stages, for inspection and export.
+same stages, for inspection.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .edge_dynamics import EdgeWeightSeries, NodeSignalSeries, WindowSpec, sliding_abs_correlation
 from .graphs import StaticGraph, adjacency_laplacian
 
 __all__ = [
@@ -31,7 +28,6 @@ __all__ = [
     "PruneSpec",
     "HopCandidateSet",
     "TopologySlice",
-    "DynamicTopology",
     "LatentTopology",
     "spectral_normalize",
     "expand_prune_merge",
@@ -39,9 +35,6 @@ __all__ = [
     "prune",
     "merge",
     "build_topology_slice",
-    "build_dynamic_topology",
-    "windowed_pair_scorer",
-    "topology_to_csv",
 ]
 
 # magnitudes below this in a matrix power count as zero (absorbs
@@ -130,18 +123,6 @@ class LatentTopology:
     hop: np.ndarray
     candidates: int
     survivors: int
-
-
-@dataclass(frozen=True)
-class DynamicTopology:
-    """Per-step merged graphs over a base topology."""
-
-    base: StaticGraph
-    slices: tuple[TopologySlice, ...]
-
-    @property
-    def steps(self) -> int:
-        return len(self.slices)
 
 
 def spectral_normalize(laplacian: np.ndarray) -> np.ndarray | None:
@@ -376,54 +357,3 @@ def build_topology_slice(
     )
     return _as_slice(g_t, topo.adjacency, topo.hop, t)
 
-
-def build_dynamic_topology(
-    g: StaticGraph,
-    ws: EdgeWeightSeries,
-    hops: int,
-    prune_spec: PruneSpec,
-    *,
-    latent_weight: str = "score",
-    candidate_scores: PairScorer | None = None,
-) -> DynamicTopology:
-    """Per-step expand/prune/merge over a whole edge-weight series."""
-    if ws.edges != g.edges:
-        raise ValueError("weight series edge set does not match the graph")
-    slices = tuple(
-        build_topology_slice(
-            g,
-            ws.weights[t],
-            hops,
-            prune_spec,
-            t=t,
-            latent_weight=latent_weight,
-            candidate_scores=candidate_scores,
-        )
-        for t in range(ws.steps)
-    )
-    return DynamicTopology(base=g, slices=slices)
-
-
-def windowed_pair_scorer(series: NodeSignalSeries, spec: WindowSpec) -> PairScorer:
-    """Scorer giving the windowed |correlation| of arbitrary node pairs.
-
-    Intended for the "correlation" pruning metric / latent weight rule when
-    a full signal history is available offline. ``t`` indexes absolute steps,
-    so scoring always runs at stride 1 whatever the spec's stride.
-    """
-    dense = WindowSpec(spec.window, 1)
-
-    def scorer(t: int, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        return sliding_abs_correlation(series, dense, pairs)[t]
-
-    return scorer
-
-
-def topology_to_csv(topology: DynamicTopology, path: str | Path) -> None:
-    """Per-step edge list with provenance, one row per (step, edge)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "src", "dst", "weight", "provenance"])
-        for s in topology.slices:
-            for (i, j), w, tag in zip(s.graph.edges, s.graph.weights, s.provenance):
-                writer.writerow([s.time, i, j, repr(float(w)), tag])

@@ -68,6 +68,18 @@ def test_invalid_json_is_config_error(tmp_path):
         load_config(path)
 
 
+def test_window_stride_other_than_one_is_config_error(tmp_path, capsys):
+    cfg = run_config(tmp_path, algorithms=[
+        {"algorithm": "glms", "window": {"window": 10, "stride": 2}},
+    ])
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "stride must be 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--stride" not in capsys.readouterr().out
+
+
 def test_bad_latent_weight_rejected_at_config_time(tmp_path):
     cfg = run_config(tmp_path, algorithms=[{"algorithm": "dynamic-multihop", "latent_weight": "bogus"}])
     with pytest.raises(ConfigError, match="latent_weight"):
@@ -255,3 +267,35 @@ def test_report_final_window_must_be_a_positive_integer(tmp_path, capsys, window
 
 def test_report_without_reports_is_data_error(tmp_path, capsys):
     assert main(["report", "--out-dir", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("text", [
+    "a,b,c\n0,1,1.0\n",  # wrong header
+    "src,dst,weight\n0,1,1.0\n3,3,1.0\n",  # self-loop
+    "# node_count=5\nsrc,dst,weight\n0,1,1.0\n",  # 5 nodes, series has 24
+], ids=["wrong-header", "self-loop", "node-count"])
+def test_run_with_bad_graph_csv_is_data_error(tmp_path, capsys, text):
+    graph = tmp_path / "graph.csv"
+    graph.write_text(text)
+    cfg = run_config(tmp_path, dataset={"graph": str(graph)})
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(graph) in err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("glms_mse.csv", "t,mse\n"),
+    ("glms_mse.csv", ""),
+    ("glms_mse.csv", "t,mse\n1,abc\n"),
+    ("glms_degree.csv", "t,avg_degree\n1\n"),
+    ("manifest.json", "{nope"),
+    ("manifest.json", "[]"),
+], ids=["header-only", "empty", "non-numeric", "short-row", "bad-manifest", "manifest-list"])
+def test_report_on_malformed_files_is_data_error(tmp_path, capsys, name, text):
+    (tmp_path / "manifest.json").write_text(json.dumps({"results": {"glms": {"runs": 1}}}))
+    (tmp_path / "glms_mse.csv").write_text("t,mse\n1,0.5\n")
+    (tmp_path / "glms_degree.csv").write_text("t,avg_degree\n1,2.0\n")
+    (tmp_path / name).write_text(text)
+    assert main(["report", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and name in err

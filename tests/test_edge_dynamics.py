@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from dynhop import (
-    EdgeWeightSeries,
     NodeSignalSeries,
+    PruneSpec,
     StaticGraph,
     WindowSpec,
     build_laplacian,
-    edge_weight_series,
+    build_topology_slice,
     sliding_abs_correlation,
-    time_varying_laplacian,
 )
-from dynhop.edge_dynamics import weights_to_csv
 from conftest import random_graph
 
 
@@ -184,78 +182,51 @@ def test_scale_and_shift_invariance(seed, scale, shift):
     assert np.max(np.abs(again - base)) < 1e-10
 
 
-# -- edge weight series --------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 8), window=st.integers(2, 12),
+       scale=st.floats(min_value=1e-6, max_value=1e6))
+def test_weights_bounded_zero_one(seed, n, window, scale):
+    r = np.random.default_rng(seed)
+    values = scale * r.standard_normal((window + 10, n))
+    values[:, 0] = 1.0 - 3.0 * values[:, 1]  # exact affine copy: top of the range
+    values[window:, n - 1] = 2.5  # constant tail: flat windows
+    pairs = [(i, j) for i in range(n) for j in range(n)]  # self-pairs included
+    scores = sliding_abs_correlation(NodeSignalSeries(values), WindowSpec(window), pairs)
+    assert np.all((scores >= 0.0) & (scores <= 1.0))
+
 
 def test_constant_series_gives_zero_weights():
     g = StaticGraph(3, ((0, 1), (1, 2)))
     series = NodeSignalSeries(np.full((20, 3), 7.0))
-    ws = edge_weight_series(g, series, WindowSpec(10))
-    assert np.all(ws.weights == 0.0)
+    weights = sliding_abs_correlation(series, WindowSpec(10), g.edges)
+    assert weights.shape == (20, 2)
+    assert np.all(weights == 0.0)
 
 
-def test_identical_two_node_signals_weight_one(rng):
-    g = StaticGraph(2, ((0, 1),))
-    base = rng.standard_normal(25)
-    ws = edge_weight_series(g, NodeSignalSeries(np.column_stack([base, base])), WindowSpec(10))
-    assert np.allclose(ws.weights, 1.0, atol=1e-12)
-
-
-def test_edge_columns_match_per_pair_oracle(rng):
-    g = random_graph(rng, 24, 38)
-    values = rng.standard_normal((60, 24))
-    series = NodeSignalSeries(values)
-    ws = edge_weight_series(g, series, WindowSpec(10))
-    per_pair = sliding_abs_correlation(series, WindowSpec(10), g.edges)
-    assert np.array_equal(ws.weights, per_pair)
-    assert ws.edges == g.edges
-
-
-def test_edge_weight_series_node_count_mismatch(rng):
-    g = StaticGraph(3, ((0, 1),))
-    with pytest.raises(ValueError):
-        edge_weight_series(g, NodeSignalSeries(np.zeros((20, 4))), WindowSpec(5))
-
-
-def test_weights_bounded_zero_one(rng):
-    g = random_graph(rng, 10)
-    series = NodeSignalSeries(rng.standard_normal((50, 10)))
-    ws = edge_weight_series(g, series, WindowSpec(10))
-    assert np.all(ws.weights >= 0.0)
-    assert np.all(ws.weights <= 1.0)
-
-
-# -- time-varying Laplacian ----------------------------------------------------
+# -- per-step Laplacian ----------------------------------------------------------
 
 def test_zero_weights_give_zero_matrix():
     g = StaticGraph(3, ((0, 1), (1, 2)))
-    ws = EdgeWeightSeries(g.edges, np.zeros((4, 2)))
-    assert np.array_equal(time_varying_laplacian(g, ws, 2), np.zeros((3, 3)))
+    s = build_topology_slice(g, np.zeros(2), 3, PruneSpec(0.0))
+    assert np.array_equal(build_laplacian(s.graph), np.zeros((3, 3)))
 
 
 def test_static_weights_reduce_to_plain_laplacian(rng):
     g = random_graph(rng, 8)
-    ws = EdgeWeightSeries(g.edges, np.tile(np.asarray(g.weights), (5, 1)))
-    assert np.allclose(time_varying_laplacian(g, ws, 3), build_laplacian(g), atol=1e-12)
+    s = build_topology_slice(g, g.weights, 1, PruneSpec(0.0))
+    assert np.allclose(build_laplacian(s.graph), build_laplacian(g), atol=1e-12)
 
 
 def test_matches_direct_construction_oracle(rng):
     g = StaticGraph(3, ((0, 1), (0, 2), (1, 2)))
-    w = rng.uniform(0, 1, size=(1, 3))
-    ws = EdgeWeightSeries(g.edges, w)
-    lap = time_varying_laplacian(g, ws, 0)
+    w = rng.uniform(0, 1, size=3)
+    lap = build_laplacian(build_topology_slice(g, w, 1, PruneSpec(0.0)).graph)
     # direct D - A oracle
     a = np.zeros((3, 3))
-    for (i, j), wt in zip(g.edges, w[0]):
+    for (i, j), wt in zip(g.edges, w):
         a[i, j] = a[j, i] = wt
     expected = np.diag(a.sum(axis=1)) - a
     assert np.allclose(lap, expected, atol=1e-12)
-
-
-def test_time_index_out_of_range():
-    g = StaticGraph(2, ((0, 1),))
-    ws = EdgeWeightSeries(g.edges, np.ones((3, 1)))
-    with pytest.raises(ValueError):
-        time_varying_laplacian(g, ws, 3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,21 +235,8 @@ def test_every_slice_is_valid_laplacian(seed):
     r = np.random.default_rng(seed)
     g = random_graph(r, int(r.integers(3, 10)))
     series = NodeSignalSeries(r.standard_normal((20, g.node_count)))
-    ws = edge_weight_series(g, series, WindowSpec(5))
+    weights = sliding_abs_correlation(series, WindowSpec(5), g.edges)
     for t in (0, 7, 19):
-        lap = time_varying_laplacian(g, ws, t)
+        lap = build_laplacian(build_topology_slice(g, weights[t], 3, PruneSpec(0.0)).graph)
         assert np.max(np.abs(lap.sum(axis=1))) < 1e-12
         assert np.linalg.eigvalsh(lap)[0] >= -1e-9
-
-
-def test_csv_export(tmp_path, rng):
-    g = StaticGraph(3, ((0, 1), (1, 2)))
-    ws = EdgeWeightSeries(g.edges, rng.uniform(0, 1, size=(2, 2)))
-    path = tmp_path / "w.csv"
-    weights_to_csv(ws, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,edge_src,edge_dst,weight"
-    assert len(lines) == 1 + 2 * 2
-    t, i, j, w = lines[1].split(",")
-    assert (int(t), int(i), int(j)) == (0, 0, 1)
-    assert float(w) == ws.weights[0, 0]

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import warnings
 
@@ -22,13 +21,11 @@ from dynhop import (
     build_laplacian,
     diffusion_operator,
     error_nonlinearity,
-    lms_step,
     run_estimation,
     stability_bound,
 )
 from dynhop import estimators
 from dynhop.edge_dynamics import NodeSignalSeries
-from dynhop.estimators import trace_summary_json, trace_to_csv
 from conftest import random_graph
 
 RULE = StepSizeRule.adaptive(0.8, 3.5)
@@ -148,60 +145,30 @@ def test_diffusion_warns_outside_stable_range(rng):
         diffusion_operator(lap, bad)
 
 
-# -- single correction step ----------------------------------------------------------
-
-def test_lms_step_zero_residual_fixed_point(rng):
-    x = rng.standard_normal(5)
-    mask = np.ones(5, dtype=bool)
-    out = lms_step(x, x.copy(), mask, lambda v: v, 0.7)
-    assert np.array_equal(out, x)
-
-
-def test_lms_step_zero_mu_fixed_point(rng):
-    x = rng.standard_normal(5)
-    y = rng.standard_normal(5)
-    out = lms_step(x, y, np.ones(5, dtype=bool), lambda v: v, 0.0)
-    assert np.array_equal(out, x)
-
-
-def test_lms_step_geometric_convergence_matches_recursion_oracle(rng):
-    # full observation, no noise, static graph: the error obeys
-    # e[t+1] = (I - mu B) e[t]; iterate that matrix recursion independently
-    g = random_graph(rng, 10)
-    proj = ideal_projector(g, 0.4)
-    truth = proj @ rng.standard_normal(10)
-    mask = np.ones(10, dtype=bool)
-    mu = 0.3
-    x_hat = np.zeros(10)
-    iter_matrix = np.eye(10) - mu * proj
-    err_oracle = -truth.copy()
-    norms, oracle_norms = [], []
-    for _ in range(60):
-        x_hat = lms_step(x_hat, truth, mask, lambda v: proj @ v, mu)
-        err_oracle = iter_matrix @ err_oracle
-        norms.append(np.linalg.norm(x_hat - truth))
-        oracle_norms.append(np.linalg.norm(err_oracle))
-    assert np.allclose(norms, oracle_norms, rtol=1e-9, atol=1e-12)
-    assert all(b < a for a, b in zip(norms, norms[1:]) if a > 1e-12)
-
-
-def test_lms_step_masked_entries_of_y_are_irrelevant(rng):
-    x = rng.standard_normal(6)
-    y = rng.standard_normal(6)
-    mask = np.array([True, False, True, False, True, True])
-    poisoned = y.copy()
-    poisoned[~mask] = 1e9
-    op = lambda v: 0.5 * v
-    assert np.array_equal(
-        lms_step(x, y, mask, op, 0.9), lms_step(x, poisoned, mask, op, 0.9)
-    )
-
-
 # -- full runs ------------------------------------------------------------------------
 
 def constant_stream(truth, steps):
     y = np.tile(truth, (steps, 1))
     return ObservationStream(y, np.ones_like(y, dtype=bool))
+
+
+def test_glms_full_mask_error_matches_recursion_oracle(rng):
+    # full observation, no noise, static graph: the error obeys
+    # e[t+1] = (I - mu B) e[t]; iterate that matrix recursion independently
+    g = random_graph(rng, 10)
+    proj = ideal_projector(g, 0.4)
+    truth = proj @ rng.standard_normal(10)
+    mu = 0.3
+    cfg = EstimatorConfig("glms", filter=FilterSpec(passband_fraction=0.4),
+                          step=StepSizeRule.fixed(mu))
+    trace = run_estimation(constant_stream(truth, 60), g, cfg)
+    iter_matrix = np.eye(10) - mu * proj
+    err_oracle = -truth
+    for t in range(60):
+        err_oracle = iter_matrix @ err_oracle
+        assert np.allclose(trace.estimates[t] - truth, err_oracle, rtol=1e-9, atol=1e-12)
+    norms = np.linalg.norm(trace.estimates - truth, axis=1)
+    assert all(b < a for a, b in zip(norms, norms[1:]) if a > 1e-12)
 
 
 LINEAR_ALGOS = ("glms", "gdlms", "dynamic-multihop", "sgm-then-glms", "glms-then-sgm")
@@ -324,6 +291,13 @@ def test_config_validation():
         EstimatorConfig("dynamic-multihop", latent_weight="bogus")
 
 
+def test_stream_and_graph_node_counts_must_match(rng):
+    g = StaticGraph(3, ((0, 1),))
+    stream = ObservationStream(np.zeros((20, 4)), np.ones((20, 4), dtype=bool))
+    with pytest.raises(ValueError, match="stream has 4 nodes, graph has 3"):
+        run_estimation(stream, g, EstimatorConfig("dynamic-multihop"))
+
+
 def test_trace_counts_latent_candidates_and_survivors(rng):
     # a low threshold on the correlation metric keeps latent edges every step
     g = random_graph(rng, 12, 14)
@@ -335,6 +309,7 @@ def test_trace_counts_latent_candidates_and_survivors(rng):
     assert latent.latent_survivors[10:].min() > 0
     assert np.all(latent.latent_survivors <= latent.latent_candidates)
     assert np.array_equal(latent.edge_counts, g.edge_count + latent.latent_survivors)
+    assert latent.edge_counts.max() <= 12 * 11 // 2  # sparsity cap N(N-1)/2
     for algo in ("glms", "sgm-then-glms", "glms-then-sgm"):
         other = run_estimation(stream, g, EstimatorConfig(algo, **common))
         assert not other.latent_candidates.any() and not other.latent_survivors.any()
@@ -531,21 +506,3 @@ def test_stability_bound_expected_mask_policy(rng):
     partial = stability_bound(g, spec, 0.5)
     assert partial == pytest.approx(2.0 * full, rel=1e-9)
 
-
-# -- exports -----------------------------------------------------------------------------
-
-def test_trace_exports(tmp_path, rng):
-    g = random_graph(rng, 4)
-    rows = rng.standard_normal((6, 4))
-    stream = ObservationStream(rows, np.ones((6, 4), dtype=bool))
-    cfg = EstimatorConfig("glms", step=StepSizeRule.fixed(0.5))
-    trace = run_estimation(stream, g, cfg)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,node,estimate"
-    assert len(lines) == 1 + 6 * 4
-    summary = json.loads(trace_summary_json(trace))
-    assert len(summary["residual_norms"]) == 6
-    assert summary["diverged"] is False
-    assert summary["edge_counts"] == [g.edge_count] * 6

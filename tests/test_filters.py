@@ -4,15 +4,11 @@ import pytest
 
 from dynhop import (
     FilterSpec,
-    StaticGraph,
-    apply_edge_filter,
     apply_filter,
     bind_filter,
     build_laplacian,
     eigendecompose,
     fit_lowpass_coefficients,
-    hodge1_laplacian,
-    incidence,
 )
 from dynhop.filters import filter_response, ideal_response
 from conftest import random_graph
@@ -133,31 +129,3 @@ def test_bind_filter_matches_apply(rng):
         bound = bind_filter(lap, spec)
         assert np.array_equal(bound(x), apply_filter(x, lap, spec))
 
-
-# -- edge-signal filtering -----------------------------------------------------
-
-def test_edge_filter_zero_signal():
-    g = StaticGraph(3, ((0, 1), (0, 2), (1, 2)))
-    l1 = hodge1_laplacian(incidence(g), g.weights)
-    out = apply_edge_filter(np.zeros(3), l1, FilterSpec(passband_fraction=0.5))
-    assert np.max(np.abs(out)) < 1e-12
-
-
-def test_edge_filter_all_pass(rng):
-    g = random_graph(rng, 6)
-    l1 = hodge1_laplacian(incidence(g), g.weights)
-    w = rng.standard_normal(g.edge_count)
-    out = apply_edge_filter(w, l1, FilterSpec(passband_fraction=1.0))
-    assert np.allclose(out, w, atol=1e-10)
-
-
-def test_edge_filter_matches_spectral_evaluation_on_triangle(rng):
-    g = StaticGraph(3, ((0, 1), (0, 2), (1, 2)))
-    l1 = hodge1_laplacian(incidence(g), g.weights)
-    w = rng.standard_normal(3)
-    spec = FilterSpec(passband_fraction=0.5)
-    # spectral oracle built directly from the edge operator's eigenpairs
-    lam, u = np.linalg.eigh(l1)
-    h = (lam <= 0.5 * lam[-1]).astype(float)
-    expected = (u * h) @ u.T @ w
-    assert np.allclose(apply_edge_filter(w, l1, spec), expected, atol=1e-10)

@@ -9,13 +9,10 @@ from dynhop import (
     StaticGraph,
     build_laplacian,
     eigendecompose,
-    gft,
     graph_from_csv,
     graph_from_json,
     graph_to_csv,
     graph_to_json,
-    hodge1_laplacian,
-    igft,
     incidence,
 )
 from conftest import random_graph, union_find_components
@@ -105,51 +102,6 @@ def test_factorization_identity_random_graph(rng):
     assert np.max(np.abs(rebuilt - build_laplacian(g))) < 1e-12
 
 
-# -- hodge edge Laplacian ----------------------------------------------------
-
-def test_hodge_single_edge_unit_weight():
-    g = StaticGraph(2, ((0, 1),))
-    assert np.array_equal(hodge1_laplacian(incidence(g)), [[2.0]])
-
-
-def test_hodge_triangle_shares_nonzero_spectrum_with_node_laplacian():
-    g = StaticGraph(3, ((0, 1), (0, 2), (1, 2)))
-    node_eigs = np.linalg.eigvalsh(build_laplacian(g))
-    edge_eigs = np.linalg.eigvalsh(hodge1_laplacian(incidence(g), g.weights))
-    # spectral oracle: nonzero eigenvalues must coincide with multiplicity
-    assert np.allclose(sorted(e for e in node_eigs if e > 1e-9),
-                       sorted(e for e in edge_eigs if e > 1e-9), atol=1e-9)
-
-
-def test_hodge_weighted_shares_nonzero_spectrum(rng):
-    g = random_graph(rng, 7)
-    node_eigs = np.linalg.eigvalsh(build_laplacian(g))
-    edge_eigs = np.linalg.eigvalsh(hodge1_laplacian(incidence(g), g.weights))
-    nz_node = sorted(e for e in node_eigs if e > 1e-8)
-    nz_edge = sorted(e for e in edge_eigs if e > 1e-8)
-    assert np.allclose(nz_node, nz_edge, atol=1e-8)
-
-
-def test_hodge_path_direct_multiplication_oracle():
-    g = StaticGraph(3, ((0, 1), (1, 2)))
-    b = incidence(g)
-    expected = b.T @ b  # unit weights: plain product
-    assert np.array_equal(hodge1_laplacian(b), expected)
-    assert np.array_equal(expected, [[2.0, -1.0], [-1.0, 2.0]])
-
-
-def test_hodge_dimension_mismatch():
-    g = StaticGraph(3, ((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
-        hodge1_laplacian(incidence(g), (1.0,))
-
-
-def test_hodge_is_psd(rng):
-    g = random_graph(rng, 9)
-    l1 = hodge1_laplacian(incidence(g), g.weights)
-    assert np.linalg.eigvalsh(l1)[0] >= -1e-9
-
-
 # -- eigendecomposition ------------------------------------------------------
 
 def test_eigendecompose_two_node():
@@ -193,40 +145,6 @@ def test_zero_eigenvalue_multiplicity_matches_components(rng):
         d = eigendecompose(build_laplacian(g))
         n_zero = int(np.sum(np.abs(d.eigenvalues) < 1e-9))
         assert n_zero == union_find_components(n, g.edges)
-
-
-# -- graph Fourier transform ---------------------------------------------------
-
-def test_gft_zero_vector(rng):
-    g = random_graph(rng, 6)
-    d = eigendecompose(build_laplacian(g))
-    assert np.array_equal(gft(np.zeros(6), d), np.zeros(6))
-
-
-def test_gft_constant_energy_in_null_component(rng):
-    g = random_graph(rng, 9, connected=True)
-    d = eigendecompose(build_laplacian(g))
-    s = gft(np.ones(9), d)
-    assert abs(abs(s[0]) - 3.0) < 1e-9  # ||1|| = 3
-    assert np.max(np.abs(s[1:])) < 1e-9
-
-
-def test_gft_round_trip_and_parseval(rng):
-    g = random_graph(rng, 10)
-    d = eigendecompose(build_laplacian(g))
-    x = rng.standard_normal(10)
-    s = gft(x, d)
-    assert np.max(np.abs(igft(s, d) - x)) < 1e-10
-    assert abs(np.linalg.norm(x) - np.linalg.norm(s)) < 1e-10
-
-
-def test_gft_dimension_mismatch(rng):
-    g = random_graph(rng, 5)
-    d = eigendecompose(build_laplacian(g))
-    with pytest.raises(ValueError):
-        gft(np.zeros(4), d)
-    with pytest.raises(ValueError):
-        igft(np.zeros(6), d)
 
 
 # -- serialization -----------------------------------------------------------

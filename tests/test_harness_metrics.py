@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from dynhop import EdgeWeightSeries, PruneSpec, StaticGraph, build_dynamic_topology
-from dynhop.harness import degree_curve, mse_curve
-from dynhop.multihop import DynamicTopology, TopologySlice
+from dynhop.harness import mse_curve
 
 
 def naive_mse_oracle(estimates, truth):
@@ -56,38 +54,3 @@ def test_shape_mismatch_rejected(rng):
     with pytest.raises(ValueError):
         mse_curve([], truth)
 
-
-def test_degree_curve_static_topology_constant():
-    g = StaticGraph(4, ((0, 1), (1, 2), (2, 3)))
-    ws = EdgeWeightSeries(g.edges, np.ones((5, 3)))
-    topo = build_dynamic_topology(g, ws, 1, PruneSpec(0.0))
-    assert np.array_equal(degree_curve(topo), np.full(5, 2 * 3 / 4))
-
-
-def test_degree_curve_handshake_lemma():
-    triangle = StaticGraph(3, ((0, 1), (0, 2), (1, 2)))
-    path = StaticGraph(3, ((0, 1), (1, 2)))
-    topo = DynamicTopology(
-        base=triangle,
-        slices=(
-            TopologySlice(triangle, ("original",) * 3, 0),
-            TopologySlice(path, ("original",) * 2, 1),
-        ),
-    )
-    assert degree_curve(topo).tolist() == [2.0, 4.0 / 3.0]
-
-
-def test_degree_curve_matches_edge_recount(rng):
-    g = StaticGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
-    weights = rng.uniform(0, 1, size=(8, 5))
-    ws = EdgeWeightSeries(g.edges, weights)
-    topo = build_dynamic_topology(g, ws, 3, PruneSpec(0.02))
-    got = degree_curve(topo)
-    for t, s in enumerate(topo.slices):
-        assert got[t] == 2 * len(s.graph.edges) / 5
-
-
-def test_degree_curve_rejects_empty():
-    g = StaticGraph(2, ((0, 1),))
-    with pytest.raises(ValueError):
-        degree_curve(DynamicTopology(base=g, slices=()))

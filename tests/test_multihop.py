@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynhop import (
-    EdgeWeightSeries,
     HopCandidateSet,
     PruneSpec,
     StaticGraph,
-    build_dynamic_topology,
     build_laplacian,
     build_topology_slice,
     hop_expand,
@@ -16,8 +14,8 @@ from dynhop import (
     prune,
     spectral_normalize,
 )
-from dynhop.multihop import EPS_ZERO, expand_prune_merge, topology_to_csv, windowed_pair_scorer
-from dynhop.edge_dynamics import NodeSignalSeries, WindowSpec
+from dynhop.edge_dynamics import NodeSignalSeries, WindowSpec, sliding_abs_correlation
+from dynhop.multihop import EPS_ZERO, expand_prune_merge
 from conftest import random_graph
 
 
@@ -273,17 +271,17 @@ def test_array_core_counts_candidates_before_pruning(rng):
     assert everything.candidates == expected
 
 
-# -- whole-series construction ---------------------------------------------------
+# -- per-step construction ---------------------------------------------------------
 
 def test_static_weights_give_identical_slices(rng):
     g = random_graph(rng, 10)
     row = rng.uniform(0.1, 1.0, size=g.edge_count)
-    ws = EdgeWeightSeries(g.edges, np.tile(row, (6, 1)))
-    topo = build_dynamic_topology(g, ws, 4, PruneSpec(0.01))
-    first = topo.slices[0]
-    for s in topo.slices[1:]:
+    slices = [build_topology_slice(g, row, 4, PruneSpec(0.01), t=t) for t in range(6)]
+    first = slices[0]
+    for s in slices[1:]:
         assert s.graph.edges == first.graph.edges
         assert s.graph.weights == first.graph.weights
+        assert s.provenance == first.provenance
 
 
 def test_switching_weights_give_distinct_edge_sets(rng):
@@ -292,23 +290,17 @@ def test_switching_weights_give_distinct_edge_sets(rng):
     strong_half[9:] = 0.05
     other_half = np.ones(18)
     other_half[:9] = 0.05
-    ws = EdgeWeightSeries(g.edges, np.vstack([np.tile(strong_half, (3, 1)),
-                                              np.tile(other_half, (3, 1))]))
-    topo = build_dynamic_topology(g, ws, 3, PruneSpec(0.02))
-    edge_sets = {s.graph.edges for s in topo.slices}
-    assert len(edge_sets) >= 2
+    first = build_topology_slice(g, strong_half, 3, PruneSpec(0.02))
+    second = build_topology_slice(g, other_half, 3, PruneSpec(0.02))
+    assert first.graph.edges != second.graph.edges
 
 
 def test_single_hop_returns_base_topology(rng):
     g = random_graph(rng, 8)
-    series = NodeSignalSeries(rng.standard_normal((20, 8)))
-    from dynhop import edge_weight_series
-
-    ws = edge_weight_series(g, series, WindowSpec(5))
-    topo = build_dynamic_topology(g, ws, 1, PruneSpec(0.0))
-    for t, s in enumerate(topo.slices):
+    for weights in rng.uniform(0.0, 1.0, size=(3, g.edge_count)):
+        s = build_topology_slice(g, weights, 1, PruneSpec(0.0))
         assert s.graph.edges == g.edges
-        assert np.allclose(s.graph.weights, ws.weights[t], atol=0)
+        assert s.graph.weights == tuple(weights.tolist())
 
 
 def test_zero_weight_step_emits_no_candidates():
@@ -348,26 +340,15 @@ def test_correlation_metric_requires_scorer():
         build_topology_slice(g, (1.0, 1.0), 2, PruneSpec(0.5, metric="correlation"))
 
 
-def test_windowed_pair_scorer_matches_direct(rng):
-    series = NodeSignalSeries(rng.standard_normal((30, 4)))
-    scorer = windowed_pair_scorer(series, WindowSpec(10))
-    from dynhop import sliding_abs_correlation
-
-    direct = sliding_abs_correlation(series, WindowSpec(10), [(0, 3)])
-    assert scorer(17, [(0, 3)])[0] == direct[17, 0]
-
-
 # -- invariants -------------------------------------------------------------------
 
 def test_sparsity_bound(rng):
     g = random_graph(rng, 15)
     series = NodeSignalSeries(rng.standard_normal((25, 15)))
-    from dynhop import edge_weight_series
-
-    ws = edge_weight_series(g, series, WindowSpec(8))
-    topo = build_dynamic_topology(g, ws, 4, PruneSpec(0.01))
+    weights = sliding_abs_correlation(series, WindowSpec(8), g.edges)
     cap = 15 * 14 // 2
-    for s in topo.slices:
+    for t in range(weights.shape[0]):
+        s = build_topology_slice(g, weights[t], 4, PruneSpec(0.01), t=t)
         assert g.edge_count <= s.graph.edge_count <= cap
         assert set(g.edges) <= set(s.graph.edges)
 
@@ -377,13 +358,3 @@ def test_original_edges_never_pruned(rng):
     out = build_topology_slice(g, np.zeros(g.edge_count), 3, PruneSpec(100.0))
     assert out.graph.edges == g.edges  # zero-weight originals survive any threshold
 
-
-def test_topology_csv_export(tmp_path):
-    g = StaticGraph(3, ((0, 1), (1, 2)))
-    ws = EdgeWeightSeries(g.edges, np.array([[1.0, 1.0]]))
-    topo = build_dynamic_topology(g, ws, 2, PruneSpec(0.0))
-    path = tmp_path / "topo.csv"
-    topology_to_csv(topo, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,src,dst,weight,provenance"
-    assert lines[-1].endswith("hop2")
