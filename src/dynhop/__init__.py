@@ -28,9 +28,7 @@ from .graphs import (
     build_laplacian,
     eigendecompose,
     graph_from_csv,
-    graph_from_json,
     graph_to_csv,
-    graph_to_json,
     incidence,
 )
 from .multihop import (
@@ -69,9 +67,7 @@ __all__ = [
     "error_nonlinearity",
     "fit_lowpass_coefficients",
     "graph_from_csv",
-    "graph_from_json",
     "graph_to_csv",
-    "graph_to_json",
     "hop_expand",
     "incidence",
     "merge",

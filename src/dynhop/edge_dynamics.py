@@ -29,7 +29,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Trailing window length and stride for sliding statistics."""
+    """Trailing window length for sliding statistics.
+
+    ``stride`` is kept so existing configs and manifests that carry
+    ``"stride": 1`` still load; any other value is rejected.
+    """
 
     window: int
     stride: int = 1
@@ -37,8 +41,11 @@ class WindowSpec:
     def __post_init__(self) -> None:
         if self.window < 2:
             raise ValueError("window must be >= 2 (correlation needs at least two samples)")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        if self.stride != 1:
+            raise ValueError(
+                f"stride must be 1, got {self.stride}: online estimation refreshes edge "
+                "weights every step"
+            )
 
 
 @dataclass(frozen=True)
@@ -83,9 +90,8 @@ def sliding_abs_correlation(
 ) -> np.ndarray:
     """Absolute windowed Pearson correlation for each requested node pair.
 
-    Returns an array of shape (ceil(T / stride), len(pairs)); row r holds the
-    scores at step r * stride. Stride s output equals the stride-1 output
-    subsampled at every s-th step.
+    Returns an array of shape (T, len(pairs)); row t holds the scores of
+    the window ending at step t.
     """
     x = series.values
     t_total, n = x.shape
@@ -116,6 +122,5 @@ def sliding_abs_correlation(
     defined[ok] = np.abs(num[ok]) / np.sqrt(sumsq[:, ii][ok] * sumsq[:, jj][ok])
     defined = np.clip(defined, 0.0, 1.0)
 
-    full = np.vstack([np.repeat(defined[:1], w - 1, axis=0), defined])
-    return full[:: spec.stride]
+    return np.vstack([np.repeat(defined[:1], w - 1, axis=0), defined])
 

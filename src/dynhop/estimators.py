@@ -17,6 +17,12 @@ estimate. They differ in the operator and non-linearity:
   glms-then-sgm      update first, then refresh the topology for the next
                      step
 
+Every bind of a filter goes through ``bind_filter`` with the configured
+``FilterSpec``, whatever the graph size: kind "ideal-band-limited"
+eigendecomposes every Laplacian it binds to, and kind "chebyshev" is the
+polynomial route (pass fixed ``coefficients`` to keep one response across
+topologies). gdlms and gsd bind ``diffusion_operator`` instead.
+
 Both sgm orderings build the topology of step t from the estimate history up
 to step t - 1, so here they are the same estimator and their traces are
 bit-identical; the paper's distinction between them is not reproduced.
@@ -36,13 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .edge_dynamics import NodeSignalSeries, WindowSpec, sliding_abs_correlation
-from .filters import (
-    FilterSpec,
-    _matvec,
-    bind_filter,
-    filter_response,
-    fit_lowpass_coefficients,
-)
+from .filters import FilterSpec, _matvec, bind_filter, filter_response
 from .graphs import StaticGraph, adjacency_laplacian, build_laplacian, eigendecompose
 from .multihop import LATENT_WEIGHT_RULES, PruneSpec, expand_prune_merge
 
@@ -79,11 +79,6 @@ _REBINDING = _SGM | {"dynamic-multihop"}  # algorithms that rebuild their topolo
 # estimates whose magnitude passes this can never recover and would soon
 # overflow norm computations; flag divergence here instead of waiting for inf
 DIVERGENCE_GUARD = 1e100
-
-# above this size, per-step ideal re-binding (a full eigendecomposition per
-# topology change) is replaced by a fixed polynomial response
-EXACT_REBIND_LIMIT = 200
-
 
 @dataclass(frozen=True)
 class StepSizeRule:
@@ -181,8 +176,7 @@ class EstimatorConfig:
     weights (useful as a reduction check: dynamic-multihop with hops=1 and
     static weights must reproduce glms exactly). ``weights_source`` selects
     whether windowed correlations are computed on the running estimates
-    (deployment setting) or on a supplied ground-truth history. Only
-    ``window.window`` is read; ``window.stride`` must be 1.
+    (deployment setting) or on a supplied ground-truth history.
     """
 
     algorithm: str
@@ -210,11 +204,6 @@ class EstimatorConfig:
         if self.latent_weight not in LATENT_WEIGHT_RULES:
             raise ValueError(
                 f"unknown latent_weight {self.latent_weight!r}; expected one of {LATENT_WEIGHT_RULES}"
-            )
-        if self.window.stride != 1:
-            raise ValueError(
-                f"window.stride must be 1, got {self.window.stride}: online estimation "
-                "refreshes edge weights every step"
             )
 
     @property
@@ -266,15 +255,20 @@ def error_nonlinearity(e: np.ndarray, algorithm: str, p_exponent: float | None =
     return e
 
 
-def diffusion_operator(laplacian: np.ndarray, eps: float) -> Callable[[np.ndarray], np.ndarray]:
+def diffusion_operator(
+    laplacian: np.ndarray, eps: float | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
     """One-step spatial diffusion x -> x - eps * L x, on (..., N) signals.
 
-    Non-expansive for 0 < eps < 2 / lambda_max; values outside that range
-    only warn, since exploratory use is legitimate.
+    ``eps`` defaults to 1 / lambda_max (0 for an edgeless graph). The
+    operator is non-expansive for 0 < eps < 2 / lambda_max; values outside
+    that range only warn, since exploratory use is legitimate.
     """
     laplacian = np.asarray(laplacian, dtype=float)
     lam_max = float(np.linalg.eigvalsh(laplacian)[-1])
-    if lam_max > 0 and not 0.0 < eps < 2.0 / lam_max:
+    if eps is None:
+        eps = 1.0 / lam_max if lam_max > 0 else 0.0
+    elif lam_max > 0 and not 0.0 < eps < 2.0 / lam_max:
         warnings.warn(
             f"diffusion step {eps} outside (0, {2.0 / lam_max:.6g}); operator may expand",
             stacklevel=2,
@@ -328,68 +322,31 @@ def _last_window_scores(rows: np.ndarray, pairs) -> np.ndarray:
     return sliding_abs_correlation(series, spec, pairs)[-1]
 
 
-class _Binder:
-    """Binds one algorithm's operator to Laplacians, for one run_estimation call.
-
-    Above EXACT_REBIND_LIMIT nodes, per-step ideal re-binding (a full
-    eigendecomposition per topology change) is replaced by a non-negative
-    polynomial fitted to the ideal response once, on the first re-bound
-    Laplacian, over a padded domain so topology drift cannot push
-    eigenvalues past it. The switch is announced with one warning.
-    """
-
-    def __init__(self, cfg: EstimatorConfig, node_count: int) -> None:
-        self.cfg = cfg
-        self.node_count = node_count
-        self.rebind_spec: FilterSpec | None = None
-
-    def __call__(self, lap: np.ndarray, rebinding: bool) -> Callable[[np.ndarray], np.ndarray]:
-        cfg = self.cfg
-        if cfg.algorithm in _SPATIAL:
-            lam_max = float(np.linalg.eigvalsh(lap)[-1])
-            eps = cfg.diffusion_eps if cfg.diffusion_eps is not None else (
-                1.0 / lam_max if lam_max > 0 else 0.0
-            )
-            return diffusion_operator(lap, eps)
-        spec = cfg.filter
-        if rebinding and spec.kind == "ideal-band-limited" and self.node_count > EXACT_REBIND_LIMIT:
-            if self.rebind_spec is None:
-                pad = 1.5
-                order = spec.order + spec.order % 2  # squared fit needs even order
-                lam_max = float(np.linalg.eigvalsh(lap)[-1])
-                grid = np.linspace(0.0, pad * lam_max, 16 * order + 8)
-                theta = fit_lowpass_coefficients(
-                    grid, spec.passband_fraction / pad, order, nonnegative=True
-                )
-                self.rebind_spec = FilterSpec("chebyshev", spec.passband_fraction, order, theta)
-                warnings.warn(
-                    f"{cfg.name}: {self.node_count} nodes exceed EXACT_REBIND_LIMIT="
-                    f"{EXACT_REBIND_LIMIT}; topology re-binds use a fitted order-{order} "
-                    "polynomial instead of the ideal filter",
-                    stacklevel=3,
-                )
-            spec = self.rebind_spec
-        return bind_filter(lap, spec)
+def _bind(cfg: EstimatorConfig, laplacian: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The algorithm's operator bound to one Laplacian: diffusion or its filter."""
+    if cfg.algorithm in _SPATIAL:
+        return diffusion_operator(laplacian, cfg.diffusion_eps)
+    return bind_filter(laplacian, cfg.filter)
 
 
 class _RebindCache:
     """One run's single-entry cache: any change of the adjacency re-binds."""
 
-    def __init__(self, adjacency: np.ndarray, apply: Callable, bind: _Binder) -> None:
+    def __init__(self, cfg: EstimatorConfig, adjacency: np.ndarray, apply: Callable) -> None:
+        self.cfg = cfg
         self.adjacency = adjacency
         self.apply = apply
-        self.bind = bind
 
     def __call__(self, adjacency: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         if not np.array_equal(adjacency, self.adjacency):
-            self.apply = self.bind(adjacency_laplacian(adjacency), rebinding=True)
+            self.apply = _bind(self.cfg, adjacency_laplacian(adjacency))
             self.adjacency = adjacency
         return self.apply
 
 
-# (window of history or None, step) -> (adjacency, edge count, latent
-# candidates, latent survivors) of the topology in force at that step
-TopologyRule = Callable[[np.ndarray | None, int], tuple[np.ndarray, int, int, int]]
+# trailing window of history before a step (None if unusable) -> (adjacency,
+# edge count, latent candidates, latent survivors) of that step's topology
+TopologyRule = Callable[[np.ndarray | None], tuple[np.ndarray, int, int, int]]
 
 
 def _symmetric(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -412,20 +369,19 @@ def _topology_rule(g: StaticGraph, cfg: EstimatorConfig) -> TopologyRule:
         base = g.edge_mask()
         edge_pairs = np.array(g.edges, dtype=int).reshape(-1, 2)
 
-        def multihop(rows: np.ndarray | None, t: int) -> tuple[np.ndarray, int, int, int]:
+        def multihop(rows: np.ndarray | None) -> tuple[np.ndarray, int, int, int]:
             if cfg.refresh_weights and rows is not None:
                 adjacency = _symmetric(n, edge_pairs, _last_window_scores(rows, edge_pairs))
-                scorer = lambda _t, pairs: _last_window_scores(rows, pairs)
+                scorer = lambda pairs: _last_window_scores(rows, pairs)
             else:
                 adjacency = static_adjacency
                 # no usable history: score candidates as unsupported
-                scorer = lambda _t, pairs: np.zeros(len(pairs))
+                scorer = lambda pairs: np.zeros(len(pairs))
             topo = expand_prune_merge(
                 base,
                 adjacency,
                 cfg.hops,
                 cfg.prune,
-                t=t,
                 latent_weight=cfg.latent_weight,
                 candidate_scores=scorer,
             )
@@ -435,7 +391,7 @@ def _topology_rule(g: StaticGraph, cfg: EstimatorConfig) -> TopologyRule:
 
     all_pairs = np.column_stack(np.triu_indices(n, 1))
 
-    def correlation_thresholded(rows: np.ndarray | None, t: int) -> tuple[np.ndarray, int, int, int]:
+    def correlation_thresholded(rows: np.ndarray | None) -> tuple[np.ndarray, int, int, int]:
         if rows is None:
             return static_adjacency, g.edge_count, 0, 0
         scores = _last_window_scores(rows, all_pairs)
@@ -484,14 +440,12 @@ def run_estimation(
     window = cfg.window.window
     rebinding = algo in _REBINDING
 
-    bind = _Binder(cfg, n)
     static_adjacency = g.adjacency()
-    # the dynamic family binds the static graph through its re-bind route,
-    # so every run's cache starts out holding it
-    static_apply = bind(adjacency_laplacian(static_adjacency), rebinding)
+    # every run's re-bind cache starts out holding the static binding
+    static_apply = _bind(cfg, adjacency_laplacian(static_adjacency))
     if rebinding:
         topology = _topology_rule(g, cfg)
-        caches = [_RebindCache(static_adjacency, static_apply, bind) for _ in range(runs)]
+        caches = [_RebindCache(cfg, static_adjacency, static_apply) for _ in range(runs)]
 
     estimates = np.zeros((runs, t_total, n))
     residual_norms = np.zeros((runs, t_total))
@@ -525,7 +479,7 @@ def run_estimation(
             filtered = np.empty_like(shaped)
             for r, cache in enumerate(caches):
                 adjacency, edge_counts[r, t], latent_candidates[r, t], latent_survivors[r, t] = (
-                    topology(history_rows(r, t), t)
+                    topology(history_rows(r, t))
                 )
                 filtered[r] = cache(adjacency)(shaped[r])
         else:

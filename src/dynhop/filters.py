@@ -128,8 +128,9 @@ def _apply_polynomial(matrix: np.ndarray, coefficients, vec: np.ndarray) -> np.n
 
 
 def _resolve_coefficients(
-    spec: FilterSpec, laplacian: np.ndarray, decomp: SpectralDecomposition | None
+    spec: FilterSpec, laplacian: np.ndarray | None, decomp: SpectralDecomposition | None
 ) -> tuple[float, ...]:
+    """The spec's fixed coefficients, or a fit over the operator's spectrum."""
     if spec.coefficients is not None:
         return spec.coefficients
     eigenvalues = decomp.eigenvalues if decomp is not None else np.linalg.eigvalsh(laplacian)
@@ -140,9 +141,7 @@ def filter_response(decomp: SpectralDecomposition, spec: FilterSpec) -> np.ndarr
     """Per-eigenvalue response h(lambda_i)."""
     if spec.kind == "ideal-band-limited":
         return ideal_response(decomp.eigenvalues, spec.passband_fraction)
-    coeffs = spec.coefficients
-    if coeffs is None:
-        coeffs = fit_lowpass_coefficients(decomp.eigenvalues, spec.passband_fraction, spec.order)
+    coeffs = _resolve_coefficients(spec, None, decomp)
     return np.polynomial.polynomial.polyval(decomp.eigenvalues, np.asarray(coeffs))
 
 

@@ -9,7 +9,6 @@ reproducible signs in intermediate matrices.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,8 +24,6 @@ __all__ = [
     "eigendecompose",
     "graph_to_csv",
     "graph_from_csv",
-    "graph_to_json",
-    "graph_from_json",
 ]
 
 
@@ -210,19 +207,3 @@ def graph_from_csv(path: str | Path) -> StaticGraph:
         node_count = 1 + max((max(i, j) for i, j in edges), default=0)
     return StaticGraph(node_count, tuple(edges), tuple(weights))
 
-
-def graph_to_json(g: StaticGraph) -> str:
-    doc = {
-        "node_count": g.node_count,
-        "labels": list(g.labels) if g.labels is not None else None,
-        "edges": [[i, j, float(w)] for (i, j), w in zip(g.edges, g.weights)],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def graph_from_json(text: str) -> StaticGraph:
-    doc = json.loads(text)
-    edges = tuple((int(e[0]), int(e[1])) for e in doc["edges"])
-    weights = tuple(float(e[2]) for e in doc["edges"])
-    labels = tuple(doc["labels"]) if doc.get("labels") else None
-    return StaticGraph(int(doc["node_count"]), edges, weights, labels)

@@ -42,15 +42,18 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        nodes=args.nodes,
-        edges=args.edges,
-        steps=args.steps,
-        regimes=args.regimes,
-        switch_times=tuple(args.switch_times) if args.switch_times else None,
-        bandlimit=args.bandlimit,
-        seed=args.seed,
-    )
+    try:
+        spec = SyntheticSpec(
+            nodes=args.nodes,
+            edges=args.edges,
+            steps=args.steps,
+            regimes=args.regimes,
+            switch_times=tuple(args.switch_times) if args.switch_times else None,
+            bandlimit=args.bandlimit,
+            seed=args.seed,
+        )
+    except ValueError as err:
+        raise ConfigError(f"synth: {err}") from None
     graph, series = make_synthetic_dataset(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -66,7 +69,10 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
         if not 2 <= args.train_end <= series.steps:
             raise ConfigError(f"--train-end must lie in 2..{series.steps}")
         series = NodeSignalSeries(series.values[: args.train_end], labels=series.labels)
-    spec = GraphBuildSpec(top_k=args.top_k, abs_corr_threshold=args.threshold)
+    try:
+        spec = GraphBuildSpec(top_k=args.top_k, abs_corr_threshold=args.threshold)
+    except ValueError as err:
+        raise ConfigError(f"build-graph: {err}") from None
     graph = build_initial_graph(series, spec)
     graph_to_csv(graph, args.out)
     print(f"wrote {args.out} ({graph.node_count} nodes, {graph.edge_count} edges)")

@@ -66,7 +66,13 @@ def _resolve_dataset(
         generator_graph, series = make_synthetic_dataset(dataset.synthetic)
     else:
         series = ingest_csv(dataset.series_csv)
-    splits = dataset.splits.resolve(series.steps)
+    try:
+        splits = dataset.splits.resolve(series.steps)
+    except ValueError as err:
+        raise DataError(
+            f"dataset.splits test range {dataset.splits.test} does not fit the "
+            f"{series.steps}-step series: {err}"
+        ) from None
     if dataset.normalize:
         series = normalize_by_train_mean(series, splits)
     if dataset.graph == "build":

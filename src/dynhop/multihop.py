@@ -11,7 +11,9 @@ original graph, whose own edges are never pruned.
 One array pass, :func:`expand_prune_merge`, does all of this on dense
 (N, N) matrices and masks. ``hop_expand``, ``prune``, ``merge`` and
 ``build_topology_slice`` are tuple and :class:`TopologySlice` views of the
-same stages, for inspection.
+same stages, for inspection. Each call builds one step's topology; which
+step that is stays with the caller, so a pair scorer receives only the
+(P, 2) array of pairs and a slice carries no time stamp.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ EPS_ZERO = 1e-12
 PRUNE_METRICS = ("weight-magnitude", "correlation")
 LATENT_WEIGHT_RULES = ("score", "correlation")
 
-# scorer(t, pairs) -> array of non-negative scores, one per row of the
-# (P, 2) integer array of node pairs
-PairScorer = Callable[[int, np.ndarray], np.ndarray]
+# scorer(pairs) -> array of non-negative scores, one per row of the (P, 2)
+# integer array of node pairs
+PairScorer = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,6 @@ class HopCandidateSet:
     hop: int
     pairs: tuple[tuple[int, int], ...]
     scores: tuple[float, ...]
-    time: int = 0
 
     def __post_init__(self) -> None:
         if self.hop < 2:
@@ -101,7 +102,6 @@ class TopologySlice:
 
     graph: StaticGraph
     provenance: tuple[str, ...]
-    time: int = 0
 
     def __post_init__(self) -> None:
         if len(self.provenance) != self.graph.edge_count:
@@ -161,10 +161,10 @@ def _expand(
     return order, magnitude
 
 
-def _pair_scores(scorer: PairScorer, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _pair_scores(scorer: PairScorer, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return np.zeros(0)
-    scores = np.asarray(scorer(t, np.column_stack((rows, cols))), dtype=float)
+    scores = np.asarray(scorer(np.column_stack((rows, cols))), dtype=float)
     if scores.shape != rows.shape:
         raise ValueError("pairs and scores must have equal length")
     if not np.all(scores >= 0):
@@ -196,14 +196,13 @@ def expand_prune_merge(
     hops: int,
     prune_spec: PruneSpec,
     *,
-    t: int = 0,
     latent_weight: str = "score",
     candidate_scores: PairScorer | None = None,
 ) -> LatentTopology:
     """Expand, prune, and merge one step on dense (N, N) arrays.
 
     ``base`` marks the original edge set (an edge of weight 0 still counts)
-    and ``adjacency`` carries its weights at step t. Candidates of order p
+    and ``adjacency`` carries its weights at this step. Candidates of order p
     are the pairs whose |entry| of the p-th power of the spectrally
     normalized Laplacian exceeds EPS_ZERO, that are not original edges and
     did not qualify at a lower order. ``candidate_scores`` must be supplied
@@ -228,11 +227,11 @@ def expand_prune_merge(
     rows, cols = np.nonzero(order)
     scores = magnitude[rows, cols]
     if prune_spec.metric == "correlation":
-        scores = _pair_scores(candidate_scores, t, rows, cols)
+        scores = _pair_scores(candidate_scores, rows, cols)
     keep = prune_spec.survives(scores)
     kept_rows, kept_cols, weights = rows[keep], cols[keep], scores[keep]
     if latent_weight == "correlation" and prune_spec.metric != "correlation":
-        weights = _pair_scores(candidate_scores, t, kept_rows, kept_cols)
+        weights = _pair_scores(candidate_scores, kept_rows, kept_cols)
     merged, provenance = _merge(
         adjacency, base, kept_rows, kept_cols, order[kept_rows, kept_cols], weights
     )
@@ -243,7 +242,7 @@ def expand_prune_merge(
 
 
 def hop_expand(
-    normalized_laplacian: np.ndarray, g: StaticGraph, hops: int, t: int = 0
+    normalized_laplacian: np.ndarray, g: StaticGraph, hops: int
 ) -> list[HopCandidateSet]:
     """Candidate sets for hop orders 2..hops (newly appearing non-zeros only).
 
@@ -266,7 +265,6 @@ def hop_expand(
             hop=p,
             pairs=tuple(zip(rows.tolist(), cols.tolist())),
             scores=tuple(magnitude[rows, cols].tolist()),
-            time=t,
         ))
     return out
 
@@ -278,11 +276,10 @@ def prune(candidates: HopCandidateSet, spec: PruneSpec) -> HopCandidateSet:
         hop=candidates.hop,
         pairs=tuple(p for p, k in zip(candidates.pairs, keep) if k),
         scores=tuple(s for s, k in zip(candidates.scores, keep) if k),
-        time=candidates.time,
     )
 
 
-def _as_slice(g_t: StaticGraph, merged: np.ndarray, provenance: np.ndarray, t: int) -> TopologySlice:
+def _as_slice(g_t: StaticGraph, merged: np.ndarray, provenance: np.ndarray) -> TopologySlice:
     """Original edges first, then latent edges in ascending (hop, pair) order."""
     rows, cols = np.nonzero(np.triu(provenance > 1))
     order = np.argsort(provenance[rows, cols], kind="stable")
@@ -295,21 +292,15 @@ def _as_slice(g_t: StaticGraph, merged: np.ndarray, provenance: np.ndarray, t: i
         g_t.labels,
     )
     tags = ("original",) * g_t.edge_count + tuple(f"hop{p}" for p in provenance[rows, cols])
-    return TopologySlice(graph=graph, provenance=tags, time=t)
+    return TopologySlice(graph=graph, provenance=tags)
 
 
-def merge(
-    g_t: StaticGraph,
-    pruned: Sequence[HopCandidateSet],
-    weight_rule: Callable[[tuple[int, int], float, int], float] | None = None,
-    t: int = 0,
-) -> TopologySlice:
+def merge(g_t: StaticGraph, pruned: Sequence[HopCandidateSet]) -> TopologySlice:
     """Union of the current graph with surviving latent edges.
 
-    Original edges keep their weights at t. Latent edges take their score,
-    or whatever ``weight_rule(pair, score, hop)`` returns, and follow the
-    original edges in ascending (hop, pair) order. A pair appearing twice
-    across inputs signals an upstream bug and raises.
+    Original edges keep their weights. Latent edges take their score and
+    follow the original edges in ascending (hop, pair) order. A pair
+    appearing twice across inputs signals an upstream bug and raises.
     """
     n = g_t.node_count
     base = g_t.edge_mask()
@@ -326,12 +317,12 @@ def merge(
             rows.append(i)
             cols.append(j)
             hop.append(cand.hop)
-            weights.append(score if weight_rule is None else float(weight_rule(pair, score, cand.hop)))
+            weights.append(score)
     merged, provenance = _merge(
         g_t.adjacency(), base, np.array(rows, dtype=int), np.array(cols, dtype=int),
         np.array(hop, dtype=int), np.array(weights, dtype=float),
     )
-    return _as_slice(g_t, merged, provenance, t)
+    return _as_slice(g_t, merged, provenance)
 
 
 def build_topology_slice(
@@ -340,7 +331,6 @@ def build_topology_slice(
     hops: int,
     prune_spec: PruneSpec,
     *,
-    t: int = 0,
     latent_weight: str = "score",
     candidate_scores: PairScorer | None = None,
 ) -> TopologySlice:
@@ -351,9 +341,8 @@ def build_topology_slice(
         g_t.adjacency(),
         hops,
         prune_spec,
-        t=t,
         latent_weight=latent_weight,
         candidate_scores=candidate_scores,
     )
-    return _as_slice(g_t, topo.adjacency, topo.hop, t)
+    return _as_slice(g_t, topo.adjacency, topo.hop)
 

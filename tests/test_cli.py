@@ -299,3 +299,56 @@ def test_report_on_malformed_files_is_data_error(tmp_path, capsys, name, text):
     assert main(["report", "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and name in err
+
+
+@pytest.mark.parametrize("test_range", [[61, 200], [61, None]], ids=["closed", "open"])
+def test_run_with_splits_past_the_series_is_data_error(tmp_path, capsys, test_range):
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--steps", "50"]) == 0
+    cfg = run_config(tmp_path, dataset={
+        "synthetic": None, "graph": "build", "series_csv": str(data / "series.csv"),
+        "splits": {"train": [1, 40], "validation": [41, 60], "test": test_range},
+    })
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "test range" in err and "50-step series" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--nodes", "1"],
+    ["synth", "--edges", "100000"],
+    ["build-graph", "SERIES", "--top-k", "0"],
+    ["build-graph", "SERIES", "--threshold", "2"],
+], ids=["one-node", "too-many-edges", "top-k-0", "threshold-2"])
+def test_bad_synth_and_build_graph_values_are_config_errors(tmp_path, capsys, argv):
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--steps", "30"]) == 0
+    argv = [str(data / "series.csv") if a == "SERIES" else a for a in argv]
+    out = ["--out-dir", str(tmp_path / "o")]
+    if argv[0] == "build-graph":
+        out = ["--out", str(tmp_path / "g.csv")]
+    capsys.readouterr()
+    assert main(argv + out) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_chebyshev_config_rebinds_only_with_its_coefficients(tmp_path, monkeypatch):
+    from dynhop import estimators
+
+    binds = []
+    original = estimators.bind_filter
+    monkeypatch.setattr(estimators, "bind_filter",
+                        lambda lap, spec: binds.append(spec) or original(lap, spec))
+    coefficients = [0.5, -0.01, 0.0]
+    cfg = run_config(tmp_path, noise={"runs": 1}, algorithms=[{
+        "algorithm": "dynamic-multihop",
+        "filter": {"kind": "chebyshev", "passband_fraction": 0.4, "order": 2,
+                   "coefficients": coefficients},
+        "step": {"kind": "fixed", "mu": 0.5},
+        "hops": 3,
+        "prune": {"threshold": 0.015},
+    }])
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 0
+    assert len(binds) > 1  # the topology changed and the filter was re-bound
+    assert all(s.kind == "chebyshev" and s.coefficients == tuple(coefficients) for s in binds)

@@ -145,6 +145,15 @@ def test_diffusion_warns_outside_stable_range(rng):
         diffusion_operator(lap, bad)
 
 
+def test_diffusion_default_eps_is_inverse_lambda_max(rng):
+    lap = build_laplacian(random_graph(rng, 9, connected=True))
+    x = rng.standard_normal((3, 9))
+    lam_max = float(np.linalg.eigvalsh(lap)[-1])
+    assert np.array_equal(diffusion_operator(lap)(x), diffusion_operator(lap, 1.0 / lam_max)(x))
+    # an edgeless graph has nothing to diffuse: the default step is 0
+    assert np.array_equal(diffusion_operator(np.zeros((4, 4)))(x[:, :4]), x[:, :4])
+
+
 # -- full runs ------------------------------------------------------------------------
 
 def constant_stream(truth, steps):
@@ -316,8 +325,8 @@ def test_trace_counts_latent_candidates_and_survivors(rng):
 
 
 def test_dynamic_rebinding_above_exact_size_limit(rng):
-    # above 200 nodes, per-step topology re-binding must fall back to the
-    # fixed polynomial response and stay finite
+    # per-step topology re-binding of the ideal filter stays finite on a
+    # graph above 200 nodes
     g = random_graph(rng, 210, 360)
     rows = rng.standard_normal((12, 210))
     stream = ObservationStream(rows, np.ones((12, 210), dtype=bool))
@@ -349,20 +358,27 @@ def test_short_stream_dynamic_runs_bind_the_static_graph_once(rng, monkeypatch):
         assert len(binds) == 1, algo
 
 
-def test_exact_rebind_limit_switch_warns_once_per_call(rng):
+def test_ideal_filter_binds_as_configured_at_any_size(rng, monkeypatch):
+    # no size switch: a 201-node run re-binds the configured ideal filter
+    # at every topology change and warns about nothing
+    binds = []
+    original = estimators.bind_filter
+    monkeypatch.setattr(estimators, "bind_filter",
+                        lambda lap, spec: binds.append(spec) or original(lap, spec))
     g = random_graph(rng, 201, 300)
-    rows = rng.standard_normal((2, 3, 201))
+    rows = rng.standard_normal((8, 201))
     stream = ObservationStream(rows, np.ones(rows.shape, dtype=bool))
     cfg = EstimatorConfig("dynamic-multihop", filter=FilterSpec(passband_fraction=0.4),
-                          step=StepSizeRule.fixed(0.5), hops=2, prune=PruneSpec(0.01),
+                          step=StepSizeRule.fixed(0.5), hops=2, prune=PruneSpec(0.0),
                           window=WindowSpec(5, 1))
-    with pytest.warns(UserWarning) as record:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         trace = run_estimation(stream, g, cfg)
-    switches = [str(w.message) for w in record if "EXACT_REBIND_LIMIT" in str(w.message)]
-    assert switches == ["dynamic-multihop: 201 nodes exceed EXACT_REBIND_LIMIT=200; topology "
-                        "re-binds use a fitted order-12 polynomial instead of the ideal filter"]
-    assert np.all(np.isfinite(trace.estimates))
-    assert trace.diverged == (False, False)
+    # the static graph, its multi-hop expansion until the window fills, then
+    # one per step with refreshed weights
+    assert len(binds) == 1 + 1 + 3
+    assert all(spec is cfg.filter for spec in binds)
+    assert np.all(np.isfinite(trace.estimates)) and not trace.diverged
 
 
 def test_prune_that_keeps_nothing_warns(rng):

@@ -10,9 +10,7 @@ from dynhop import (
     build_laplacian,
     eigendecompose,
     graph_from_csv,
-    graph_from_json,
     graph_to_csv,
-    graph_to_json,
     incidence,
 )
 from conftest import random_graph, union_find_components
@@ -164,13 +162,6 @@ def test_csv_round_trip_isolated_trailing_node(tmp_path):
     path = tmp_path / "g.csv"
     graph_to_csv(g, path)
     assert graph_from_csv(path).node_count == 4
-
-
-def test_json_round_trip_with_labels(rng):
-    g = random_graph(rng, 5)
-    g = StaticGraph(g.node_count, g.edges, g.weights, labels=tuple("abcde"))
-    back = graph_from_json(graph_to_json(g))
-    assert back == g
 
 
 # -- property tests ----------------------------------------------------------

@@ -104,7 +104,7 @@ def test_spectral_normalize_unit_top_eigenvalue(rng):
 
 def _cands(scores, hop=2):
     pairs = tuple((0, k + 1) for k in range(len(scores)))
-    return HopCandidateSet(hop=hop, pairs=pairs, scores=tuple(scores), time=0)
+    return HopCandidateSet(hop=hop, pairs=pairs, scores=tuple(scores))
 
 
 def test_prune_large_threshold_empties():
@@ -158,13 +158,6 @@ def test_merge_path_plus_candidate_gives_triangle():
     assert out.graph.weights[2] == 0.7
 
 
-def test_merge_weight_rule_overrides_score():
-    g = StaticGraph(3, ((0, 1), (1, 2)))
-    cand = HopCandidateSet(2, ((0, 2),), (0.7,))
-    out = merge(g, [cand], weight_rule=lambda pair, score, hop: 0.123)
-    assert out.graph.weights[2] == 0.123
-
-
 def test_merge_rejects_duplicates():
     g = StaticGraph(3, ((0, 1), (1, 2)))
     cand = HopCandidateSet(2, ((0, 1),), (0.7,))
@@ -182,9 +175,9 @@ def test_merge_two_steps_recomputation_oracle(rng):
     for t in range(2):
         g_t = g.with_weights(rows[t])
         norm = spectral_normalize(build_laplacian(g_t))
-        pruned = [prune(c, spec) for c in hop_expand(norm, g, 3, t=t)]
-        direct = merge(g_t, pruned, t=t)
-        via_slice = build_topology_slice(g, rows[t], 3, spec, t=t)
+        pruned = [prune(c, spec) for c in hop_expand(norm, g, 3)]
+        direct = merge(g_t, pruned)
+        via_slice = build_topology_slice(g, rows[t], 3, spec)
         assert via_slice.graph == direct.graph
         assert via_slice.provenance == direct.provenance
         merged_sets.append(set(direct.graph.edges))
@@ -234,7 +227,7 @@ def test_array_core_matches_slice_view_and_loop_reference(
         weights = np.zeros(g.edge_count) if zero_weights else rng.uniform(0.0, 1.0, g.edge_count)
         score_matrix = rng.uniform(0.0, 1.0, (n, n))
         score_matrix = np.maximum(score_matrix, score_matrix.T)
-        scorer = lambda _t, pairs: score_matrix[pairs[:, 0], pairs[:, 1]]
+        scorer = lambda pairs: score_matrix[pairs[:, 0], pairs[:, 1]]
 
         topo = expand_prune_merge(
             g.edge_mask(), g.with_weights(weights).adjacency(), hops, spec,
@@ -260,6 +253,21 @@ def test_array_core_matches_slice_view_and_loop_reference(
             assert topo.survivors > 0
 
 
+def test_array_core_scorer_receives_only_the_pairs(rng):
+    g = random_graph(rng, 10, 12)
+    shapes = []
+
+    def scorer(pairs):
+        shapes.append(pairs.shape)
+        return np.full(len(pairs), 0.5)
+
+    topo = expand_prune_merge(
+        g.edge_mask(), g.adjacency(), 3, PruneSpec(0.1, "correlation"), candidate_scores=scorer
+    )
+    assert shapes == [(topo.candidates, 2)]
+    assert topo.survivors == topo.candidates > 0
+
+
 def test_array_core_counts_candidates_before_pruning(rng):
     g = random_graph(rng, 12, 14)
     adjacency = g.adjacency()
@@ -276,7 +284,7 @@ def test_array_core_counts_candidates_before_pruning(rng):
 def test_static_weights_give_identical_slices(rng):
     g = random_graph(rng, 10)
     row = rng.uniform(0.1, 1.0, size=g.edge_count)
-    slices = [build_topology_slice(g, row, 4, PruneSpec(0.01), t=t) for t in range(6)]
+    slices = [build_topology_slice(g, row, 4, PruneSpec(0.01)) for t in range(6)]
     first = slices[0]
     for s in slices[1:]:
         assert s.graph.edges == first.graph.edges
@@ -313,7 +321,7 @@ def test_correlation_metric_uses_scorer(rng):
     g = StaticGraph(3, ((0, 1), (1, 2)))
     calls = []
 
-    def scorer(t, pairs):
+    def scorer(pairs):
         calls.append(tuple(pairs))
         return np.full(len(pairs), 0.9)
 
@@ -327,7 +335,7 @@ def test_correlation_metric_uses_scorer(rng):
 
 def test_correlation_latent_weight_rescores_after_pruning(rng):
     g = StaticGraph(3, ((0, 1), (1, 2)))
-    scorer = lambda t, pairs: np.full(len(pairs), 0.42)
+    scorer = lambda pairs: np.full(len(pairs), 0.42)
     out = build_topology_slice(
         g, (1.0, 1.0), 2, PruneSpec(0.0), latent_weight="correlation", candidate_scores=scorer
     )
@@ -348,7 +356,7 @@ def test_sparsity_bound(rng):
     weights = sliding_abs_correlation(series, WindowSpec(8), g.edges)
     cap = 15 * 14 // 2
     for t in range(weights.shape[0]):
-        s = build_topology_slice(g, weights[t], 4, PruneSpec(0.01), t=t)
+        s = build_topology_slice(g, weights[t], 4, PruneSpec(0.01))
         assert g.edge_count <= s.graph.edge_count <= cap
         assert set(g.edges) <= set(s.graph.edges)
 
