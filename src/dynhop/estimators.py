@@ -74,7 +74,6 @@ ALGORITHMS = (
 _SPATIAL = frozenset({"gdlms", "gsd"})
 _SIGN = frozenset({"gsign", "gsd"})
 _SGM = frozenset({"sgm-then-glms", "glms-then-sgm"})
-_REBINDING = _SGM | {"dynamic-multihop"}  # algorithms that rebuild their topology
 
 # estimates whose magnitude passes this can never recover and would soon
 # overflow norm computations; flag divergence here instead of waiting for inf
@@ -172,9 +171,10 @@ class ObservationStream:
 class EstimatorConfig:
     """Full description of one estimation algorithm run.
 
-    ``refresh_weights=False`` pins the dynamic family to the static graph's
-    weights (useful as a reduction check: dynamic-multihop with hops=1 and
-    static weights must reproduce glms exactly). ``weights_source`` selects
+    ``refresh_weights`` is read only by dynamic-multihop: False pins it to
+    the static graph's weights, so its topology is built once per call
+    (useful as a reduction check: hops=1 with static weights must reproduce
+    glms exactly). The sgm orderings always refresh. ``weights_source`` selects
     whether windowed correlations are computed on the running estimates
     (deployment setting) or on a supplied ground-truth history.
     """
@@ -322,31 +322,16 @@ def _last_window_scores(rows: np.ndarray, pairs) -> np.ndarray:
     return sliding_abs_correlation(series, spec, pairs)[-1]
 
 
-def _bind(cfg: EstimatorConfig, laplacian: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The algorithm's operator bound to one Laplacian: diffusion or its filter."""
+def _bind(cfg: EstimatorConfig, adjacency: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The algorithm's operator bound to one topology: diffusion or its filter."""
+    laplacian = adjacency_laplacian(adjacency)
     if cfg.algorithm in _SPATIAL:
         return diffusion_operator(laplacian, cfg.diffusion_eps)
     return bind_filter(laplacian, cfg.filter)
 
 
-class _RebindCache:
-    """One run's single-entry cache: any change of the adjacency re-binds."""
-
-    def __init__(self, cfg: EstimatorConfig, adjacency: np.ndarray, apply: Callable) -> None:
-        self.cfg = cfg
-        self.adjacency = adjacency
-        self.apply = apply
-
-    def __call__(self, adjacency: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        if not np.array_equal(adjacency, self.adjacency):
-            self.apply = _bind(self.cfg, adjacency_laplacian(adjacency))
-            self.adjacency = adjacency
-        return self.apply
-
-
-# trailing window of history before a step (None if unusable) -> (adjacency,
-# edge count, latent candidates, latent survivors) of that step's topology
-TopologyRule = Callable[[np.ndarray | None], tuple[np.ndarray, int, int, int]]
+# (adjacency, edge count, latent candidates, latent survivors) of one step
+Topology = tuple[np.ndarray, int, int, int]
 
 
 def _symmetric(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -356,27 +341,25 @@ def _symmetric(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return adjacency
 
 
-def _topology_rule(g: StaticGraph, cfg: EstimatorConfig) -> TopologyRule:
-    """Per-step topology of the algorithms that rebuild it.
+def _topology_rule(
+    g: StaticGraph, cfg: EstimatorConfig
+) -> tuple[Topology, Callable[[np.ndarray], Topology] | None]:
+    """``(fixed, rebuild)``: the topology of a step without usable history,
+    and the map from a trailing history window to that step's topology.
 
+    ``rebuild`` is None when history never changes the topology: for the
+    static baselines, and for dynamic-multihop with ``refresh_weights=False``.
     sgm-then-glms refreshes its topology before each update and
     glms-then-sgm after it, for the next step; both read the history up to
     the previous step, so one rule serves both.
     """
     n = g.node_count
-    static_adjacency = g.adjacency()
+    static = (g.adjacency(), g.edge_count, 0, 0)
     if cfg.algorithm == "dynamic-multihop":
         base = g.edge_mask()
         edge_pairs = np.array(g.edges, dtype=int).reshape(-1, 2)
 
-        def multihop(rows: np.ndarray | None) -> tuple[np.ndarray, int, int, int]:
-            if cfg.refresh_weights and rows is not None:
-                adjacency = _symmetric(n, edge_pairs, _last_window_scores(rows, edge_pairs))
-                scorer = lambda pairs: _last_window_scores(rows, pairs)
-            else:
-                adjacency = static_adjacency
-                # no usable history: score candidates as unsupported
-                scorer = lambda pairs: np.zeros(len(pairs))
+        def multihop(adjacency: np.ndarray, scorer) -> Topology:
             topo = expand_prune_merge(
                 base,
                 adjacency,
@@ -387,19 +370,28 @@ def _topology_rule(g: StaticGraph, cfg: EstimatorConfig) -> TopologyRule:
             )
             return topo.adjacency, g.edge_count + topo.survivors, topo.candidates, topo.survivors
 
-        return multihop
+        # no usable history: static weights, candidates scored as unsupported
+        fixed = multihop(static[0], lambda pairs: np.zeros(len(pairs)))
+        if not cfg.refresh_weights:
+            return fixed, None
+
+        def refreshed(rows: np.ndarray) -> Topology:
+            adjacency = _symmetric(n, edge_pairs, _last_window_scores(rows, edge_pairs))
+            return multihop(adjacency, lambda pairs: _last_window_scores(rows, pairs))
+
+        return fixed, refreshed
+    if cfg.algorithm not in _SGM:
+        return static, None
 
     all_pairs = np.column_stack(np.triu_indices(n, 1))
 
-    def correlation_thresholded(rows: np.ndarray | None) -> tuple[np.ndarray, int, int, int]:
-        if rows is None:
-            return static_adjacency, g.edge_count, 0, 0
+    def correlation_thresholded(rows: np.ndarray) -> Topology:
         scores = _last_window_scores(rows, all_pairs)
         keep = cfg.prune.survives(scores)
         adjacency = _symmetric(n, all_pairs, np.where(keep, scores, 0.0))
         return adjacency, int(np.count_nonzero(keep)), 0, 0
 
-    return correlation_thresholded
+    return static, correlation_thresholded
 
 
 def run_estimation(
@@ -412,13 +404,16 @@ def run_estimation(
 
     The R runs of a stacked stream advance together: each step is one
     masked update of the (R, N) state, and run r's outputs are bit-identical
-    to a separate call on run r's (T, N) stream. Static baselines bind their
-    operator once for all runs. The dynamic family keeps one topology and
-    re-bind cache per run: it refreshes edge weights from that run's
-    strictly causal estimate history (steps before the window fills fall
-    back to the static graph), rebuilds its topology, and re-binds the
-    filter. ``ground_truth`` is only consulted when
-    ``cfg.weights_source == "ground-truth"``.
+    to a separate call on run r's (T, N) stream. The topology of a step
+    without usable history (before the window fills, or after the run's
+    history has diverged) is built and bound once per call and shared by
+    every run: the static graph, or for dynamic-multihop its multi-hop
+    expansion with every latent candidate scored 0. At each step with usable
+    history the dynamic family rebuilds that run's topology from its
+    strictly causal history and re-binds the filter. ``refresh_weights`` is
+    read only by dynamic-multihop, whose topology never changes when it is
+    False; the sgm orderings always refresh. ``ground_truth`` is only
+    consulted when ``cfg.weights_source == "ground-truth"``.
     """
     n = g.node_count
     t_total = stream.steps
@@ -438,21 +433,17 @@ def run_estimation(
     runs = observations.shape[0]
     algo = cfg.algorithm
     window = cfg.window.window
-    rebinding = algo in _REBINDING
 
-    static_adjacency = g.adjacency()
-    # every run's re-bind cache starts out holding the static binding
-    static_apply = _bind(cfg, adjacency_laplacian(static_adjacency))
-    if rebinding:
-        topology = _topology_rule(g, cfg)
-        caches = [_RebindCache(cfg, static_adjacency, static_apply) for _ in range(runs)]
+    fixed, rebuild = _topology_rule(g, cfg)
+    # one binding serves every step without usable history, in every run
+    fixed_apply = _bind(cfg, fixed[0])
 
     estimates = np.zeros((runs, t_total, n))
     residual_norms = np.zeros((runs, t_total))
     step_sizes = np.zeros((runs, t_total))
-    edge_counts = np.full((runs, t_total), g.edge_count)
-    latent_candidates = np.zeros((runs, t_total), dtype=int)
-    latent_survivors = np.zeros((runs, t_total), dtype=int)
+    edge_counts = np.full((runs, t_total), fixed[1], dtype=int)
+    latent_candidates = np.full((runs, t_total), fixed[2], dtype=int)
+    latent_survivors = np.full((runs, t_total), fixed[3], dtype=int)
 
     def history_rows(r: int, t: int) -> np.ndarray | None:
         """Trailing window of run r's strictly causal signal history, or None."""
@@ -475,15 +466,15 @@ def run_estimation(
         mu = step_sizes[:, t]
         mu[:] = [adaptive_mu(v, cfg.step) for v in norms.tolist()]
         shaped = error_nonlinearity(residual, algo, cfg.p_exponent)
-        if rebinding:
-            filtered = np.empty_like(shaped)
-            for r, cache in enumerate(caches):
-                adjacency, edge_counts[r, t], latent_candidates[r, t], latent_survivors[r, t] = (
-                    topology(history_rows(r, t))
-                )
-                filtered[r] = cache(adjacency)(shaped[r])
-        else:
-            filtered = static_apply(shaped)
+        filtered = fixed_apply(shaped)
+        if rebuild is not None:
+            for r in range(runs):
+                rows = history_rows(r, t)
+                if rows is not None:
+                    adjacency, edge_counts[r, t], latent_candidates[r, t], latent_survivors[r, t] = (
+                        rebuild(rows)
+                    )
+                    filtered[r] = _bind(cfg, adjacency)(shaped[r])
         x_hat = np.add(x_hat, mu[:, None] * filtered, out=estimates[:, t])
 
     if algo == "dynamic-multihop" and np.any(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -43,6 +43,11 @@ def _check_keys(section: dict, allowed: Sequence[str], where: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+
+
+def _fields(spec: type) -> list[str]:
+    """A section's allowed keys: the fields of the spec class it builds."""
+    return [f.name for f in fields(spec)]
 
 
 def _require(section: dict, key: str, where: str):
@@ -91,7 +96,7 @@ def load_config(path: str | Path) -> dict:
 
 
 def _parse_splits(raw: dict) -> SplitSpec:
-    _check_keys(raw, ["train", "validation", "test"], "dataset.splits")
+    _check_keys(raw, _fields(SplitSpec), "dataset.splits")
     try:
         train = tuple(int(v) for v in _require(raw, "train", "dataset.splits"))
         validation = tuple(int(v) for v in _require(raw, "validation", "dataset.splits"))
@@ -102,14 +107,8 @@ def _parse_splits(raw: dict) -> SplitSpec:
         raise ConfigError(f"bad dataset.splits: {err}") from err
 
 
-_SYNTH_KEYS = [
-    "nodes", "edges", "steps", "regimes", "switch_times", "bandlimit", "clusters",
-    "coupling", "background", "temporal_smoothing", "mode_decay", "offset", "seed",
-]
-
-
 def _parse_synthetic(raw: dict) -> SyntheticSpec:
-    _check_keys(raw, _SYNTH_KEYS, "dataset.synthetic")
+    _check_keys(raw, _fields(SyntheticSpec), "dataset.synthetic")
     kwargs = dict(raw)
     if kwargs.get("switch_times") is not None:
         kwargs["switch_times"] = tuple(int(t) for t in kwargs["switch_times"])
@@ -120,7 +119,7 @@ def _parse_synthetic(raw: dict) -> SyntheticSpec:
 
 
 def _parse_dataset(raw: dict) -> DatasetSpec:
-    _check_keys(raw, ["series_csv", "synthetic", "graph", "splits", "normalize"], "dataset")
+    _check_keys(raw, _fields(DatasetSpec), "dataset")
     splits = _parse_splits(_require(raw, "splits", "dataset"))
     synthetic = None
     if raw.get("synthetic") is not None:
@@ -138,7 +137,7 @@ def _parse_dataset(raw: dict) -> DatasetSpec:
 
 
 def _parse_noise(raw: dict) -> NoiseMaskSpec:
-    _check_keys(raw, ["snr", "snr_in_db", "missing_fraction", "seed", "runs"], "noise")
+    _check_keys(raw, _fields(NoiseMaskSpec), "noise")
     try:
         return NoiseMaskSpec(
             snr=float(_require(raw, "snr", "noise")),
@@ -152,7 +151,7 @@ def _parse_noise(raw: dict) -> NoiseMaskSpec:
 
 
 def _parse_graph_build(raw: dict) -> GraphBuildSpec:
-    _check_keys(raw, ["top_k", "abs_corr_threshold"], "graph_build")
+    _check_keys(raw, _fields(GraphBuildSpec), "graph_build")
     try:
         return GraphBuildSpec(
             top_k=int(raw.get("top_k", 3)),
@@ -163,7 +162,7 @@ def _parse_graph_build(raw: dict) -> GraphBuildSpec:
 
 
 def _parse_filter(raw: dict, where: str) -> FilterSpec:
-    _check_keys(raw, ["kind", "passband_fraction", "order", "coefficients"], where)
+    _check_keys(raw, _fields(FilterSpec), where)
     kwargs = dict(raw)
     if kwargs.get("coefficients") is not None:
         kwargs["coefficients"] = tuple(float(c) for c in kwargs["coefficients"])
@@ -174,22 +173,16 @@ def _parse_filter(raw: dict, where: str) -> FilterSpec:
 
 
 def _parse_step(raw: dict, where: str) -> StepSizeRule:
-    _check_keys(raw, ["kind", "mu", "mu_min", "mu_max"], where)
+    _check_keys(raw, _fields(StepSizeRule), where)
     try:
         return StepSizeRule(**raw)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad {where}: {err}") from err
 
 
-_ALGO_KEYS = [
-    "algorithm", "label", "filter", "step", "hops", "prune", "window",
-    "p_exponent", "diffusion_eps", "refresh_weights", "latent_weight", "weights_source",
-]
-
-
 def _parse_algorithm(raw: dict, index: int) -> EstimatorConfig:
     where = f"algorithms[{index}]"
-    _check_keys(raw, _ALGO_KEYS, where)
+    _check_keys(raw, _fields(EstimatorConfig), where)
     name = _require(raw, "algorithm", where)
     if name not in ALGORITHMS:
         raise ConfigError(f"{where}: unknown algorithm {name!r}; expected one of {ALGORITHMS}")
@@ -199,13 +192,13 @@ def _parse_algorithm(raw: dict, index: int) -> EstimatorConfig:
     if raw.get("step") is not None:
         kwargs["step"] = _parse_step(raw["step"], f"{where}.step")
     if raw.get("prune") is not None:
-        _check_keys(raw["prune"], ["threshold", "metric"], f"{where}.prune")
+        _check_keys(raw["prune"], _fields(PruneSpec), f"{where}.prune")
         try:
             kwargs["prune"] = PruneSpec(**raw["prune"])
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad {where}.prune: {err}") from err
     if raw.get("window") is not None:
-        _check_keys(raw["window"], ["window", "stride"], f"{where}.window")
+        _check_keys(raw["window"], _fields(WindowSpec), f"{where}.window")
         try:
             kwargs["window"] = WindowSpec(**raw["window"])
         except (TypeError, ValueError) as err:

@@ -70,6 +70,11 @@ class SyntheticSpec:
             raise ValueError("steps must be >= 1")
         if self.regimes < 1:
             raise ValueError("regimes must be >= 1")
+        if self.switch_times is None and self.regimes > self.steps:
+            # evenly spaced switch times would leave a regime without steps
+            raise ValueError(
+                f"{self.regimes} regimes need at least as many steps, got {self.steps}"
+            )
         if not 0.0 < self.bandlimit <= 1.0:
             raise ValueError("bandlimit must lie in (0, 1]")
         if not 1 <= self.clusters <= n:

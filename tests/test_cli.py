@@ -46,6 +46,15 @@ def test_unknown_nested_key_rejected(tmp_path):
         resolve_config(load_config(cfg["path"]))
 
 
+def test_synthetic_keys_are_the_spec_fields(tmp_path):
+    raw = run_config(tmp_path, dataset={"synthetic": {"member_noise": 0.05, "drift": 0.0}})["raw"]
+    synthetic = resolve_config(raw).dataset.synthetic
+    assert (synthetic.member_noise, synthetic.drift) == (0.05, 0.0)
+    raw["dataset"]["synthetic"]["mode_decay"] = 0.5
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['mode_decay'\] in dataset\.synthetic"):
+        resolve_config(raw)
+
+
 def test_unknown_algorithm_rejected(tmp_path):
     cfg = run_config(tmp_path, algorithms=[{"algorithm": "glmz"}])
     with pytest.raises(ConfigError, match="glmz"):
@@ -320,7 +329,8 @@ def test_run_with_splits_past_the_series_is_data_error(tmp_path, capsys, test_ra
     ["synth", "--edges", "100000"],
     ["build-graph", "SERIES", "--top-k", "0"],
     ["build-graph", "SERIES", "--threshold", "2"],
-], ids=["one-node", "too-many-edges", "top-k-0", "threshold-2"])
+    ["synth", "--regimes", "5", "--steps", "3"],
+], ids=["one-node", "too-many-edges", "top-k-0", "threshold-2", "empty-regime"])
 def test_bad_synth_and_build_graph_values_are_config_errors(tmp_path, capsys, argv):
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--steps", "30"]) == 0

@@ -340,8 +340,8 @@ def test_dynamic_rebinding_above_exact_size_limit(rng):
 
 
 def test_short_stream_dynamic_runs_bind_the_static_graph_once(rng, monkeypatch):
-    # before the window fills every step uses the static graph, so the one
-    # binding that seeds the re-bind cache is the only one
+    # before the window fills every step uses the static graph, so its one
+    # binding is the only one
     binds = []
     original = estimators.bind_filter
     monkeypatch.setattr(estimators, "bind_filter",
@@ -374,11 +374,32 @@ def test_ideal_filter_binds_as_configured_at_any_size(rng, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = run_estimation(stream, g, cfg)
-    # the static graph, its multi-hop expansion until the window fills, then
-    # one per step with refreshed weights
-    assert len(binds) == 1 + 1 + 3
+    # the multi-hop expansion used until the window fills, then one per step
+    # with refreshed weights
+    assert len(binds) == 1 + 3
     assert all(spec is cfg.filter for spec in binds)
     assert np.all(np.isfinite(trace.estimates)) and not trace.diverged
+
+
+@pytest.mark.parametrize("refresh", [True, False])
+def test_no_history_topology_is_built_once_per_call(rng, monkeypatch, refresh):
+    # one build serves every run's steps before the window fills; then each
+    # run rebuilds at each step, unless its weights are never refreshed
+    builds = []
+    original = estimators.expand_prune_merge
+    monkeypatch.setattr(estimators, "expand_prune_merge",
+                        lambda *args, **kwargs: builds.append(1) or original(*args, **kwargs))
+    g = random_graph(rng, 12, 14)
+    runs = rng.standard_normal((3, 20, 12))
+    stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
+    cfg = EstimatorConfig("dynamic-multihop", step=StepSizeRule.fixed(0.5), hops=3,
+                          prune=PruneSpec(0.015, "correlation"), window=WindowSpec(5, 1),
+                          refresh_weights=refresh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # static weights keep no latent candidate
+        trace = run_estimation(stream, g, cfg)
+    assert not any(trace.diverged)
+    assert len(builds) == (1 + 3 * (20 - 5) if refresh else 1)
 
 
 def test_prune_that_keeps_nothing_warns(rng):
@@ -441,6 +462,8 @@ BATCH_CASES = [
                    id=f"{a}-chebyshev") for a in ("glms", "glmp", "dynamic-multihop")),
     *(pytest.param(batch_config(a, weights_source="ground-truth"), id=f"{a}-ground-truth")
       for a in ("dynamic-multihop", "glms-then-sgm")),
+    pytest.param(batch_config("dynamic-multihop", refresh_weights=False),
+                 id="dynamic-multihop-static-weights"),
 ]
 
 
@@ -451,7 +474,9 @@ def test_stacked_runs_match_single_runs_bit_for_bit(cfg, rng):
     runs = truth + 0.3 * rng.standard_normal((3, 40, 26))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
     stacked = assert_stack_matches_single_runs(stream, g, cfg, NodeSignalSeries(truth))
-    if cfg.algorithm == "dynamic-multihop" and cfg.weights_source == "estimates":
+    if cfg.algorithm == "dynamic-multihop" and cfg.refresh_weights and (
+        cfg.weights_source == "estimates"
+    ):
         # the runs saw different histories, so their topologies differ
         assert not np.array_equal(stacked.edge_counts[0], stacked.edge_counts[1])
 

@@ -55,6 +55,12 @@ def test_switch_times_validated():
         SyntheticSpec(regimes=2, switch_times=(100, 150))
 
 
+def test_more_regimes_than_steps_rejected():
+    with pytest.raises(ValueError, match="5 regimes need at least as many steps, got 3"):
+        SyntheticSpec(regimes=5, steps=3)
+    assert all(b > a for a, b in regime_segments(SyntheticSpec(regimes=3, steps=3)))
+
+
 def test_segments_cover_everything():
     spec = SyntheticSpec(regimes=3, steps=90)
     seg = regime_segments(spec)
