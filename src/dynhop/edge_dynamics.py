@@ -6,6 +6,10 @@ values keep weights non-negative (a Laplacian requirement) while retaining
 both positively and negatively coupled pairs. The online estimators score
 step t from the window ending at t - 1, the strictly causal history.
 
+Scores come from one (N, N) product matrix per window, accumulated in
+offset order, from which the requested pairs are gathered: a pair's score
+has the same bits whichever other pairs are requested with it.
+
 Warm-up: rows before the first full window repeat the first defined row
 (constant extrapolation backward). Zero-variance windows score 0 — no
 evidence of interaction. Both policies keep every weight in [0, 1] and every
@@ -25,6 +29,9 @@ __all__ = [
     "NodeSignalSeries",
     "sliding_abs_correlation",
 ]
+
+# upper bound on the elements of one block of per-window (N, N) products
+_PRODUCT_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -99,8 +106,8 @@ def sliding_abs_correlation(
     if t_total < w:
         raise ValueError(f"series has {t_total} steps, window needs {w}")
     index = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    outside = np.flatnonzero(np.any((index < 0) | (index >= n), axis=1))
-    if outside.size:
+    if index.size and (index.min() < 0 or index.max() >= n):
+        outside = np.flatnonzero(np.any((index < 0) | (index >= n), axis=1))
         i, j = index[outside[0]]
         raise ValueError(f"pair ({i}, {j}) references a node outside 0..{n - 1}")
     ii, jj = index[:, 0], index[:, 1]
@@ -112,15 +119,20 @@ def sliding_abs_correlation(
     # and scored 0
     flat = np.ptp(windows, axis=2) == 0.0
 
-    # window products accumulate in offset order, so every score rounds the
-    # same whichever pairs are requested with it
-    num = centered[:, ii, 0] * centered[:, jj, 0]
-    for k in range(1, w):
-        num = num + centered[:, ii, k] * centered[:, jj, k]
+    out = np.empty((t_total, len(index)))
+    scores = out[w - 1 :]
+    # window products accumulate in offset order; blocks of windows bound
+    # the (B, N, N) product stack on long series
+    block = max(1, _PRODUCT_ELEMENTS // max(1, n * n))
+    for start in range(0, scores.shape[0], block):
+        c = centered[start : start + block]
+        products = c[:, :, None, 0] * c[:, None, :, 0]
+        for k in range(1, w):
+            products += c[:, :, None, k] * c[:, None, :, k]
+        scores[start : start + block] = products[:, ii, jj]
     ok = ~(flat[:, ii] | flat[:, jj])
-    defined = np.zeros(num.shape)
-    defined[ok] = np.abs(num[ok]) / np.sqrt(sumsq[:, ii][ok] * sumsq[:, jj][ok])
-    defined = np.clip(defined, 0.0, 1.0)
-
-    return np.vstack([np.repeat(defined[:1], w - 1, axis=0), defined])
-
+    scores[ok] = np.abs(scores[ok]) / np.sqrt(sumsq[:, ii][ok] * sumsq[:, jj][ok])
+    scores[~ok] = 0.0
+    np.clip(scores, 0.0, 1.0, out=scores)
+    out[: w - 1] = scores[0]
+    return out

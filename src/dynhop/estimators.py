@@ -315,13 +315,6 @@ def stability_bound(
     return 2.0 / lam_max
 
 
-def _last_window_scores(rows: np.ndarray, pairs) -> np.ndarray:
-    """Windowed |correlation| over exactly one trailing window of history."""
-    series = NodeSignalSeries(rows)
-    spec = WindowSpec(rows.shape[0], 1)
-    return sliding_abs_correlation(series, spec, pairs)[-1]
-
-
 def _bind(cfg: EstimatorConfig, adjacency: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The algorithm's operator bound to one topology: diffusion or its filter."""
     laplacian = adjacency_laplacian(adjacency)
@@ -334,11 +327,22 @@ def _bind(cfg: EstimatorConfig, adjacency: np.ndarray) -> Callable[[np.ndarray],
 Topology = tuple[np.ndarray, int, int, int]
 
 
-def _symmetric(n: int, pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    adjacency = np.zeros((n, n))
-    adjacency[pairs[:, 0], pairs[:, 1]] = weights
-    adjacency[pairs[:, 1], pairs[:, 0]] = weights
-    return adjacency
+def _correlation_rule(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Map a trailing history window to its symmetric (N, N) windowed
+    |correlation| matrix, zero on the diagonal: one kernel call over every
+    node pair."""
+    upper = np.triu_indices(n, 1)
+    pairs = np.column_stack(upper)
+
+    def correlation(rows: np.ndarray) -> np.ndarray:
+        series = NodeSignalSeries(rows)
+        scores = sliding_abs_correlation(series, WindowSpec(rows.shape[0]), pairs)[-1]
+        matrix = np.zeros((n, n))
+        matrix[upper] = scores
+        matrix[upper[1], upper[0]] = scores
+        return matrix
+
+    return correlation
 
 
 def _topology_rule(
@@ -353,11 +357,9 @@ def _topology_rule(
     glms-then-sgm after it, for the next step; both read the history up to
     the previous step, so one rule serves both.
     """
-    n = g.node_count
     static = (g.adjacency(), g.edge_count, 0, 0)
     if cfg.algorithm == "dynamic-multihop":
         base = g.edge_mask()
-        edge_pairs = np.array(g.edges, dtype=int).reshape(-1, 2)
 
         def multihop(adjacency: np.ndarray, scorer) -> Topology:
             topo = expand_prune_merge(
@@ -375,21 +377,24 @@ def _topology_rule(
         if not cfg.refresh_weights:
             return fixed, None
 
+        correlation = _correlation_rule(g.node_count)
+
         def refreshed(rows: np.ndarray) -> Topology:
-            adjacency = _symmetric(n, edge_pairs, _last_window_scores(rows, edge_pairs))
-            return multihop(adjacency, lambda pairs: _last_window_scores(rows, pairs))
+            corr = correlation(rows)
+            adjacency = np.where(base, corr, 0.0)
+            return multihop(adjacency, lambda pairs: corr[pairs[:, 0], pairs[:, 1]])
 
         return fixed, refreshed
     if cfg.algorithm not in _SGM:
         return static, None
 
-    all_pairs = np.column_stack(np.triu_indices(n, 1))
+    correlation = _correlation_rule(g.node_count)
 
     def correlation_thresholded(rows: np.ndarray) -> Topology:
-        scores = _last_window_scores(rows, all_pairs)
-        keep = cfg.prune.survives(scores)
-        adjacency = _symmetric(n, all_pairs, np.where(keep, scores, 0.0))
-        return adjacency, int(np.count_nonzero(keep)), 0, 0
+        corr = correlation(rows)
+        keep = cfg.prune.survives(corr)
+        # keep is symmetric with a false diagonal: two entries per edge
+        return np.where(keep, corr, 0.0), int(np.count_nonzero(keep)) // 2, 0, 0
 
     return static, correlation_thresholded
 

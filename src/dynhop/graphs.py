@@ -159,7 +159,11 @@ def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-10):
+    # np.allclose(m, m.T, rtol=0, atol=1e-10) in one pass: equal entries
+    # (matching infinities included) or finite entries within 1e-10; NaN fails
+    with np.errstate(invalid="ignore"):
+        symmetric = (m == m.T) | (np.abs(m - m.T) <= 1e-10)
+    if not symmetric.all():
         raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(m)
     return SpectralDecomposition(vals, vecs)

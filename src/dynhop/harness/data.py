@@ -7,6 +7,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -47,19 +48,42 @@ class NonNumericCellError(DataError):
 
 
 def ingest_csv(path: str | Path) -> NodeSignalSeries:
-    """Read a rectangular numeric CSV: header of node labels, one row per step."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh)]
+    """Read a rectangular numeric CSV: header of node labels, one row per step.
+
+    Blank lines are skipped and a UTF-8 byte order mark is dropped; error
+    messages give the 1-based file line on which the offending row starts.
+    """
+    rows: list[tuple[int, list[str]]] = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        for row in reader:
+            if row:
+                rows.append((line, row))
+            line = reader.line_num + 1  # a quoted cell may span lines
     if not rows:
         raise EmptyCsvError(f"{path}: file is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     data = rows[1:]
     if not data:
         raise EmptyCsvError(f"{path}: header only, no data rows")
     n = len(header)
-    values = np.empty((len(data), n))
-    for r, row in enumerate(data):
-        line = r + 2  # 1-based file line, counting the header
+    try:
+        if any(len(row) != n for _, row in data):
+            raise ValueError
+        cells = chain.from_iterable(row for _, row in data)
+        values = np.fromiter(map(float, cells), dtype=float, count=len(data) * n)
+        if not np.isfinite(values).all():
+            raise ValueError
+    except ValueError:
+        _raise_first_bad_row(path, header, data)
+    return NodeSignalSeries(values.reshape(len(data), n), labels=tuple(header))
+
+
+def _raise_first_bad_row(path, header: list[str], data: list[tuple[int, list[str]]]) -> None:
+    """Raise the error of the first ragged row or bad cell, in file order."""
+    n = len(header)
+    for line, row in data:
         if len(row) != n:
             raise RaggedRowError(f"{path}: line {line} has {len(row)} cells, expected {n}")
         for c, cell in enumerate(row):
@@ -73,8 +97,6 @@ def ingest_csv(path: str | Path) -> NodeSignalSeries:
                 raise NonNumericCellError(
                     f"{path}: line {line}, column {header[c]!r}: {cell!r} is not finite"
                 )
-            values[r, c] = v
-    return NodeSignalSeries(values, labels=tuple(header))
 
 
 def series_to_csv(series: NodeSignalSeries, path: str | Path) -> None:

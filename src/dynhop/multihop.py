@@ -147,17 +147,18 @@ def _expand(
     second its |power entry| at that order.
     """
     n = normalized_laplacian.shape[0]
-    taken = base | np.eye(n, dtype=bool)
+    # only upper-triangle pairs that are not original edges can qualify
+    free = ~(base | np.tri(n, dtype=bool))
     order = np.zeros((n, n), dtype=int)
     magnitude = np.zeros((n, n))
     power = normalized_laplacian
     for p in range(2, hops + 1):
         power = power @ normalized_laplacian
-        entry = np.abs(np.triu(power, 1))
-        fresh = (entry > EPS_ZERO) & ~taken
+        entry = np.abs(power)
+        fresh = (entry > EPS_ZERO) & free
         order[fresh] = p
         magnitude[fresh] = entry[fresh]
-        taken |= fresh | fresh.T
+        free &= ~fresh
     return order, magnitude
 
 

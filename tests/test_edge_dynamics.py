@@ -15,6 +15,7 @@ from dynhop import (
     build_topology_slice,
     sliding_abs_correlation,
 )
+from dynhop import edge_dynamics
 from conftest import random_graph
 
 
@@ -129,6 +130,13 @@ def ordered_pair_reference(values, spec, pairs):
 
 
 def _bit_exact_case(name, rng):
+    if name == "all-pairs-26":
+        # the estimator's call: one window of a stock-sized history, every
+        # upper-triangle pair, one flat node
+        n = 26
+        values = rng.standard_normal((10, n)) * rng.uniform(0.1, 50.0, size=n)
+        values[:, 11] = 0.75
+        return values, WindowSpec(10), [tuple(p) for p in np.column_stack(np.triu_indices(n, 1))]
     n = 6
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j][::3] + [(2, 2)]
     values = rng.standard_normal((31, n)) * rng.uniform(0.1, 50.0, size=n)
@@ -141,7 +149,7 @@ def _bit_exact_case(name, rng):
     return values, WindowSpec(8), []
 
 
-@pytest.mark.parametrize("name", ["single-window", "flat-window", "no-pairs"])
+@pytest.mark.parametrize("name", ["single-window", "flat-window", "no-pairs", "all-pairs-26"])
 def test_batched_scores_equal_ordered_per_pair_loop_bit_for_bit(name, rng):
     values, spec, pairs = _bit_exact_case(name, rng)
     got = sliding_abs_correlation(NodeSignalSeries(values), spec, pairs)
@@ -150,6 +158,17 @@ def test_batched_scores_equal_ordered_per_pair_loop_bit_for_bit(name, rng):
     assert np.array_equal(got, expected)
     if name == "flat-window":
         assert np.any(got == 0.0) and np.any(got > 0.0)
+
+
+def test_blocks_of_windows_score_like_one_block(rng, monkeypatch):
+    # a long series is scored in blocks of windows; a 3-window block size
+    # splits this one's 25 windows unevenly
+    values, spec, pairs = _bit_exact_case("flat-window", rng)
+    whole = sliding_abs_correlation(NodeSignalSeries(values), spec, pairs)
+    monkeypatch.setattr(edge_dynamics, "_PRODUCT_ELEMENTS", 3 * values.shape[1] ** 2)
+    blocked = sliding_abs_correlation(NodeSignalSeries(values), spec, pairs)
+    assert np.array_equal(blocked, whole)
+    assert np.array_equal(blocked, ordered_pair_reference(values, spec, pairs))
 
 
 def test_pair_scores_do_not_depend_on_the_other_pairs(rng):

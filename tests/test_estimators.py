@@ -402,6 +402,24 @@ def test_no_history_topology_is_built_once_per_call(rng, monkeypatch, refresh):
     assert len(builds) == (1 + 3 * (20 - 5) if refresh else 1)
 
 
+@pytest.mark.parametrize("algo", ["dynamic-multihop", "sgm-then-glms"])
+def test_one_correlation_pass_per_run_and_step_with_history(algo, rng, monkeypatch):
+    # the edge weights, the latent scores and the sgm threshold all read one
+    # (N, N) |correlation| matrix per run and step
+    calls = []
+    original = estimators.sliding_abs_correlation
+    monkeypatch.setattr(estimators, "sliding_abs_correlation",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    g = random_graph(rng, 12, 14)
+    runs = rng.standard_normal((3, 20, 12))
+    stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
+    cfg = EstimatorConfig(algo, step=StepSizeRule.fixed(0.5), hops=3,
+                          prune=PruneSpec(0.015, "correlation"), window=WindowSpec(5, 1))
+    trace = run_estimation(stream, g, cfg)
+    assert not any(trace.diverged)
+    assert len(calls) == 3 * (20 - 5)
+
+
 def test_prune_that_keeps_nothing_warns(rng):
     g = random_graph(rng, 12, 14)
     rows = rng.standard_normal((40, 12))

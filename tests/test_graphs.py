@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,37 @@ def test_eigendecompose_triangle_complete_spectrum():
     g = StaticGraph(3, ((0, 1), (0, 2), (1, 2)))
     d = eigendecompose(build_laplacian(g))
     assert np.allclose(d.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
+
+
+def test_eigendecompose_symmetry_tolerance_is_absolute_1e_10():
+    m = np.array([[2.0, 0.0], [0.0, 3.0]])  # off-diagonal differences stay exact
+    eigendecompose(m + np.array([[0.0, 1e-10], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigendecompose(m + np.array([[0.0, 2e-10], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigendecompose(np.array([[2.0, np.nan], [np.nan, 3.0]]))
+
+
+@pytest.mark.parametrize("m", [
+    [[np.inf, -np.inf], [-np.inf, 1.0]],
+    [[0.0, np.inf], [np.inf, 0.0]],
+])
+def test_eigendecompose_symmetry_check_accepts_matching_infinities(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check itself warns about nothing
+        try:
+            eigendecompose(np.array(m))
+        except np.linalg.LinAlgError:
+            pass  # the solver may refuse it; the symmetry check did not
+
+
+@pytest.mark.parametrize("m", [
+    [[0.0, np.inf], [1.0, 0.0]],
+    [[0.0, np.inf], [-np.inf, 0.0]],
+])
+def test_eigendecompose_rejects_unmatched_infinities(m):
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigendecompose(np.array(m))
 
 
 def test_eigendecompose_reconstruction(rng):

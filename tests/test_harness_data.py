@@ -61,6 +61,47 @@ def test_ingest_header_only(tmp_path):
         ingest_csv(write(tmp_path, "a,b\n"))
 
 
+def test_ingest_errors_name_the_first_bad_row_in_file_order(tmp_path):
+    path = write(tmp_path, "a,b\n1.0,2.0\n3.0,nan\n4.0\n5.0,x\n")
+    with pytest.raises(NonNumericCellError) as err:
+        ingest_csv(path)
+    assert str(err.value) == f"{path}: line 3, column 'b': 'nan' is not finite"
+    path = write(tmp_path, "a,b\n1.0,2.0\n4.0\n5.0,x\n")
+    with pytest.raises(RaggedRowError) as err:
+        ingest_csv(path)
+    assert str(err.value) == f"{path}: line 3 has 1 cells, expected 2"
+    path = write(tmp_path, "a,b\n1.0,2.0\n5.0, x \n")
+    with pytest.raises(NonNumericCellError) as err:
+        ingest_csv(path)
+    assert str(err.value) == f"{path}: line 3, column 'b': ' x ' is not numeric"
+
+
+def test_ingest_skips_blank_lines_and_counts_file_lines(tmp_path):
+    series = ingest_csv(write(tmp_path, "a,b\n1,2\n3,4\n\n"))
+    assert series.labels == ("a", "b")
+    assert np.array_equal(series.values, [[1.0, 2.0], [3.0, 4.0]])
+    series = ingest_csv(write(tmp_path, "a,b\n\n1,2\n\n3,4\n"))
+    assert np.array_equal(series.values, [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(NonNumericCellError, match=r"line 5, column 'b'"):
+        ingest_csv(write(tmp_path, "a,b\n1,2\n\n\n3,oops\n"))
+    # a quoted cell spanning two lines moves every later row down one line
+    with pytest.raises(NonNumericCellError, match=r"line 4, column 'b'"):
+        ingest_csv(write(tmp_path, 'a,b\n"1\n",2\n3,oops\n'))
+    with pytest.raises(EmptyCsvError, match="no data rows"):
+        ingest_csv(write(tmp_path, "a,b\n\n\n"))
+
+
+def test_ingest_drops_utf8_byte_order_mark(tmp_path):
+    text = "a,b\n0.1,2.5\n-3e-7,4\n"
+    plain = ingest_csv(write(tmp_path, text, "plain.csv"))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(text.encode("utf-8-sig"))
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    series = ingest_csv(path)
+    assert series.labels == ("a", "b")
+    assert np.array_equal(series.values, plain.values)
+
+
 def test_ingest_market_shaped_file(tmp_path, rng):
     # 26 columns over 1238 steps, the shape of a global-index closing series
     values = rng.standard_normal((1238, 26))
