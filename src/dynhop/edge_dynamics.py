@@ -6,9 +6,9 @@ values keep weights non-negative (a Laplacian requirement) while retaining
 both positively and negatively coupled pairs. The online estimators score
 step t from the window ending at t - 1, the strictly causal history.
 
-Scores come from one (N, N) product matrix per window, accumulated in
-offset order, from which the requested pairs are gathered: a pair's score
-has the same bits whichever other pairs are requested with it.
+Each requested pair accumulates its window products in offset order, so a
+pair's score has the same bits whichever other pairs are requested with it,
+and a call costs O(pairs x window) per window.
 
 Warm-up: rows before the first full window repeat the first defined row
 (constant extrapolation backward). Zero-variance windows score 0 — no
@@ -29,9 +29,6 @@ __all__ = [
     "NodeSignalSeries",
     "sliding_abs_correlation",
 ]
-
-# upper bound on the elements of one block of per-window (N, N) products
-_PRODUCT_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -121,15 +118,10 @@ def sliding_abs_correlation(
 
     out = np.empty((t_total, len(index)))
     scores = out[w - 1 :]
-    # window products accumulate in offset order; blocks of windows bound
-    # the (B, N, N) product stack on long series
-    block = max(1, _PRODUCT_ELEMENTS // max(1, n * n))
-    for start in range(0, scores.shape[0], block):
-        c = centered[start : start + block]
-        products = c[:, :, None, 0] * c[:, None, :, 0]
-        for k in range(1, w):
-            products += c[:, :, None, k] * c[:, None, :, k]
-        scores[start : start + block] = products[:, ii, jj]
+    # window products accumulate in offset order
+    np.multiply(centered[:, ii, 0], centered[:, jj, 0], out=scores)
+    for k in range(1, w):
+        scores += centered[:, ii, k] * centered[:, jj, k]
     ok = ~(flat[:, ii] | flat[:, jj])
     scores[ok] = np.abs(scores[ok]) / np.sqrt(sumsq[:, ii][ok] * sumsq[:, jj][ok])
     scores[~ok] = 0.0

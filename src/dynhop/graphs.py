@@ -189,7 +189,7 @@ def graph_from_csv(path: str | Path) -> StaticGraph:
     node_count: int | None = None
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         first = fh.readline()
         if first.startswith("#"):
             key, _, value = first.lstrip("# ").partition("=")

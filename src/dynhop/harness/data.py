@@ -100,8 +100,9 @@ def _raise_first_bad_row(path, header: list[str], data: list[tuple[int, list[str
 
 
 def series_to_csv(series: NodeSignalSeries, path: str | Path) -> None:
+    """Write a series as UTF-8 CSV, the encoding :func:`ingest_csv` reads."""
     labels = series.labels or tuple(f"node{i}" for i in range(series.node_count))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(labels)
         for row in series.values:

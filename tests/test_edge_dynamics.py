@@ -15,7 +15,6 @@ from dynhop import (
     build_topology_slice,
     sliding_abs_correlation,
 )
-from dynhop import edge_dynamics
 from conftest import random_graph
 
 
@@ -158,17 +157,6 @@ def test_batched_scores_equal_ordered_per_pair_loop_bit_for_bit(name, rng):
     assert np.array_equal(got, expected)
     if name == "flat-window":
         assert np.any(got == 0.0) and np.any(got > 0.0)
-
-
-def test_blocks_of_windows_score_like_one_block(rng, monkeypatch):
-    # a long series is scored in blocks of windows; a 3-window block size
-    # splits this one's 25 windows unevenly
-    values, spec, pairs = _bit_exact_case("flat-window", rng)
-    whole = sliding_abs_correlation(NodeSignalSeries(values), spec, pairs)
-    monkeypatch.setattr(edge_dynamics, "_PRODUCT_ELEMENTS", 3 * values.shape[1] ** 2)
-    blocked = sliding_abs_correlation(NodeSignalSeries(values), spec, pairs)
-    assert np.array_equal(blocked, whole)
-    assert np.array_equal(blocked, ordered_pair_reference(values, spec, pairs))
 
 
 def test_pair_scores_do_not_depend_on_the_other_pairs(rng):

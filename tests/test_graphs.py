@@ -196,6 +196,19 @@ def test_csv_round_trip_isolated_trailing_node(tmp_path):
     assert graph_from_csv(path).node_count == 4
 
 
+def test_csv_read_drops_utf8_byte_order_mark(tmp_path):
+    g = StaticGraph(4, ((0, 1), (2, 3)), (0.25, 1.0))
+    plain = tmp_path / "g.csv"
+    graph_to_csv(g, plain)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(plain.read_text().encode("utf-8-sig"))
+    back = graph_from_csv(bom)
+    assert (back.node_count, back.edges, back.weights) == (4, g.edges, g.weights)
+    # without the "# node_count" line the header row follows the mark
+    bom.write_bytes("src,dst,weight\n0,1,0.5\n".encode("utf-8-sig"))
+    assert graph_from_csv(bom).edges == ((0, 1),)
+
+
 # -- property tests ----------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)

@@ -102,6 +102,18 @@ def test_ingest_drops_utf8_byte_order_mark(tmp_path):
     assert np.array_equal(series.values, plain.values)
 
 
+def test_series_csv_round_trips_non_ascii_labels_as_utf8(tmp_path, rng):
+    labels = ("café", "日経", "b")
+    series = NodeSignalSeries(rng.standard_normal((4, 3)), labels=labels)
+    path = tmp_path / "labels.csv"
+    series_to_csv(series, path)
+    # the file is UTF-8 whatever the locale's encoding
+    assert path.read_bytes().decode("utf-8").splitlines()[0] == ",".join(labels)
+    back = ingest_csv(path)
+    assert back.labels == labels
+    assert np.array_equal(back.values, series.values)
+
+
 def test_ingest_market_shaped_file(tmp_path, rng):
     # 26 columns over 1238 steps, the shape of a global-index closing series
     values = rng.standard_normal((1238, 26))
