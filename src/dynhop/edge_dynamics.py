@@ -6,9 +6,20 @@ values keep weights non-negative (a Laplacian requirement) while retaining
 both positively and negatively coupled pairs. The online estimators score
 step t from the window ending at t - 1, the strictly causal history.
 
-Each requested pair accumulates its window products in offset order, so a
-pair's score has the same bits whichever other pairs are requested with it,
-and a call costs O(pairs x window) per window.
+Two functions compute the same scores for different callers:
+
+- :func:`sliding_abs_correlation` scores the requested pairs over every
+  window of a whole series. Each pair accumulates its window products in
+  offset order, so its score has the same bits whichever other pairs are
+  requested with it, and a call costs O(pairs x window) per window. The
+  online dynamic-multihop rule calls it on the base edges alone when it
+  reads nothing else.
+- :func:`window_abs_correlation` maps one window to the symmetric (N, N)
+  matrix over every pair, accumulating the same products as whole matrices
+  in the same offset order, so each entry has the bits of that pair's
+  per-pair score. It costs O(N^2 x window) and serves the online rules that
+  read every pair: the sgm threshold, and dynamic-multihop when it prunes or
+  weights latent edges by correlation.
 
 Warm-up: rows before the first full window repeat the first defined row
 (constant extrapolation backward). Zero-variance windows score 0 — no
@@ -28,6 +39,7 @@ __all__ = [
     "WindowSpec",
     "NodeSignalSeries",
     "sliding_abs_correlation",
+    "window_abs_correlation",
 ]
 
 
@@ -128,3 +140,26 @@ def sliding_abs_correlation(
     np.clip(scores, 0.0, 1.0, out=scores)
     out[: w - 1] = scores[0]
     return out
+
+
+def window_abs_correlation(rows: np.ndarray) -> np.ndarray:
+    """Symmetric (N, N) absolute Pearson correlation of one (w, N) window.
+
+    Entry (i, j) has the bits of the last row of
+    ``sliding_abs_correlation`` for pair (i, j) over the same window; the
+    diagonal is 0. ``rows`` must be finite; it is not checked here.
+    """
+    x = rows.T  # (N, w), the layout of one sliding window
+    centered = x - x.mean(axis=1, keepdims=True)
+    sumsq = np.einsum("nw,nw->n", centered, centered)
+    flat = np.ptp(x, axis=1) == 0.0
+
+    # window products accumulate in offset order, one (N, N) matrix each
+    products = np.multiply.outer(centered[:, 0], centered[:, 0])
+    for k in range(1, x.shape[1]):
+        products += np.multiply.outer(centered[:, k], centered[:, k])
+    ok = ~np.logical_or.outer(flat, flat)
+    np.fill_diagonal(ok, False)
+    scores = np.zeros_like(products)
+    np.divide(np.abs(products), np.sqrt(np.multiply.outer(sumsq, sumsq)), out=scores, where=ok)
+    return np.clip(scores, 0.0, 1.0, out=scores)

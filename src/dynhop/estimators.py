@@ -41,10 +41,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .edge_dynamics import NodeSignalSeries, WindowSpec, sliding_abs_correlation
+from .edge_dynamics import (
+    NodeSignalSeries,
+    WindowSpec,
+    sliding_abs_correlation,
+    window_abs_correlation,
+)
 from .filters import FilterSpec, _matvec, bind_filter, filter_response
 from .graphs import StaticGraph, adjacency_laplacian, build_laplacian, eigendecompose
-from .multihop import LATENT_WEIGHT_RULES, PruneSpec, expand_prune_merge
+from .multihop import LATENT_WEIGHT_RULES, PruneSpec, expand_prune_merge, needs_scores
 
 __all__ = [
     "ALGORITHMS",
@@ -327,24 +332,6 @@ def _bind(cfg: EstimatorConfig, adjacency: np.ndarray) -> Callable[[np.ndarray],
 Topology = tuple[np.ndarray, int, int, int]
 
 
-def _correlation_rule(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Map a trailing history window to its symmetric (N, N) windowed
-    |correlation| matrix, zero on the diagonal: one kernel call over every
-    node pair."""
-    upper = np.triu_indices(n, 1)
-    pairs = np.column_stack(upper)
-
-    def correlation(rows: np.ndarray) -> np.ndarray:
-        series = NodeSignalSeries(rows)
-        scores = sliding_abs_correlation(series, WindowSpec(rows.shape[0]), pairs)[-1]
-        matrix = np.zeros((n, n))
-        matrix[upper] = scores
-        matrix[upper[1], upper[0]] = scores
-        return matrix
-
-    return correlation
-
-
 def _topology_rule(
     g: StaticGraph, cfg: EstimatorConfig
 ) -> tuple[Topology, Callable[[np.ndarray], Topology] | None]:
@@ -356,6 +343,11 @@ def _topology_rule(
     sgm-then-glms refreshes its topology before each update and
     glms-then-sgm after it, for the next step; both read the history up to
     the previous step, so one rule serves both.
+
+    Each rule scores its window in the shape it reads: the rules that read
+    every pair take one (N, N) matrix from ``window_abs_correlation``, and
+    dynamic-multihop that reads only its base-edge weights scores the E base
+    edges alone with ``sliding_abs_correlation``.
     """
     static = (g.adjacency(), g.edge_count, 0, 0)
     if cfg.algorithm == "dynamic-multihop":
@@ -377,10 +369,22 @@ def _topology_rule(
         if not cfg.refresh_weights:
             return fixed, None
 
-        correlation = _correlation_rule(g.node_count)
+        if not needs_scores(cfg.prune, cfg.latent_weight):
+            # the rule reads only the base-edge weights: score those pairs alone
+            edges = np.array(g.edges, dtype=int).reshape(-1, 2)
+            ei, ej = edges[:, 0], edges[:, 1]
 
+            def reweighted(rows: np.ndarray) -> Topology:
+                scores = sliding_abs_correlation(NodeSignalSeries(rows), cfg.window, edges)[-1]
+                adjacency = np.zeros((g.node_count, g.node_count))
+                adjacency[ei, ej] = adjacency[ej, ei] = scores
+                return multihop(adjacency, None)
+
+            return fixed, reweighted
+
+        # the latent scores read any pair: score them all at once
         def refreshed(rows: np.ndarray) -> Topology:
-            corr = correlation(rows)
+            corr = window_abs_correlation(rows)
             adjacency = np.where(base, corr, 0.0)
             return multihop(adjacency, lambda pairs: corr[pairs[:, 0], pairs[:, 1]])
 
@@ -388,10 +392,8 @@ def _topology_rule(
     if cfg.algorithm not in _SGM:
         return static, None
 
-    correlation = _correlation_rule(g.node_count)
-
     def correlation_thresholded(rows: np.ndarray) -> Topology:
-        corr = correlation(rows)
+        corr = window_abs_correlation(rows)
         keep = cfg.prune.survives(corr)
         # keep is symmetric with a false diagonal: two entries per edge
         return np.where(keep, corr, 0.0), int(np.count_nonzero(keep)) // 2, 0, 0

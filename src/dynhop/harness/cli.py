@@ -79,42 +79,60 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _object(section) -> dict | None:
+    """A copy of a config section to override, or None when it is not a JSON
+    object: such a section is left as it is, for ``resolve_config`` to reject."""
+    if section is None:
+        return {}
+    return dict(section) if isinstance(section, dict) else None
+
+
+def _override_algorithm(entry: dict, args: argparse.Namespace) -> dict:
+    entry = dict(entry)
+    if args.hops is not None:
+        entry["hops"] = args.hops
+    prune = _object(entry.get("prune"))
+    if args.tau is not None and prune is not None:
+        entry["prune"] = {**prune, "threshold": args.tau}
+    window = _object(entry.get("window"))
+    if args.window is not None and window is not None:
+        entry["window"] = {**window, "window": args.window}
+    step = _object(entry.get("step"))
+    if step is None:
+        return entry
+    kind = step.get("kind", "fixed")
+    if kind == "fixed" and args.mu is not None:
+        step = {"kind": "fixed", "mu": args.mu}
+    if kind == "residual-adaptive" and (args.mu_min is not None or args.mu_max is not None):
+        if args.mu_min is not None:
+            step["mu_min"] = args.mu_min
+        if args.mu_max is not None:
+            step["mu_max"] = args.mu_max
+    if step:
+        entry["step"] = step
+    return entry
+
+
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    noise = dict(raw.get("noise") or {})
-    for flag, key in [("seed", "seed"), ("snr", "snr"), ("missing_frac", "missing_fraction"),
-                      ("runs", "runs")]:
-        value = getattr(args, flag)
-        if value is not None:
-            noise[key] = value
-    if args.snr_db:
-        noise["snr_in_db"] = True
     raw = dict(raw)
-    raw["noise"] = noise
+    noise = _object(raw.get("noise"))
+    if noise is not None:
+        for flag, key in [("seed", "seed"), ("snr", "snr"), ("missing_frac", "missing_fraction"),
+                          ("runs", "runs")]:
+            value = getattr(args, flag)
+            if value is not None:
+                noise[key] = value
+        if args.snr_db:
+            noise["snr_in_db"] = True
+        raw["noise"] = noise
 
     if args.algo:
         raw["algorithms"] = [{"algorithm": name} for name in args.algo]
-    algorithms = [dict(a) for a in raw.get("algorithms") or []]
-    for entry in algorithms:
-        if args.hops is not None:
-            entry["hops"] = args.hops
-        if args.tau is not None:
-            prune = dict(entry.get("prune") or {})
-            prune["threshold"] = args.tau
-            entry["prune"] = prune
-        if args.window is not None:
-            entry["window"] = {**(entry.get("window") or {}), "window": args.window}
-        step = dict(entry.get("step") or {})
-        kind = step.get("kind", "fixed")
-        if kind == "fixed" and args.mu is not None:
-            step = {"kind": "fixed", "mu": args.mu}
-        if kind == "residual-adaptive" and (args.mu_min is not None or args.mu_max is not None):
-            if args.mu_min is not None:
-                step["mu_min"] = args.mu_min
-            if args.mu_max is not None:
-                step["mu_max"] = args.mu_max
-        if step:
-            entry["step"] = step
-    raw["algorithms"] = algorithms
+    algorithms = raw.get("algorithms")
+    if isinstance(algorithms, list):
+        raw["algorithms"] = [
+            _override_algorithm(a, args) if isinstance(a, dict) else a for a in algorithms
+        ]
 
     if args.out_dir is not None:
         raw["out_dir"] = args.out_dir
@@ -177,7 +195,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise DataError(f"{manifest_path}: top level must be a JSON object")
     summary: dict = {"version": manifest.get("version"), "algorithms": {}}
     window = args.final_window
-    for label, counts in sorted((manifest.get("results") or {}).items()):
+    results = manifest.get("results", {})
+    if not (isinstance(results, dict) and all(isinstance(c, dict) for c in results.values())):
+        raise DataError(f"{manifest_path}: results must map each label to a JSON object")
+    for label, counts in sorted(results.items()):
         entry = dict(counts)
         mse_path = out / f"{label}_mse.csv"
         if mse_path.exists():

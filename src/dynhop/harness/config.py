@@ -40,6 +40,8 @@ class ResolvedConfig:
 
 
 def _check_keys(section: dict, allowed: Sequence[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
@@ -110,9 +112,9 @@ def _parse_splits(raw: dict) -> SplitSpec:
 def _parse_synthetic(raw: dict) -> SyntheticSpec:
     _check_keys(raw, _fields(SyntheticSpec), "dataset.synthetic")
     kwargs = dict(raw)
-    if kwargs.get("switch_times") is not None:
-        kwargs["switch_times"] = tuple(int(t) for t in kwargs["switch_times"])
     try:
+        if kwargs.get("switch_times") is not None:
+            kwargs["switch_times"] = tuple(int(t) for t in kwargs["switch_times"])
         return SyntheticSpec(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad dataset.synthetic: {err}") from err
@@ -164,9 +166,9 @@ def _parse_graph_build(raw: dict) -> GraphBuildSpec:
 def _parse_filter(raw: dict, where: str) -> FilterSpec:
     _check_keys(raw, _fields(FilterSpec), where)
     kwargs = dict(raw)
-    if kwargs.get("coefficients") is not None:
-        kwargs["coefficients"] = tuple(float(c) for c in kwargs["coefficients"])
     try:
+        if kwargs.get("coefficients") is not None:
+            kwargs["coefficients"] = tuple(float(c) for c in kwargs["coefficients"])
         return FilterSpec(**kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad {where}: {err}") from err
@@ -222,7 +224,7 @@ def resolve_config(raw: dict) -> ResolvedConfig:
     _check_keys(raw, ["dataset", "graph_build", "noise", "algorithms", "out_dir"], "config")
     dataset = _parse_dataset(_require(raw, "dataset", "config"))
     noise = _parse_noise(_require(raw, "noise", "config"))
-    graph_build = _parse_graph_build(raw.get("graph_build") or {})
+    graph_build = _parse_graph_build({} if raw.get("graph_build") is None else raw["graph_build"])
     algo_raw = _require(raw, "algorithms", "config")
     if not isinstance(algo_raw, list) or not algo_raw:
         raise ConfigError("algorithms must be a non-empty list")

@@ -75,6 +75,12 @@ class PruneSpec:
         return scores > self.threshold
 
 
+def needs_scores(prune_spec: PruneSpec, latent_weight: str) -> bool:
+    """Whether a step reads the windowed |correlation| of latent pairs: when
+    either the prune metric or the latent weight rule is "correlation"."""
+    return prune_spec.metric == "correlation" or latent_weight == "correlation"
+
+
 @dataclass(frozen=True)
 class HopCandidateSet:
     """Latent node pairs first reachable at one hop order.
@@ -214,8 +220,7 @@ def expand_prune_merge(
         raise ValueError("hops must be >= 1")
     if latent_weight not in LATENT_WEIGHT_RULES:
         raise ValueError(f"unknown latent weight rule {latent_weight!r}")
-    needs_scores = prune_spec.metric == "correlation" or latent_weight == "correlation"
-    if needs_scores and candidate_scores is None:
+    if needs_scores(prune_spec, latent_weight) and candidate_scores is None:
         raise ValueError("correlation scoring requires a candidate_scores callback")
 
     n = adjacency.shape[0]

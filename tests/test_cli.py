@@ -118,6 +118,36 @@ def test_flags_parse_json_booleans(tmp_path):
     assert rc.algorithms[0].refresh_weights is False and rc.algorithms[1].refresh_weights is True
 
 
+def dmh(**section) -> dict:
+    """Config overrides whose one algorithm is dynamic-multihop with ``section``."""
+    return {"algorithms": [{"algorithm": "dynamic-multihop", **section}]}
+
+
+OBJECT = "must be a JSON object"
+
+
+@pytest.mark.parametrize("message, overrides", [
+    (f"algorithms[0].prune {OBJECT}", dmh(prune=0.2)),
+    (f"algorithms[0].window {OBJECT}", dmh(window=10)),
+    (f"algorithms[0].step {OBJECT}", dmh(step=0.5)),
+    (f"algorithms[0].filter {OBJECT}", dmh(filter="ideal")),
+    ("bad algorithms[0].filter: could not convert string to float: 'x'",
+     dmh(filter={"kind": "chebyshev", "coefficients": ["x", 1, 2]})),
+    ("bad algorithms[0].filter: ", dmh(filter={"kind": "chebyshev", "coefficients": 5})),
+    (f"noise {OBJECT}", {"noise": [1]}),
+    (f"dataset.splits {OBJECT}", {"dataset": {"splits": 5}}),
+    (f"algorithms[0] {OBJECT}", {"algorithms": ["glms"]}),
+    ("bad dataset.synthetic: invalid literal for int()",
+     {"dataset": {"synthetic": {"switch_times": ["a"]}}}),
+], ids=["prune", "window", "step", "filter-string", "coefficient-string", "coefficients-number",
+        "noise-list", "splits-number", "algorithm-string", "switch-time-string"])
+def test_malformed_sections_are_config_errors(tmp_path, capsys, message, overrides):
+    cfg = run_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 @pytest.mark.parametrize("label", ["../escaped", "a/b", "..", "", ".hidden", "x y", 7])
 def test_labels_that_are_not_plain_file_names_rejected(tmp_path, label):
     cfg = run_config(tmp_path, algorithms=[{"algorithm": "glms", "label": label}])
@@ -299,7 +329,10 @@ def test_run_with_bad_graph_csv_is_data_error(tmp_path, capsys, text):
     ("glms_degree.csv", "t,avg_degree\n1\n"),
     ("manifest.json", "{nope"),
     ("manifest.json", "[]"),
-], ids=["header-only", "empty", "non-numeric", "short-row", "bad-manifest", "manifest-list"])
+    ("manifest.json", '{"results": [1]}'),
+    ("manifest.json", '{"results": {"glms": 5}}'),
+], ids=["header-only", "empty", "non-numeric", "short-row", "bad-manifest", "manifest-list",
+        "results-list", "result-number"])
 def test_report_on_malformed_files_is_data_error(tmp_path, capsys, name, text):
     (tmp_path / "manifest.json").write_text(json.dumps({"results": {"glms": {"runs": 1}}}))
     (tmp_path / "glms_mse.csv").write_text("t,mse\n1,0.5\n")

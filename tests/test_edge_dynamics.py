@@ -15,6 +15,7 @@ from dynhop import (
     build_topology_slice,
     sliding_abs_correlation,
 )
+from dynhop.edge_dynamics import window_abs_correlation
 from conftest import random_graph
 
 
@@ -136,6 +137,16 @@ def _bit_exact_case(name, rng):
         values = rng.standard_normal((10, n)) * rng.uniform(0.1, 50.0, size=n)
         values[:, 11] = 0.75
         return values, WindowSpec(10), [tuple(p) for p in np.column_stack(np.triu_indices(n, 1))]
+    if name == "all-pairs-111":
+        # a brain-sized window sliced from an (R, T, N) stack of histories,
+        # as the estimator passes it: a flat node, a constant 0.1 node (its
+        # computed mean is not exactly 0.1) and an exact affine copy
+        n = 111
+        stack = rng.standard_normal((3, 30, n)) * rng.uniform(0.1, 50.0, size=n)
+        stack[:, :, 7] = 0.1
+        stack[:, :, 90] = -2.5
+        stack[:, :, 40] = 1.0 - 3.0 * stack[:, :, 41]
+        return stack[1, 12:22], WindowSpec(10), [(0, 1), (7, 8), (40, 41), (89, 90)]
     n = 6
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j][::3] + [(2, 2)]
     values = rng.standard_normal((31, n)) * rng.uniform(0.1, 50.0, size=n)
@@ -148,7 +159,9 @@ def _bit_exact_case(name, rng):
     return values, WindowSpec(8), []
 
 
-@pytest.mark.parametrize("name", ["single-window", "flat-window", "no-pairs", "all-pairs-26"])
+@pytest.mark.parametrize(
+    "name", ["single-window", "flat-window", "no-pairs", "all-pairs-26", "all-pairs-111"]
+)
 def test_batched_scores_equal_ordered_per_pair_loop_bit_for_bit(name, rng):
     values, spec, pairs = _bit_exact_case(name, rng)
     got = sliding_abs_correlation(NodeSignalSeries(values), spec, pairs)
@@ -157,6 +170,14 @@ def test_batched_scores_equal_ordered_per_pair_loop_bit_for_bit(name, rng):
     assert np.array_equal(got, expected)
     if name == "flat-window":
         assert np.any(got == 0.0) and np.any(got > 0.0)
+    # the (N, N) matrix of the last window holds each pair's last score
+    last = values[-spec.window :]
+    matrix = window_abs_correlation(last)
+    every = np.column_stack(np.triu_indices(values.shape[1], 1))
+    assert np.array_equal(matrix, matrix.T) and not np.diagonal(matrix).any()
+    assert np.array_equal(
+        matrix[every[:, 0], every[:, 1]], ordered_pair_reference(last, spec, every)[-1]
+    )
 
 
 def test_pair_scores_do_not_depend_on_the_other_pairs(rng):

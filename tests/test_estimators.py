@@ -25,7 +25,7 @@ from dynhop import (
     stability_bound,
 )
 from dynhop import estimators
-from dynhop.edge_dynamics import NodeSignalSeries
+from dynhop.edge_dynamics import NodeSignalSeries, window_abs_correlation
 from conftest import random_graph
 
 RULE = StepSizeRule.adaptive(0.8, 3.5)
@@ -402,22 +402,66 @@ def test_no_history_topology_is_built_once_per_call(rng, monkeypatch, refresh):
     assert len(builds) == (1 + 3 * (20 - 5) if refresh else 1)
 
 
-@pytest.mark.parametrize("algo", ["dynamic-multihop", "sgm-then-glms"])
-def test_one_correlation_pass_per_run_and_step_with_history(algo, rng, monkeypatch):
-    # the edge weights, the latent scores and the sgm threshold all read one
-    # (N, N) |correlation| matrix per run and step
+def count_calls(monkeypatch, name):
+    """Record the arguments of every call the estimator makes to ``name``."""
     calls = []
-    original = estimators.sliding_abs_correlation
-    monkeypatch.setattr(estimators, "sliding_abs_correlation",
-                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    original = getattr(estimators, name)
+    monkeypatch.setattr(estimators, name,
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("algo, prune, latent_weight", [
+    ("dynamic-multihop", PruneSpec(0.015, "correlation"), "score"),
+    ("sgm-then-glms", PruneSpec(0.015, "correlation"), "score"),
+    ("dynamic-multihop", PruneSpec(0.2), "correlation"),
+], ids=["dynamic-multihop", "sgm-then-glms", "correlation-weight"])
+def test_one_correlation_pass_per_run_and_step_with_history(
+    algo, prune, latent_weight, rng, monkeypatch
+):
+    # rules that read every pair (the edge weights, the latent scores, the
+    # sgm threshold) all read one (N, N) |correlation| matrix per run and step
+    dense = count_calls(monkeypatch, "window_abs_correlation")
+    per_pair = count_calls(monkeypatch, "sliding_abs_correlation")
     g = random_graph(rng, 12, 14)
     runs = rng.standard_normal((3, 20, 12))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
-    cfg = EstimatorConfig(algo, step=StepSizeRule.fixed(0.5), hops=3,
-                          prune=PruneSpec(0.015, "correlation"), window=WindowSpec(5, 1))
-    trace = run_estimation(stream, g, cfg)
+    cfg = EstimatorConfig(algo, step=StepSizeRule.fixed(0.5), hops=3, prune=prune,
+                          latent_weight=latent_weight, window=WindowSpec(5, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the 0.2 prune may keep no latent edge
+        trace = run_estimation(stream, g, cfg)
     assert not any(trace.diverged)
-    assert len(calls) == 3 * (20 - 5)
+    assert len(dense) == 3 * (20 - 5)
+    assert per_pair == []
+
+
+def test_base_edge_rule_scores_only_the_base_edges(rng, monkeypatch):
+    # the presets' rule (weight-magnitude prune, score latent weight) reads
+    # only the base-edge weights: one per-pair call over the E base edges per
+    # run and step, with the bits of the (N, N) matrix's base entries
+    dense = count_calls(monkeypatch, "window_abs_correlation")
+    per_pair = count_calls(monkeypatch, "sliding_abs_correlation")
+    steps = count_calls(monkeypatch, "expand_prune_merge")
+    g = random_graph(rng, 12, 14)
+    runs = rng.standard_normal((3, 20, 12))
+    stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
+    cfg = EstimatorConfig("dynamic-multihop", step=StepSizeRule.fixed(0.5), hops=3,
+                          prune=PruneSpec(0.2), latent_weight="score", window=WindowSpec(5, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the 0.2 prune may keep no latent edge
+        trace = run_estimation(stream, g, cfg)
+    assert not any(trace.diverged)
+    assert dense == []
+    assert len(per_pair) == 3 * (20 - 5)
+    assert all(len(pairs) == g.edge_count for _, _, pairs in per_pair)
+    # steps[0] is the no-history topology; the runs then advance together
+    base = g.edge_mask()
+    rebuilt = iter(steps[1:])
+    for t in range(5, 20):
+        for r in range(3):
+            corr = window_abs_correlation(trace.estimates[r, t - 5 : t])
+            assert np.array_equal(next(rebuilt)[1], np.where(base, corr, 0.0))
 
 
 def test_prune_that_keeps_nothing_warns(rng):
