@@ -35,6 +35,7 @@ downstream metrics.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -79,6 +80,10 @@ ALGORITHMS = (
 _SPATIAL = frozenset({"gdlms", "gsd"})
 _SIGN = frozenset({"gsign", "gsd"})
 _SGM = frozenset({"sgm-then-glms", "glms-then-sgm"})
+
+# labels name report files, so they may not carry path separators or start a
+# dot file
+LABEL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 # estimates whose magnitude passes this can never recover and would soon
 # overflow norm computations; flag divergence here instead of waiting for inf
@@ -181,7 +186,9 @@ class EstimatorConfig:
     (useful as a reduction check: hops=1 with static weights must reproduce
     glms exactly). The sgm orderings always refresh. ``weights_source`` selects
     whether windowed correlations are computed on the running estimates
-    (deployment setting) or on a supplied ground-truth history.
+    (deployment setting) or on a supplied ground-truth history. ``label``
+    (default: the algorithm name) names the report files, so it must match
+    ``LABEL``.
     """
 
     algorithm: str
@@ -209,6 +216,10 @@ class EstimatorConfig:
         if self.latent_weight not in LATENT_WEIGHT_RULES:
             raise ValueError(
                 f"unknown latent_weight {self.latent_weight!r}; expected one of {LATENT_WEIGHT_RULES}"
+            )
+        if self.label is not None and not LABEL.fullmatch(self.label):
+            raise ValueError(
+                f"label {self.label!r} must match {LABEL.pattern} (it names the report files)"
             )
 
     @property

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from ..edge_dynamics import NodeSignalSeries
+from ..estimators import LABEL
 from ..graphs import graph_to_csv
 from .config import ConfigError, deep_merge, load_config, resolve_config
 from .data import DataError, GraphBuildSpec, build_initial_graph, ingest_csv, series_to_csv
@@ -199,6 +200,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not (isinstance(results, dict) and all(isinstance(c, dict) for c in results.values())):
         raise DataError(f"{manifest_path}: results must map each label to a JSON object")
     for label, counts in sorted(results.items()):
+        if not LABEL.fullmatch(label):
+            raise DataError(f"{manifest_path}: label {label!r} must match {LABEL.pattern}")
         entry = dict(counts)
         mse_path = out / f"{label}_mse.csv"
         if mse_path.exists():

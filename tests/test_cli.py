@@ -1,9 +1,16 @@
+import dataclasses
 import json
+from typing import get_type_hints
 
 import pytest
 
+from dynhop import EstimatorConfig, FilterSpec, PruneSpec, StepSizeRule, WindowSpec
+from dynhop.harness import (DatasetSpec, GraphBuildSpec, NoiseMaskSpec, SplitSpec,
+                            SyntheticSpec)
 from dynhop.harness.cli import main
-from dynhop.harness.config import ConfigError, deep_merge, load_config, resolve_config
+from dynhop.harness.config import (ConfigError, ResolvedConfig, _reader, _schema, deep_merge,
+                                   load_config, resolve_config)
+from dynhop.harness.experiment import brain_preset, stock_preset
 
 
 def run_config(tmp_path, **overrides) -> dict:
@@ -131,13 +138,14 @@ OBJECT = "must be a JSON object"
     (f"algorithms[0].window {OBJECT}", dmh(window=10)),
     (f"algorithms[0].step {OBJECT}", dmh(step=0.5)),
     (f"algorithms[0].filter {OBJECT}", dmh(filter="ideal")),
-    ("bad algorithms[0].filter: could not convert string to float: 'x'",
+    ("algorithms[0].filter.coefficients[0] must be a number, got 'x'",
      dmh(filter={"kind": "chebyshev", "coefficients": ["x", 1, 2]})),
-    ("bad algorithms[0].filter: ", dmh(filter={"kind": "chebyshev", "coefficients": 5})),
+    ("algorithms[0].filter.coefficients must be a list, got 5",
+     dmh(filter={"kind": "chebyshev", "coefficients": 5})),
     (f"noise {OBJECT}", {"noise": [1]}),
     (f"dataset.splits {OBJECT}", {"dataset": {"splits": 5}}),
     (f"algorithms[0] {OBJECT}", {"algorithms": ["glms"]}),
-    ("bad dataset.synthetic: invalid literal for int()",
+    ("dataset.synthetic.switch_times[0] must be an integer, got 'a'",
      {"dataset": {"synthetic": {"switch_times": ["a"]}}}),
 ], ids=["prune", "window", "step", "filter-string", "coefficient-string", "coefficients-number",
         "noise-list", "splits-number", "algorithm-string", "switch-time-string"])
@@ -168,6 +176,96 @@ def test_resolved_config_round_trip(tmp_path):
     assert resolved.algorithms[0].prune.threshold == 0.015
     assert resolved.algorithms[1].step.mu == 0.9
     assert resolved.dataset.synthetic.switch_times == (101,)
+
+
+def test_config_with_a_byte_order_mark_resolves(tmp_path):
+    cfg = run_config(tmp_path)
+    cfg["path"].write_text("\ufeff" + json.dumps(cfg["raw"]), encoding="utf-8")
+    assert resolve_config(load_config(cfg["path"])) == resolve_config(cfg["raw"])
+
+
+@pytest.mark.parametrize("message, overrides", [
+    ("algorithms[0].hops must be an integer, got 2.5", dmh(hops=2.5)),
+    ("algorithms[0].hops must be an integer, got True", dmh(hops=True)),
+    ("algorithms[0].window.window must be an integer, got 10.5", dmh(window={"window": 10.5})),
+    ("algorithms[0].filter.order must be an integer, got 12.0",
+     dmh(filter={"kind": "chebyshev", "order": 12.0})),
+    ("algorithms[0].diffusion_eps must be a number, got '0.1'",
+     {"algorithms": [{"algorithm": "gdlms", "diffusion_eps": "0.1"}]}),
+    ("missing required key 'kind' in algorithms[0].step", dmh(step={"mu": 0.5})),
+    ("dataset.synthetic.nodes must be an integer, got 12.5",
+     {"dataset": {"synthetic": {"nodes": 12.5}}}),
+    ("dataset.graph must be a string, got 5", {"dataset": {"graph": 5}}),
+    ("dataset.series_csv must be a string, got 5",
+     {"dataset": {"synthetic": None, "graph": "build", "series_csv": 5}}),
+    ("dataset.splits.train[0] must be an integer, got 1.5",
+     {"dataset": {"splits": {"train": [1.5, 40]}}}),
+    ("dataset.splits.train must be a list of 2 items, got [1, 40, 50]",
+     {"dataset": {"splits": {"train": [1, 40, 50]}}}),
+    ("noise.runs must be an integer, got 2.7", {"noise": {"runs": 2.7}}),
+    ("noise.runs must be an integer, got True", {"noise": {"runs": True}}),
+    ("noise.seed must be an integer, got '3'", {"noise": {"seed": "3"}}),
+    ("graph_build.top_k must be an integer, got 2.9", {"graph_build": {"top_k": 2.9}}),
+], ids=["hops-float", "hops-true", "window-float", "order-float", "eps-string", "step-no-kind",
+        "nodes-float", "graph-number", "series-number", "train-float", "train-three-items",
+        "runs-float", "runs-true", "seed-string", "top-k-float"])
+def test_mistyped_values_are_config_errors_naming_their_key(tmp_path, capsys, message, overrides):
+    cfg = run_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+def test_every_section_schema_compiles():
+    # compiling the top-level sections compiles every section nested in them,
+    # so a field of a type the builder cannot read fails here, not in a run
+    sections = get_type_hints(ResolvedConfig)
+    del sections["raw"]
+    for hint in sections.values():
+        _reader(hint)
+    for spec in (DatasetSpec, SplitSpec, SyntheticSpec, NoiseMaskSpec, GraphBuildSpec,
+                 EstimatorConfig, FilterSpec, StepSizeRule, PruneSpec, WindowSpec):
+        readers, _ = _schema(spec)
+        assert list(readers) == [f.name for f in dataclasses.fields(spec)]
+
+    @dataclasses.dataclass
+    class Unreadable:
+        table: dict
+
+    with pytest.raises(TypeError, match="dict"):
+        _schema(Unreadable)
+
+
+def test_presets_resolve_to_the_hand_built_specs():
+    filt = FilterSpec("ideal-band-limited", passband_fraction=0.4)
+    window = WindowSpec(10, 1)
+
+    def expected(raw, train, validation, test, fixed_mu, mu_min, mu_max):
+        algorithms = [EstimatorConfig(
+            "dynamic-multihop", filter=filt, step=StepSizeRule.adaptive(mu_min, mu_max),
+            hops=6, prune=PruneSpec(0.2, "weight-magnitude"), window=window,
+        )]
+        for name in ("glms", "gdlms", "glmp", "gsign", "gsd", "sgm-then-glms", "glms-then-sgm"):
+            extra = {"prune": PruneSpec(0.8, "weight-magnitude")} if "sgm" in name else {}
+            algorithms.append(EstimatorConfig(
+                name, filter=filt, step=StepSizeRule.fixed(fixed_mu), window=window, **extra
+            ))
+        return ResolvedConfig(
+            dataset=DatasetSpec(SplitSpec(train, validation, test), series_csv="series.csv"),
+            noise=NoiseMaskSpec(snr=3.0, missing_fraction=0.3, seed=0, runs=100),
+            graph_build=GraphBuildSpec(top_k=3, abs_corr_threshold=0.95),
+            algorithms=tuple(algorithms),
+            out_dir=None,
+            raw=raw,
+        )
+
+    brain, stock = brain_preset(), stock_preset()
+    for raw in (brain, stock):
+        raw["dataset"]["series_csv"] = "series.csv"
+    assert resolve_config(brain) == expected(brain, (1, 40), (41, 60), (61, None), 0.9, 0.8, 3.5)
+    assert resolve_config(stock) == expected(
+        stock, (1, 200), (201, 400), (401, None), 0.4, 0.2, 0.6
+    )
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -331,8 +429,9 @@ def test_run_with_bad_graph_csv_is_data_error(tmp_path, capsys, text):
     ("manifest.json", "[]"),
     ("manifest.json", '{"results": [1]}'),
     ("manifest.json", '{"results": {"glms": 5}}'),
+    ("manifest.json", '{"results": {"../secret": {"runs": 1}}}'),
 ], ids=["header-only", "empty", "non-numeric", "short-row", "bad-manifest", "manifest-list",
-        "results-list", "result-number"])
+        "results-list", "result-number", "label-outside-out-dir"])
 def test_report_on_malformed_files_is_data_error(tmp_path, capsys, name, text):
     (tmp_path / "manifest.json").write_text(json.dumps({"results": {"glms": {"runs": 1}}}))
     (tmp_path / "glms_mse.csv").write_text("t,mse\n1,0.5\n")

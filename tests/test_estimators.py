@@ -300,6 +300,13 @@ def test_config_validation():
         EstimatorConfig("dynamic-multihop", latent_weight="bogus")
 
 
+def test_label_must_be_a_plain_file_name():
+    # a label names report files, so the constructor itself keeps them in out_dir
+    with pytest.raises(ValueError, match=r"label '\.\./x' must match"):
+        EstimatorConfig("glms", label="../x")
+    assert EstimatorConfig("glms", label="glms_slow-0.5").name == "glms_slow-0.5"
+
+
 def test_stream_and_graph_node_counts_must_match(rng):
     g = StaticGraph(3, ((0, 1),))
     stream = ObservationStream(np.zeros((20, 4)), np.ones((20, 4), dtype=bool))

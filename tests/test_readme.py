@@ -1,7 +1,11 @@
-"""The README's library tour runs as written, so the documented API cannot rot."""
+"""The README's library tour runs as written and its config example resolves,
+so neither the documented API nor the documented config format can rot."""
 
+import json
 import re
 from pathlib import Path
+
+from dynhop.harness.config import resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -10,3 +14,10 @@ def test_library_quick_tour_runs():
     section = README.read_text().split("## Library quick tour", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, str(README), "exec"), {})
+
+
+def test_config_format_example_resolves():
+    section = README.read_text().split("### Config format", 1)[1]
+    raw = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    resolved = resolve_config(raw)
+    assert [a.name for a in resolved.algorithms] == ["dynamic-multihop", "glms"]
