@@ -100,13 +100,15 @@ class StepSizeRule:
 
     def __post_init__(self) -> None:
         if self.kind == "fixed":
-            if self.mu is None or self.mu <= 0:
-                raise ValueError("fixed rule needs mu > 0")
+            if self.mu is None or not 0 < self.mu < math.inf:
+                raise ValueError(f"fixed rule needs a finite mu > 0, got {self.mu}")
         elif self.kind == "residual-adaptive":
             if self.mu_min is None or self.mu_max is None:
                 raise ValueError("adaptive rule needs mu_min and mu_max")
-            if not 0 < self.mu_min <= self.mu_max:
-                raise ValueError("need 0 < mu_min <= mu_max")
+            if not 0 < self.mu_min <= self.mu_max < math.inf:
+                raise ValueError(
+                    f"need finite 0 < mu_min <= mu_max, got {self.mu_min} and {self.mu_max}"
+                )
         else:
             raise ValueError(f"unknown step rule {self.kind!r}")
 
@@ -211,6 +213,8 @@ class EstimatorConfig:
             raise ValueError("glmp exponent must lie in (1, 2]")
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
+        if self.diffusion_eps is not None and not math.isfinite(self.diffusion_eps):
+            raise ValueError(f"diffusion_eps must be finite, got {self.diffusion_eps}")
         if self.weights_source not in ("estimates", "ground-truth"):
             raise ValueError(f"unknown weights_source {self.weights_source!r}")
         if self.latent_weight not in LATENT_WEIGHT_RULES:

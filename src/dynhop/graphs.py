@@ -9,11 +9,16 @@ reproducible signs in intermediate matrices.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import eq
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
+
+from ._loadtxt import loadtxt_rows, parses_integers_strictly
 
 __all__ = [
     "StaticGraph",
@@ -32,6 +37,50 @@ def _canonical_pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _canonical_edges(edges, n: int) -> tuple[tuple[int, int], ...]:
+    """``edges`` as lower-index-first pairs of ints, checked on ``n`` nodes.
+
+    An (E, 2) integer array (or pairs of ints, which convert to one) is
+    ordered with two array operations and checked as a whole: its lowest and
+    highest node, self-loops and one set of its pairs. Anything else, and any
+    array that fails a check, goes through :func:`_checked_pairs`, which
+    raises the first bad edge's message. (Each numpy call costs microseconds
+    when its code is cold, as in a graph built once per run, so the checks
+    use few of them.)
+    """
+    try:
+        ends = np.asarray(edges)
+    except (ValueError, TypeError, OverflowError):  # ragged or not numbers
+        return _checked_pairs(edges, n)
+    if ends.dtype.kind not in "iu" or ends.ndim != 2 or ends.shape[1] != 2 or not ends.size:
+        return _checked_pairs(edges, n)
+    i, j = ends.T
+    lo, hi = np.minimum(i, j).tolist(), np.maximum(i, j).tolist()
+    canon = tuple(zip(lo, hi))
+    if min(lo) < 0 or max(hi) >= n or any(map(eq, lo, hi)) or len(set(canon)) < len(canon):
+        return _checked_pairs(edges, n)
+    return canon
+
+
+def _checked_pairs(edges, n: int) -> tuple[tuple[int, int], ...]:
+    """The per-edge reference of :func:`_canonical_edges`: in edge order,
+    raise on the first self-loop, out-of-range node or duplicate pair."""
+    canon: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for pair in edges:
+        i, j = pair
+        if i == j:
+            raise ValueError(f"self-loop at node {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge {pair!r} references a node outside 0..{n - 1}")
+        p = _canonical_pair(i, j)
+        if p in seen:
+            raise ValueError(f"duplicate edge {p!r}")
+        seen.add(p)
+        canon.append(p)
+    return tuple(canon)
+
+
 @dataclass(frozen=True)
 class StaticGraph:
     """Undirected weighted graph on nodes ``0 .. node_count - 1``.
@@ -40,6 +89,8 @@ class StaticGraph:
     most once, with one non-negative weight per edge. A zero weight keeps
     the pair in the edge set (the connection exists, its current strength
     is just 0), which matters when weights are later re-read from data.
+    Edges may be given as pairs or as an (E, 2) integer array; either way
+    they are stored as tuples of ints.
     """
 
     node_count: int
@@ -53,30 +104,18 @@ class StaticGraph:
             raise ValueError("node_count must be >= 1")
         object.__setattr__(self, "node_count", n)
 
-        canon: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for pair in self.edges:
-            i, j = pair
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge {pair!r} references a node outside 0..{n - 1}")
-            p = _canonical_pair(i, j)
-            if p in seen:
-                raise ValueError(f"duplicate edge {p!r}")
-            seen.add(p)
-            canon.append(p)
-        object.__setattr__(self, "edges", tuple(canon))
+        canon = _canonical_edges(self.edges, n)
+        object.__setattr__(self, "edges", canon)
 
         if self.weights is None:
-            w = tuple(1.0 for _ in canon)
+            w = (1.0,) * len(canon)
         else:
-            w = tuple(float(x) for x in self.weights)
+            w = tuple(map(float, self.weights))
             if len(w) != len(canon):
                 raise ValueError(f"{len(w)} weights for {len(canon)} edges")
-            for x in w:
-                if not np.isfinite(x) or x < 0.0:
-                    raise ValueError(f"weights must be finite and >= 0, got {x}")
+            bad = next((x for x in w if not 0.0 <= x < math.inf), None)  # NaN fails too
+            if bad is not None:
+                raise ValueError(f"weights must be finite and >= 0, got {bad}")
         object.__setattr__(self, "weights", w)
 
         if self.labels is not None:
@@ -96,17 +135,21 @@ class StaticGraph:
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix with zero diagonal."""
         a = np.zeros((self.node_count, self.node_count))
-        for (i, j), w in zip(self.edges, self.weights):
-            a[i, j] = w
-            a[j, i] = w
+        i, j = self._ends()
+        a[i, j] = a[j, i] = np.array(self.weights)
         return a
 
     def edge_mask(self) -> np.ndarray:
         """Dense symmetric boolean matrix of the edge set, zero-weight edges included."""
         m = np.zeros((self.node_count, self.node_count), dtype=bool)
-        for i, j in self.edges:
-            m[i, j] = m[j, i] = True
+        i, j = self._ends()
+        m[i, j] = m[j, i] = True
         return m
+
+    def _ends(self) -> np.ndarray:
+        """(2, E) lower and higher endpoints of every edge, in edge order."""
+        flat = chain.from_iterable(self.edges)
+        return np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2).T
 
 
 def build_laplacian(g: StaticGraph) -> np.ndarray:
@@ -186,28 +229,78 @@ def graph_to_csv(g: StaticGraph, path: str | Path) -> None:
 
 
 def graph_from_csv(path: str | Path) -> StaticGraph:
+    """Read a :func:`graph_to_csv` edge list.
+
+    The node count is the ``# node_count=`` line if there is one, else one
+    more than the highest node. Blank lines are skipped and a UTF-8 byte
+    order mark is dropped. The edge rows are parsed in one ``np.loadtxt``
+    pass; a file that pass refuses is read again row by row, which names
+    the first row without exactly 3 cells by its 1-based file line.
+    """
+    graph = _graph_loadtxt(path)
+    return _graph_rows(path) if graph is None else graph
+
+
+_EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", float)])
+
+
+def _read_preamble(fh: TextIO, path: str | Path) -> tuple[int | None, int]:
+    """Read the optional ``# node_count=`` line and the header row; return
+    the node count given there and the number of file lines read."""
     node_count: int | None = None
+    first = fh.readline()
+    if first.startswith("#"):
+        key, _, value = first.lstrip("# ").partition("=")
+        if key.strip() == "node_count":
+            node_count = int(value)
+        comment_lines = 1
+    else:
+        fh.seek(0)
+        comment_lines = 0
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != _CSV_HEADER:
+        raise ValueError(f"{path}: expected header {','.join(_CSV_HEADER)}")
+    return node_count, comment_lines + reader.line_num
+
+
+def _graph_loadtxt(path: str | Path) -> StaticGraph | None:
+    """The graph from one ``np.loadtxt`` pass over the edge rows, or None
+    where that pass refuses them or they do not make a valid graph (the row
+    reader then raises the message it raises for tuples)."""
+    if not parses_integers_strictly():
+        return None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        node_count, _ = _read_preamble(fh, path)
+        rows = loadtxt_rows(fh, _EDGE_ROW, ndmin=1)
+    if rows is None:
+        return None
+    edges = np.column_stack((rows["src"], rows["dst"]))
+    if node_count is None:
+        node_count = 1 + int(edges.max())  # loadtxt_rows returns at least one row
+    try:
+        return StaticGraph(node_count, edges, rows["weight"])
+    except ValueError:
+        return None
+
+
+def _graph_rows(path: str | Path) -> StaticGraph:
+    """The graph read row by row with ``csv``, ``int`` and ``float``."""
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            key, _, value = first.lstrip("# ").partition("=")
-            if key.strip() == "node_count":
-                node_count = int(value)
-        else:
-            fh.seek(0)
+        node_count, lines = _read_preamble(fh, path)
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(_CSV_HEADER)}")
+        line = lines + 1
         for row in reader:
-            if not row:
-                continue
-            i, j, w = int(row[0]), int(row[1]), float(row[2])
-            edges.append((i, j))
-            weights.append(w)
+            if row:
+                if len(row) != len(_CSV_HEADER):
+                    raise ValueError(
+                        f"{path}: line {line} has {len(row)} cells, expected {len(_CSV_HEADER)}"
+                    )
+                edges.append((int(row[0]), int(row[1])))
+                weights.append(float(row[2]))
+            line = lines + reader.line_num + 1  # a quoted cell may span lines
     if node_count is None:
         node_count = 1 + max((max(i, j) for i, j in edges), default=0)
     return StaticGraph(node_count, tuple(edges), tuple(weights))
-

@@ -9,7 +9,7 @@ experiment. A mistyped value is an error named by its key path
 (``noise.runs must be an integer, got 2.7``):
 
   int     a JSON integer (``100``, not ``100.0``, ``1e2`` or ``true``)
-  float   any JSON number, stored as a float
+  float   any JSON number within the float range, stored as a float
   bool    ``true`` or ``false`` only
   str     a string
   tuple   a list whose items are checked the same way
@@ -108,7 +108,15 @@ def _reader(hint) -> Reader:
         def read_scalar(value, where):
             if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
                 raise ConfigError(f"{where} must be {what}, got {value!r}")
-            return float(value) if hint is float else value
+            if hint is not float:
+                return value
+            try:
+                return float(value)
+            except OverflowError:  # a JSON integer beyond the float range
+                digits = len(str(abs(value)))
+                raise ConfigError(
+                    f"{where} must be {what} in the float range, got an integer of {digits} digits"
+                ) from None
 
         return read_scalar
     raise TypeError(f"config values of type {hint!r} have no reader")
@@ -160,7 +168,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"{path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

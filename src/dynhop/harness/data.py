@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._loadtxt import loadtxt_rows
 from ..edge_dynamics import NodeSignalSeries
 from ..graphs import StaticGraph
 
@@ -52,7 +53,27 @@ def ingest_csv(path: str | Path) -> NodeSignalSeries:
 
     Blank lines are skipped and a UTF-8 byte order mark is dropped; error
     messages give the 1-based file line on which the offending row starts.
+    The data rows are parsed in one ``np.loadtxt`` pass; a file that pass
+    refuses is read again row by row, with the same values where both accept.
     """
+    series = _ingest_loadtxt(path)
+    return _ingest_rows(path) if series is None else series
+
+
+def _ingest_loadtxt(path: str | Path) -> NodeSignalSeries | None:
+    """The series in one ``np.loadtxt`` pass over the data rows, or None where
+    that pass refuses the file or finds a value that is not finite."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(filter(None, csv.reader(fh)), None)
+        values = None if header is None else loadtxt_rows(fh, float, ndmin=2)
+    if values is None or values.shape[1] != len(header) or not np.isfinite(values).all():
+        return None
+    return NodeSignalSeries(values, labels=tuple(cell.strip() for cell in header))
+
+
+def _ingest_rows(path: str | Path) -> NodeSignalSeries:
+    """The series read row by row with ``csv`` and ``float``; raises the
+    error of the first empty, ragged or bad row."""
     rows: list[tuple[int, list[str]]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)

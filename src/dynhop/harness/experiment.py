@@ -85,7 +85,7 @@ def _resolve_dataset(
     else:
         try:
             graph = graph_from_csv(dataset.graph)
-        except (IndexError, ValueError) as err:
+        except ValueError as err:
             raise DataError(f"graph CSV {dataset.graph}: {err}") from None
         if graph.node_count != series.node_count:
             raise DataError(

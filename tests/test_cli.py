@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from typing import get_type_hints
 
 import pytest
@@ -77,11 +78,16 @@ def test_duplicate_labels_rejected(tmp_path):
         resolve_config(load_config(cfg["path"]))
 
 
-def test_invalid_json_is_config_error(tmp_path):
+def test_invalid_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
     with pytest.raises(ConfigError):
         load_config(path)
+    # past the interpreter's integer digit limit, json.loads raises a plain ValueError
+    cfg = run_config(tmp_path)
+    cfg["path"].write_text(cfg["path"].read_text().replace('"snr": 3.0', '"snr": 1' + "0" * 5000))
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_window_stride_other_than_one_is_config_error(tmp_path, capsys):
@@ -206,9 +212,22 @@ def test_config_with_a_byte_order_mark_resolves(tmp_path):
     ("noise.runs must be an integer, got True", {"noise": {"runs": True}}),
     ("noise.seed must be an integer, got '3'", {"noise": {"seed": "3"}}),
     ("graph_build.top_k must be an integer, got 2.9", {"graph_build": {"top_k": 2.9}}),
+    ("noise.snr must be a number in the float range, got an integer of 401 digits",
+     {"noise": {"snr": 10**400}}),
+    ("bad algorithms[0].step: fixed rule needs a finite mu > 0, got nan",
+     {"algorithms": [{"algorithm": "glms", "step": {"kind": "fixed", "mu": math.nan}}]}),
+    ("bad algorithms[0].step: fixed rule needs a finite mu > 0, got inf",
+     {"algorithms": [{"algorithm": "glms", "step": {"kind": "fixed", "mu": math.inf}}]}),
+    ("bad algorithms[0].step: need finite 0 < mu_min <= mu_max, got 0.1 and inf",
+     dmh(step={"kind": "residual-adaptive", "mu_min": 0.1, "mu_max": math.inf})),
+    ("bad algorithms[0]: diffusion_eps must be finite, got nan",
+     {"algorithms": [{"algorithm": "gdlms", "diffusion_eps": math.nan}]}),
+    ("bad algorithms[0]: diffusion_eps must be finite, got -inf",
+     {"algorithms": [{"algorithm": "gsd", "diffusion_eps": -math.inf}]}),
 ], ids=["hops-float", "hops-true", "window-float", "order-float", "eps-string", "step-no-kind",
         "nodes-float", "graph-number", "series-number", "train-float", "train-three-items",
-        "runs-float", "runs-true", "seed-string", "top-k-float"])
+        "runs-float", "runs-true", "seed-string", "top-k-float", "snr-overflow", "mu-nan",
+        "mu-inf", "mu-max-inf", "eps-nan", "eps-minus-inf"])
 def test_mistyped_values_are_config_errors_naming_their_key(tmp_path, capsys, message, overrides):
     cfg = run_config(tmp_path, **overrides)
     assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
@@ -410,7 +429,9 @@ def test_report_without_reports_is_data_error(tmp_path, capsys):
     "a,b,c\n0,1,1.0\n",  # wrong header
     "src,dst,weight\n0,1,1.0\n3,3,1.0\n",  # self-loop
     "# node_count=5\nsrc,dst,weight\n0,1,1.0\n",  # 5 nodes, series has 24
-], ids=["wrong-header", "self-loop", "node-count"])
+    "src,dst,weight\n0,1\n",  # a row of 2 cells
+    "src,dst,weight\n0,1,1.0,7\n",  # a row of 4 cells
+], ids=["wrong-header", "self-loop", "node-count", "two-cells", "four-cells"])
 def test_run_with_bad_graph_csv_is_data_error(tmp_path, capsys, text):
     graph = tmp_path / "graph.csv"
     graph.write_text(text)

@@ -53,6 +53,16 @@ def test_step_rule_validation():
         StepSizeRule.adaptive(1.0, 0.5)
     with pytest.raises(ValueError):
         StepSizeRule("schedule", mu=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            StepSizeRule.fixed(bad)
+        with pytest.raises(ValueError, match="finite"):
+            StepSizeRule.adaptive(0.1, bad)
+        with pytest.raises(ValueError, match="finite"):
+            StepSizeRule.adaptive(bad, 3.5)
+        with pytest.raises(ValueError, match="diffusion_eps must be finite"):
+            EstimatorConfig("gdlms", diffusion_eps=bad)
+    EstimatorConfig("gdlms", diffusion_eps=50.0)  # finite: diffusion_operator warns instead
 
 
 def test_adaptive_mu_zero_residual_hits_max():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynhop import graphs
+from dynhop._loadtxt import parses_integers_strictly
 from dynhop import (
     StaticGraph,
     build_laplacian,
@@ -221,3 +223,141 @@ def test_structural_invariants_randomized(seed, n):
     assert np.linalg.eigvalsh(lap)[0] >= -1e-9
     b = incidence(g)
     assert np.max(np.abs((b * np.asarray(g.weights)) @ b.T - lap)) < 1e-12
+
+
+# -- edge-list parsing and array validation ----------------------------------
+
+def test_csv_rows_must_have_three_cells(tmp_path):
+    path = tmp_path / "g.csv"
+    for row, cells in (("0,1", 2), ("0,1,0.5,7", 4), ("  ", 1)):
+        path.write_text(f"# node_count=3\nsrc,dst,weight\n1,2,1.0\n\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            graph_from_csv(path)
+        assert str(err.value) == f"{path}: line 5 has {cells} cells, expected 3"
+
+
+def test_csv_edge_list_is_parsed_in_one_loadtxt_pass(tmp_path, rng):
+    g = random_graph(rng, 30, 60)
+    path = tmp_path / "g.csv"
+    graph_to_csv(g, path)
+    fast = graphs._graph_loadtxt(path)
+    if not parses_integers_strictly():  # this NumPy reads "1.0" as an integer
+        assert fast is None
+        return
+    assert fast == g
+    assert np.array(fast.weights).tobytes() == np.array(g.weights).tobytes()
+
+
+def graph_outcome(read, path):
+    """A graph's node count, edges and weight bits, the error it raises, or
+    None where ``read`` refuses the file."""
+    try:
+        g = read(path)
+    except ValueError as err:
+        return type(err), str(err)
+    return None if g is None else (g.node_count, g.edges, np.array(g.weights).tobytes())
+
+
+INDEX_CELLS = st.one_of(
+    st.integers(0, 6).map(str),
+    st.sampled_from(["-1", " 2 ", "+1", "01", "1.0", "1e0", "1_0", "٣", "", " ", "x", "#1",
+                     '"1"', "99999999999999999999"]),
+)
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(0, 10, allow_nan=False).map(lambda x: f"{x:.4g}"),
+    st.integers(-5, 10**30).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "NaN", "1e400", "1e-400", " 0.5 ", "+.5", "5.",
+                     "1_0", "٣.5", " 0.25", "0x10", "", " ", "x", '"0.5"', '"1\n"']),
+)
+
+
+@st.composite
+def edge_list_csv(draw):
+    """Edge-list text with some of the forms either parser may refuse."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"# node_count={draw(st.integers(1, 8))}")
+    lines.append(draw(st.sampled_from(["src,dst,weight", " src , dst ,weight"])))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "space", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(" \t")
+        else:
+            cells = [draw(INDEX_CELLS), draw(INDEX_CELLS), draw(NUMBER_CELLS)]
+            lines.append(",".join(cells[:2] if kind == "short" else
+                                  cells + ["1"] if kind == "long" else cells))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=edge_list_csv())
+def test_loadtxt_pass_reads_edge_lists_like_the_row_reader(tmp_path_factory, case):
+    text, bom = case
+    path = tmp_path_factory.mktemp("edges") / "g.csv"
+    path.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = graph_outcome(graphs._graph_rows, path)
+        assert graph_outcome(graph_from_csv, path) == expected
+        fast = graph_outcome(graphs._graph_loadtxt, path)
+    assert fast is None or fast == expected
+
+
+BAD_EDGES = [
+    (((0, 1), (2, 2), (3, 3)), None, "self-loop at node 2"),
+    (((0, 1), (1, 4), (2, 2)), None, "edge (1, 4) references a node outside 0..3"),
+    (((0, 1), (-1, 2)), None, "edge (-1, 2) references a node outside 0..3"),
+    (((0, 1), (2, 3), (3, 2), (1, 0)), None, "duplicate edge (2, 3)"),
+    (((0, 1), (1, 2)), (0.5,), "1 weights for 2 edges"),
+    (((0, 1), (1, 2), (2, 3)), (0.5, -1.0, math.nan), "weights must be finite and >= 0, got -1.0"),
+    (((0, 1), (1, 2)), (math.inf, -1.0), "weights must be finite and >= 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("edges, weights, message", BAD_EDGES,
+                         ids=["self-loop", "high-node", "negative-node", "duplicate",
+                              "weight-count", "negative-weight", "infinite-weight"])
+def test_bad_edges_raise_the_first_bad_edge_message(edges, weights, message):
+    with pytest.raises(ValueError) as err:
+        StaticGraph(4, edges, weights)
+    assert str(err.value) == message
+
+
+def loop_adjacency(g):
+    """Per-edge reference of StaticGraph.adjacency()."""
+    a = np.zeros((g.node_count, g.node_count))
+    for (i, j), w in zip(g.edges, g.weights):
+        a[i, j] = a[j, i] = w
+    return a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 7),
+       pairs=st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)), max_size=10))
+def test_array_checks_match_the_per_edge_loop(n, pairs):
+    """Pairs as tuples, lists or integer arrays build equal graphs, or raise
+    what the per-edge loop raises for the same input."""
+    weights = tuple(0.25 * k for k in range(len(pairs)))
+    forms = [tuple(pairs), [list(p) for p in pairs]]
+    if pairs:
+        forms += [np.array(pairs, dtype=np.int64), np.array(pairs, dtype=np.int32)]
+    built = []
+    for form in forms:
+        try:
+            expected = graphs._checked_pairs(form, n)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                StaticGraph(n, form, weights)
+            assert str(raised.value) == str(err)
+            continue
+        g = StaticGraph(n, form, weights)
+        assert g.edges == expected
+        assert all(type(v) is int for pair in g.edges for v in pair)
+        assert np.array_equal(g.adjacency(), loop_adjacency(g))
+        assert np.array_equal(g.edge_mask(), loop_adjacency(g.with_weights([1.0] * len(pairs))) > 0)
+        built.append(g)
+    assert all(g == built[0] for g in built)

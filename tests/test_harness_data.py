@@ -1,10 +1,15 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynhop.edge_dynamics import NodeSignalSeries
+from dynhop.harness import data
 from dynhop.harness import (
+    DataError,
     EmptyCsvError,
     GraphBuildSpec,
     NonNumericCellError,
@@ -131,6 +136,73 @@ def test_series_csv_round_trip_exact(tmp_path, rng):
     path = tmp_path / "s.csv"
     series_to_csv(series, path)
     assert np.array_equal(ingest_csv(path).values, series.values)
+
+
+def series_outcome(read, path):
+    """A series' labels and value bits, the error it raises, or None where
+    ``read`` refuses the file."""
+    try:
+        series = read(path)
+    except DataError as err:
+        return type(err), str(err)
+    if series is None:
+        return None
+    return series.labels, series.values.shape, series.values.tobytes()
+
+
+PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda x: f"{x:.5g}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([" 0.5 ", "+.5", "5.", "-0", "1e-400", "1E3", "\t2"]),
+)
+ODD_CELLS = st.sampled_from([
+    "inf", "-Infinity", "nan", "1e400", "1_0", "١", "٣.5", "0x10", "", " ", "x", "#1",
+    '"0.5"', '"1\n"', '"1,5"', "1\x00", "\u00a01", "2\u2028", "1\x1c",
+])
+
+
+@st.composite
+def series_csv(draw):
+    """Series text, and whether it holds only forms the loadtxt pass accepts."""
+    n = draw(st.integers(1, 4))
+    header = draw(st.lists(st.sampled_from(["a", " b ", "日経", '"c,d"', "e"]),
+                           min_size=n, max_size=n))
+    lines = [",".join(header)]
+    plain = True
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["odd", "blank", "space", "ragged", "hash"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " \x0c"])))
+        else:
+            cells = draw(st.lists(PLAIN_CELLS, min_size=n, max_size=n))
+            if kind == "odd":
+                cells[draw(st.integers(0, n - 1))] = draw(ODD_CELLS)
+            if kind == "ragged":
+                cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+            lines.append(("#" if kind == "hash" else "") + ",".join(cells))
+        plain = plain and kind == "row"
+    plain = plain and len(lines) > 1 + lines.count("")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = draw(st.sampled_from(["", newline])) + newline.join(lines)
+    return text + draw(st.sampled_from(["", newline])), draw(st.booleans()), plain
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=series_csv())
+def test_loadtxt_pass_reads_series_like_the_row_reader(tmp_path_factory, case):
+    text, bom, plain = case
+    path = tmp_path_factory.mktemp("series") / "s.csv"
+    path.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = series_outcome(data._ingest_rows, path)
+        assert series_outcome(ingest_csv, path) == expected
+        fast = series_outcome(data._ingest_loadtxt, path)
+    assert fast == expected if plain else fast is None or fast == expected
 
 
 # -- splits --------------------------------------------------------------------
