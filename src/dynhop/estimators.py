@@ -50,7 +50,7 @@ from .edge_dynamics import (
 )
 from .filters import FilterSpec, _matvec, bind_filter, filter_response
 from .graphs import StaticGraph, adjacency_laplacian, build_laplacian, eigendecompose
-from .multihop import LATENT_WEIGHT_RULES, PruneSpec, expand_prune_merge, needs_scores
+from .multihop import PruneSpec, expand_prune_merge
 
 __all__ = [
     "ALGORITHMS",
@@ -186,11 +186,13 @@ class EstimatorConfig:
     ``refresh_weights`` is read only by dynamic-multihop: False pins it to
     the static graph's weights, so its topology is built once per call
     (useful as a reduction check: hops=1 with static weights must reproduce
-    glms exactly). The sgm orderings always refresh. ``weights_source`` selects
-    whether windowed correlations are computed on the running estimates
-    (deployment setting) or on a supplied ground-truth history. ``label``
-    (default: the algorithm name) names the report files, so it must match
-    ``LABEL``.
+    glms exactly). The sgm orderings always refresh. A surviving latent edge
+    of dynamic-multihop is weighted by its ``prune`` score: its power
+    magnitude, or with the "correlation" metric its endpoints' windowed
+    |correlation|. ``weights_source`` selects whether windowed correlations
+    are computed on the running estimates (deployment setting) or on a
+    supplied ground-truth history. ``label`` (default: the algorithm name)
+    names the report files, so it must match ``LABEL``.
     """
 
     algorithm: str
@@ -202,7 +204,6 @@ class EstimatorConfig:
     p_exponent: float = 1.5
     diffusion_eps: float | None = None
     refresh_weights: bool = True
-    latent_weight: str = "score"
     weights_source: str = "estimates"
     label: str | None = None
 
@@ -217,10 +218,6 @@ class EstimatorConfig:
             raise ValueError(f"diffusion_eps must be finite, got {self.diffusion_eps}")
         if self.weights_source not in ("estimates", "ground-truth"):
             raise ValueError(f"unknown weights_source {self.weights_source!r}")
-        if self.latent_weight not in LATENT_WEIGHT_RULES:
-            raise ValueError(
-                f"unknown latent_weight {self.latent_weight!r}; expected one of {LATENT_WEIGHT_RULES}"
-            )
         if self.label is not None and not LABEL.fullmatch(self.label):
             raise ValueError(
                 f"label {self.label!r} must match {LABEL.pattern} (it names the report files)"
@@ -359,32 +356,27 @@ def _topology_rule(
     glms-then-sgm after it, for the next step; both read the history up to
     the previous step, so one rule serves both.
 
-    Each rule scores its window in the shape it reads: the rules that read
-    every pair take one (N, N) matrix from ``window_abs_correlation``, and
-    dynamic-multihop that reads only its base-edge weights scores the E base
-    edges alone with ``sliding_abs_correlation``.
+    Each rule scores its window in the shape it reads. sgm and
+    dynamic-multihop with the "correlation" prune metric read every pair:
+    they take one (N, N) matrix from ``window_abs_correlation``, which gives
+    dynamic-multihop both its base-edge weights and its latent scores. With
+    "weight-magnitude", dynamic-multihop reads only its base-edge weights
+    and scores the E base edges alone with ``sliding_abs_correlation``.
     """
     static = (g.adjacency(), g.edge_count, 0, 0)
     if cfg.algorithm == "dynamic-multihop":
         base = g.edge_mask()
 
-        def multihop(adjacency: np.ndarray, scorer) -> Topology:
-            topo = expand_prune_merge(
-                base,
-                adjacency,
-                cfg.hops,
-                cfg.prune,
-                latent_weight=cfg.latent_weight,
-                candidate_scores=scorer,
-            )
+        def multihop(adjacency: np.ndarray, scores: np.ndarray | None) -> Topology:
+            topo = expand_prune_merge(base, adjacency, cfg.hops, cfg.prune, scores)
             return topo.adjacency, g.edge_count + topo.survivors, topo.candidates, topo.survivors
 
         # no usable history: static weights, candidates scored as unsupported
-        fixed = multihop(static[0], lambda pairs: np.zeros(len(pairs)))
+        fixed = multihop(static[0], np.zeros_like(static[0]))
         if not cfg.refresh_weights:
             return fixed, None
 
-        if not needs_scores(cfg.prune, cfg.latent_weight):
+        if cfg.prune.metric != "correlation":
             # the rule reads only the base-edge weights: score those pairs alone
             edges = np.array(g.edges, dtype=int).reshape(-1, 2)
             ei, ej = edges[:, 0], edges[:, 1]
@@ -401,7 +393,7 @@ def _topology_rule(
         def refreshed(rows: np.ndarray) -> Topology:
             corr = window_abs_correlation(rows)
             adjacency = np.where(base, corr, 0.0)
-            return multihop(adjacency, lambda pairs: corr[pairs[:, 0], pairs[:, 1]])
+            return multihop(adjacency, corr)
 
         return fixed, refreshed
     if cfg.algorithm not in _SGM:

@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import eq
+from operator import eq, index
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -30,11 +30,6 @@ __all__ = [
     "graph_to_csv",
     "graph_from_csv",
 ]
-
-
-def _canonical_pair(i: int, j: int) -> tuple[int, int]:
-    i, j = int(i), int(j)
-    return (i, j) if i < j else (j, i)
 
 
 def _canonical_edges(edges, n: int) -> tuple[tuple[int, int], ...]:
@@ -64,16 +59,21 @@ def _canonical_edges(edges, n: int) -> tuple[tuple[int, int], ...]:
 
 def _checked_pairs(edges, n: int) -> tuple[tuple[int, int], ...]:
     """The per-edge reference of :func:`_canonical_edges`: in edge order,
-    raise on the first self-loop, out-of-range node or duplicate pair."""
+    raise on the first non-integer index, self-loop, out-of-range node or
+    duplicate pair."""
     canon: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for pair in edges:
         i, j = pair
+        try:
+            i, j = index(i), index(j)
+        except TypeError:
+            raise ValueError(f"edge {pair!r} has a non-integer node index") from None
         if i == j:
             raise ValueError(f"self-loop at node {i}")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge {pair!r} references a node outside 0..{n - 1}")
-        p = _canonical_pair(i, j)
+        p = (i, j) if i < j else (j, i)
         if p in seen:
             raise ValueError(f"duplicate edge {p!r}")
         seen.add(p)
@@ -235,13 +235,16 @@ def graph_from_csv(path: str | Path) -> StaticGraph:
     more than the highest node. Blank lines are skipped and a UTF-8 byte
     order mark is dropped. The edge rows are parsed in one ``np.loadtxt``
     pass; a file that pass refuses is read again row by row, which names
-    the first row without exactly 3 cells by its 1-based file line.
+    the first row without exactly 3 cells by its 1-based file line, and
+    the first bad cell (an index that is not an integer, a weight that is
+    not a finite number >= 0) by its line and column.
     """
     graph = _graph_loadtxt(path)
     return _graph_rows(path) if graph is None else graph
 
 
 _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", float)])
+_EDGE_CELLS = (("src", int, "an integer"), ("dst", int, "an integer"), ("weight", float, "numeric"))
 
 
 def _read_preamble(fh: TextIO, path: str | Path) -> tuple[int | None, int]:
@@ -298,9 +301,28 @@ def _graph_rows(path: str | Path) -> StaticGraph:
                     raise ValueError(
                         f"{path}: line {line} has {len(row)} cells, expected {len(_CSV_HEADER)}"
                     )
-                edges.append((int(row[0]), int(row[1])))
-                weights.append(float(row[2]))
+                i, j, w = _edge_cells(path, line, row)
+                edges.append((i, j))
+                weights.append(w)
             line = lines + reader.line_num + 1  # a quoted cell may span lines
     if node_count is None:
         node_count = 1 + max((max(i, j) for i, j in edges), default=0)
     return StaticGraph(node_count, tuple(edges), tuple(weights))
+
+
+def _edge_cells(path: str | Path, line: int, row: list[str]) -> tuple[int, int, float]:
+    """The src, dst and weight of one edge row; the first bad cell raises an
+    error naming its 1-based file line and column."""
+    values = []
+    for (column, parse, kind), cell in zip(_EDGE_CELLS, row):
+        try:
+            values.append(parse(cell))
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {line}, column {column!r}: {cell!r} is not {kind}"
+            ) from None
+    if not 0.0 <= values[2] < math.inf:  # NaN fails too
+        raise ValueError(
+            f"{path}: line {line}, column 'weight': {row[2]!r} is not finite and >= 0"
+        )
+    return tuple(values)

@@ -12,14 +12,14 @@ One array pass, :func:`expand_prune_merge`, does all of this on dense
 (N, N) matrices and masks. ``hop_expand``, ``prune``, ``merge`` and
 ``build_topology_slice`` are tuple and :class:`TopologySlice` views of the
 same stages, for inspection. Each call builds one step's topology; which
-step that is stays with the caller, so a pair scorer receives only the
-(P, 2) array of pairs and a slice carries no time stamp.
+step that is stays with the caller, so the latent scores come in as one
+(N, N) matrix and a slice carries no time stamp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,11 +44,6 @@ __all__ = [
 EPS_ZERO = 1e-12
 
 PRUNE_METRICS = ("weight-magnitude", "correlation")
-LATENT_WEIGHT_RULES = ("score", "correlation")
-
-# scorer(pairs) -> array of non-negative scores, one per row of the (P, 2)
-# integer array of node pairs
-PairScorer = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -57,8 +52,9 @@ class PruneSpec:
 
     "weight-magnitude" scores a candidate by the magnitude of its entry in
     the normalized Laplacian power; "correlation" re-scores it by the
-    windowed |correlation| of its endpoints' signals. Survival is strict:
-    score must exceed the threshold, equality is pruned.
+    windowed |correlation| of its endpoints' signals. A surviving latent
+    edge takes its score as its weight. Survival is strict: score must
+    exceed the threshold, equality is pruned.
     """
 
     threshold: float
@@ -73,12 +69,6 @@ class PruneSpec:
     def survives(self, scores: np.ndarray) -> np.ndarray:
         """Boolean mask of the scores that strictly exceed the threshold."""
         return scores > self.threshold
-
-
-def needs_scores(prune_spec: PruneSpec, latent_weight: str) -> bool:
-    """Whether a step reads the windowed |correlation| of latent pairs: when
-    either the prune metric or the latent weight rule is "correlation"."""
-    return prune_spec.metric == "correlation" or latent_weight == "correlation"
 
 
 @dataclass(frozen=True)
@@ -168,17 +158,6 @@ def _expand(
     return order, magnitude
 
 
-def _pair_scores(scorer: PairScorer, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    if rows.size == 0:
-        return np.zeros(0)
-    scores = np.asarray(scorer(np.column_stack((rows, cols))), dtype=float)
-    if scores.shape != rows.shape:
-        raise ValueError("pairs and scores must have equal length")
-    if not np.all(scores >= 0):
-        raise ValueError("scores must be >= 0")
-    return scores
-
-
 def _merge(
     adjacency: np.ndarray,
     base: np.ndarray,
@@ -202,9 +181,7 @@ def expand_prune_merge(
     adjacency: np.ndarray,
     hops: int,
     prune_spec: PruneSpec,
-    *,
-    latent_weight: str = "score",
-    candidate_scores: PairScorer | None = None,
+    scores: np.ndarray | None = None,
 ) -> LatentTopology:
     """Expand, prune, and merge one step on dense (N, N) arrays.
 
@@ -212,16 +189,20 @@ def expand_prune_merge(
     and ``adjacency`` carries its weights at this step. Candidates of order p
     are the pairs whose |entry| of the p-th power of the spectrally
     normalized Laplacian exceeds EPS_ZERO, that are not original edges and
-    did not qualify at a lower order. ``candidate_scores`` must be supplied
-    when either the pruning metric or the latent weight rule is
-    "correlation"; it is called with a (P, 2) array of pairs.
+    did not qualify at a lower order. The "correlation" metric requires
+    ``scores``, an (N, N) matrix whose entry (i, j), i < j, scores and
+    weights candidate (i, j); only the candidates' entries are read, and
+    they must be >= 0. "weight-magnitude" does not read ``scores``.
     """
     if hops < 1:
         raise ValueError("hops must be >= 1")
-    if latent_weight not in LATENT_WEIGHT_RULES:
-        raise ValueError(f"unknown latent weight rule {latent_weight!r}")
-    if needs_scores(prune_spec, latent_weight) and candidate_scores is None:
-        raise ValueError("correlation scoring requires a candidate_scores callback")
+    correlation = prune_spec.metric == "correlation"
+    if correlation:
+        if scores is None:
+            raise ValueError("the correlation metric requires a scores matrix")
+        scores = np.asarray(scores, dtype=float)
+        if scores.shape != adjacency.shape:
+            raise ValueError(f"scores shape {scores.shape} does not match {adjacency.shape}")
 
     n = adjacency.shape[0]
     order = np.zeros((n, n), dtype=int)
@@ -231,15 +212,13 @@ def expand_prune_merge(
         if normalized is not None:
             order, magnitude = _expand(normalized, base, hops)
     rows, cols = np.nonzero(order)
-    scores = magnitude[rows, cols]
-    if prune_spec.metric == "correlation":
-        scores = _pair_scores(candidate_scores, rows, cols)
-    keep = prune_spec.survives(scores)
-    kept_rows, kept_cols, weights = rows[keep], cols[keep], scores[keep]
-    if latent_weight == "correlation" and prune_spec.metric != "correlation":
-        weights = _pair_scores(candidate_scores, kept_rows, kept_cols)
+    latent = (scores if correlation else magnitude)[rows, cols]
+    if correlation and not np.all(latent >= 0):  # NaN fails too
+        raise ValueError("latent candidate scores must be >= 0")
+    keep = prune_spec.survives(latent)
+    kept_rows, kept_cols = rows[keep], cols[keep]
     merged, provenance = _merge(
-        adjacency, base, kept_rows, kept_cols, order[kept_rows, kept_cols], weights
+        adjacency, base, kept_rows, kept_cols, order[kept_rows, kept_cols], latent[keep]
     )
     return LatentTopology(merged, provenance, candidates=rows.size, survivors=kept_rows.size)
 
@@ -336,19 +315,10 @@ def build_topology_slice(
     weights_t: Sequence[float],
     hops: int,
     prune_spec: PruneSpec,
-    *,
-    latent_weight: str = "score",
-    candidate_scores: PairScorer | None = None,
+    scores: np.ndarray | None = None,
 ) -> TopologySlice:
     """Expand, prune, and merge a single step (see :func:`expand_prune_merge`)."""
     g_t = g.with_weights(weights_t)
-    topo = expand_prune_merge(
-        g.edge_mask(),
-        g_t.adjacency(),
-        hops,
-        prune_spec,
-        latent_weight=latent_weight,
-        candidate_scores=candidate_scores,
-    )
+    topo = expand_prune_merge(g.edge_mask(), g_t.adjacency(), hops, prune_spec, scores)
     return _as_slice(g_t, topo.adjacency, topo.hop)
 

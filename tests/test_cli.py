@@ -102,10 +102,14 @@ def test_window_stride_other_than_one_is_config_error(tmp_path, capsys):
     assert "--stride" not in capsys.readouterr().out
 
 
-def test_bad_latent_weight_rejected_at_config_time(tmp_path):
-    cfg = run_config(tmp_path, algorithms=[{"algorithm": "dynamic-multihop", "latent_weight": "bogus"}])
-    with pytest.raises(ConfigError, match="latent_weight"):
+def test_bad_latent_weight_rejected_at_config_time(tmp_path, capsys):
+    # latent edges are weighted by their prune score: there is no such key
+    entry = {"algorithm": "dynamic-multihop", "latent_weight": "score"}
+    cfg = run_config(tmp_path, algorithms=[entry])
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['latent_weight'\]"):
         resolve_config(load_config(cfg["path"]))
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "unknown key(s) ['latent_weight']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -431,7 +435,8 @@ def test_report_without_reports_is_data_error(tmp_path, capsys):
     "# node_count=5\nsrc,dst,weight\n0,1,1.0\n",  # 5 nodes, series has 24
     "src,dst,weight\n0,1\n",  # a row of 2 cells
     "src,dst,weight\n0,1,1.0,7\n",  # a row of 4 cells
-], ids=["wrong-header", "self-loop", "node-count", "two-cells", "four-cells"])
+    "src,dst,weight\n0,x,1.0\n",  # a cell that is not an integer
+], ids=["wrong-header", "self-loop", "node-count", "two-cells", "four-cells", "bad-cell"])
 def test_run_with_bad_graph_csv_is_data_error(tmp_path, capsys, text):
     graph = tmp_path / "graph.csv"
     graph.write_text(text)

@@ -306,8 +306,8 @@ def test_config_validation():
         EstimatorConfig("glmp", p_exponent=2.5)
     with pytest.raises(ValueError):
         EstimatorConfig("glms", hops=0)
-    with pytest.raises(ValueError, match="latent_weight"):
-        EstimatorConfig("dynamic-multihop", latent_weight="bogus")
+    with pytest.raises(TypeError, match="latent_weight"):
+        EstimatorConfig("dynamic-multihop", latent_weight="score")
 
 
 def test_label_must_be_a_plain_file_name():
@@ -428,25 +428,20 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("algo, prune, latent_weight", [
-    ("dynamic-multihop", PruneSpec(0.015, "correlation"), "score"),
-    ("sgm-then-glms", PruneSpec(0.015, "correlation"), "score"),
-    ("dynamic-multihop", PruneSpec(0.2), "correlation"),
-], ids=["dynamic-multihop", "sgm-then-glms", "correlation-weight"])
-def test_one_correlation_pass_per_run_and_step_with_history(
-    algo, prune, latent_weight, rng, monkeypatch
-):
-    # rules that read every pair (the edge weights, the latent scores, the
-    # sgm threshold) all read one (N, N) |correlation| matrix per run and step
+@pytest.mark.parametrize("algo", ["dynamic-multihop", "sgm-then-glms"])
+def test_one_correlation_pass_per_run_and_step_with_history(algo, rng, monkeypatch):
+    # rules that read every pair (the edge weights and latent scores of the
+    # correlation metric, the sgm threshold) all read one (N, N)
+    # |correlation| matrix per run and step
     dense = count_calls(monkeypatch, "window_abs_correlation")
     per_pair = count_calls(monkeypatch, "sliding_abs_correlation")
     g = random_graph(rng, 12, 14)
     runs = rng.standard_normal((3, 20, 12))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
-    cfg = EstimatorConfig(algo, step=StepSizeRule.fixed(0.5), hops=3, prune=prune,
-                          latent_weight=latent_weight, window=WindowSpec(5, 1))
+    cfg = EstimatorConfig(algo, step=StepSizeRule.fixed(0.5), hops=3,
+                          prune=PruneSpec(0.015, "correlation"), window=WindowSpec(5, 1))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the 0.2 prune may keep no latent edge
+        warnings.simplefilter("error")
         trace = run_estimation(stream, g, cfg)
     assert not any(trace.diverged)
     assert len(dense) == 3 * (20 - 5)
@@ -454,9 +449,9 @@ def test_one_correlation_pass_per_run_and_step_with_history(
 
 
 def test_base_edge_rule_scores_only_the_base_edges(rng, monkeypatch):
-    # the presets' rule (weight-magnitude prune, score latent weight) reads
-    # only the base-edge weights: one per-pair call over the E base edges per
-    # run and step, with the bits of the (N, N) matrix's base entries
+    # the presets' rule (weight-magnitude prune) reads only the base-edge
+    # weights: one per-pair call over the E base edges per run and step,
+    # with the bits of the (N, N) matrix's base entries
     dense = count_calls(monkeypatch, "window_abs_correlation")
     per_pair = count_calls(monkeypatch, "sliding_abs_correlation")
     steps = count_calls(monkeypatch, "expand_prune_merge")
@@ -464,7 +459,7 @@ def test_base_edge_rule_scores_only_the_base_edges(rng, monkeypatch):
     runs = rng.standard_normal((3, 20, 12))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
     cfg = EstimatorConfig("dynamic-multihop", step=StepSizeRule.fixed(0.5), hops=3,
-                          prune=PruneSpec(0.2), latent_weight="score", window=WindowSpec(5, 1))
+                          prune=PruneSpec(0.2), window=WindowSpec(5, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the 0.2 prune may keep no latent edge
         trace = run_estimation(stream, g, cfg)

@@ -236,6 +236,20 @@ def test_csv_rows_must_have_three_cells(tmp_path):
         assert str(err.value) == f"{path}: line 5 has {cells} cells, expected 3"
 
 
+@pytest.mark.parametrize("row, message", [
+    ("x,1,1.0", "column 'src': 'x' is not an integer"),
+    ("0,1.5,1.0", "column 'dst': '1.5' is not an integer"),
+    ("0,1,abc", "column 'weight': 'abc' is not numeric"),
+    ("0,1,-1.0", "column 'weight': '-1.0' is not finite and >= 0"),
+], ids=["src", "dst", "weight", "negative-weight"])
+def test_csv_bad_cells_name_their_line_and_column(tmp_path, row, message):
+    path = tmp_path / "g.csv"
+    path.write_text(f"# node_count=3\nsrc,dst,weight\n1,2,1.0\n\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        graph_from_csv(path)
+    assert str(err.value) == f"{path}: line 5, {message}"
+
+
 def test_csv_edge_list_is_parsed_in_one_loadtxt_pass(tmp_path, rng):
     g = random_graph(rng, 30, 60)
     path = tmp_path / "g.csv"
@@ -315,12 +329,15 @@ BAD_EDGES = [
     (((0, 1), (1, 2)), (0.5,), "1 weights for 2 edges"),
     (((0, 1), (1, 2), (2, 3)), (0.5, -1.0, math.nan), "weights must be finite and >= 0, got -1.0"),
     (((0, 1), (1, 2)), (math.inf, -1.0), "weights must be finite and >= 0, got inf"),
+    (((0, 1), (0.0, 1.5), (2, 2)), None, "edge (0.0, 1.5) has a non-integer node index"),
+    (np.array([[0.0, 1.5]]), None, "edge array([0. , 1.5]) has a non-integer node index"),
 ]
 
 
 @pytest.mark.parametrize("edges, weights, message", BAD_EDGES,
                          ids=["self-loop", "high-node", "negative-node", "duplicate",
-                              "weight-count", "negative-weight", "infinite-weight"])
+                              "weight-count", "negative-weight", "infinite-weight",
+                              "float-node", "float-array"])
 def test_bad_edges_raise_the_first_bad_edge_message(edges, weights, message):
     with pytest.raises(ValueError) as err:
         StaticGraph(4, edges, weights)

@@ -186,7 +186,7 @@ def test_merge_two_steps_recomputation_oracle(rng):
 
 # -- the array core ----------------------------------------------------------------
 
-def tuple_chain_reference(g, weights, hops, spec, latent_weight, score_matrix):
+def tuple_chain_reference(g, weights, hops, spec, score_matrix):
     """Expand, prune and merge with per-pair Python loops over a set of taken pairs."""
     n = g.node_count
     merged = g.with_weights(weights).adjacency()
@@ -206,8 +206,6 @@ def tuple_chain_reference(g, weights, hops, spec, latent_weight, score_matrix):
         if spec.metric == "correlation":
             cands = [(pair, score_matrix[pair]) for pair, _ in cands]
         kept = [(pair, score) for pair, score in cands if score > spec.threshold]
-        if latent_weight == "correlation" and spec.metric != "correlation":
-            kept = [(pair, score_matrix[pair]) for pair, _ in kept]
         for (i, j), score in kept:
             merged[i, j] = merged[j, i] = score
             edge_count += 1
@@ -215,10 +213,9 @@ def tuple_chain_reference(g, weights, hops, spec, latent_weight, score_matrix):
 
 
 @pytest.mark.parametrize("metric, threshold", [("weight-magnitude", 0.01), ("correlation", 0.5)])
-@pytest.mark.parametrize("latent_weight", ["score", "correlation"])
 @pytest.mark.parametrize("hops, zero_weights", [(1, False), (3, False), (6, False), (4, True)])
 def test_array_core_matches_slice_view_and_loop_reference(
-    rng, metric, threshold, latent_weight, hops, zero_weights
+    rng, metric, threshold, hops, zero_weights
 ):
     spec = PruneSpec(threshold, metric)
     for _ in range(4):
@@ -227,15 +224,11 @@ def test_array_core_matches_slice_view_and_loop_reference(
         weights = np.zeros(g.edge_count) if zero_weights else rng.uniform(0.0, 1.0, g.edge_count)
         score_matrix = rng.uniform(0.0, 1.0, (n, n))
         score_matrix = np.maximum(score_matrix, score_matrix.T)
-        scorer = lambda pairs: score_matrix[pairs[:, 0], pairs[:, 1]]
 
         topo = expand_prune_merge(
-            g.edge_mask(), g.with_weights(weights).adjacency(), hops, spec,
-            latent_weight=latent_weight, candidate_scores=scorer,
+            g.edge_mask(), g.with_weights(weights).adjacency(), hops, spec, score_matrix
         )
-        view = build_topology_slice(
-            g, weights, hops, spec, latent_weight=latent_weight, candidate_scores=scorer
-        )
+        view = build_topology_slice(g, weights, hops, spec, scores=score_matrix)
         assert np.array_equal(topo.adjacency, view.graph.adjacency())
         assert g.edge_count + topo.survivors == view.graph.edge_count
         assert np.count_nonzero(np.triu(topo.hop)) == view.graph.edge_count
@@ -243,7 +236,7 @@ def test_array_core_matches_slice_view_and_loop_reference(
         for (i, j), tag in tags.items():
             assert topo.hop[i, j] == topo.hop[j, i] == (1 if tag == "original" else int(tag[3:]))
 
-        merged, edge_count = tuple_chain_reference(g, weights, hops, spec, latent_weight, score_matrix)
+        merged, edge_count = tuple_chain_reference(g, weights, hops, spec, score_matrix)
         assert np.array_equal(topo.adjacency, merged)
         assert view.graph.edge_count == edge_count
         if hops == 1 or zero_weights:
@@ -253,19 +246,33 @@ def test_array_core_matches_slice_view_and_loop_reference(
             assert topo.survivors > 0
 
 
-def test_array_core_scorer_receives_only_the_pairs(rng):
+def test_array_core_reads_only_the_candidates_scores(rng):
+    # NaN and negative entries off the candidate set (base edges, the
+    # diagonal, the lower triangle, pairs out of reach) are never read
     g = random_graph(rng, 10, 12)
-    shapes = []
+    spec = PruneSpec(0.1, "correlation")
+    reach = expand_prune_merge(g.edge_mask(), g.adjacency(), 3, PruneSpec(0.0)).hop > 1
+    candidates = np.triu(reach)
+    assert candidates.any() and not reach.all()
+    scores = np.where(rng.random((10, 10)) < 0.5, np.nan, -1.0)
+    scores[candidates] = 0.5
+    topo = expand_prune_merge(g.edge_mask(), g.adjacency(), 3, spec, scores)
+    assert topo.survivors == topo.candidates == np.count_nonzero(candidates)
+    assert np.array_equal(topo.adjacency, np.where(reach, 0.5, g.adjacency()))
 
-    def scorer(pairs):
-        shapes.append(pairs.shape)
-        return np.full(len(pairs), 0.5)
 
-    topo = expand_prune_merge(
-        g.edge_mask(), g.adjacency(), 3, PruneSpec(0.1, "correlation"), candidate_scores=scorer
-    )
-    assert shapes == [(topo.candidates, 2)]
-    assert topo.survivors == topo.candidates > 0
+@pytest.mark.parametrize("scores, message", [
+    (np.full((3, 4), 0.5), r"scores shape \(3, 4\) does not match \(3, 3\)"),
+    (np.array([[0, 1, -0.5], [1, 0, 1], [-0.5, 1, 0]]), "scores must be >= 0"),
+    (np.array([[0, 1, np.nan], [1, 0, 1], [np.nan, 1, 0]]), "scores must be >= 0"),
+], ids=["mis-shaped", "negative-candidate", "nan-candidate"])
+def test_correlation_metric_checks_the_score_matrix(scores, message):
+    g = StaticGraph(3, ((0, 1), (1, 2)))  # one candidate: (0, 2) at hop 2
+    with pytest.raises(ValueError, match=message):
+        expand_prune_merge(g.edge_mask(), g.adjacency(), 2, PruneSpec(0.5, "correlation"), scores)
+    # weight-magnitude reads no scores, so none of them is checked
+    topo = expand_prune_merge(g.edge_mask(), g.adjacency(), 2, PruneSpec(0.0), scores)
+    assert topo.survivors == 1
 
 
 def test_array_core_counts_candidates_before_pruning(rng):
@@ -318,33 +325,20 @@ def test_zero_weight_step_emits_no_candidates():
 
 
 def test_correlation_metric_uses_scorer(rng):
+    # the score matrix's entry of a candidate scores and weights it
     g = StaticGraph(3, ((0, 1), (1, 2)))
-    calls = []
-
-    def scorer(pairs):
-        calls.append(tuple(pairs))
-        return np.full(len(pairs), 0.9)
-
-    out = build_topology_slice(
-        g, (1.0, 1.0), 2, PruneSpec(0.5, metric="correlation"), candidate_scores=scorer
-    )
-    assert calls  # scorer consulted
+    scores = np.full((3, 3), 0.9)
+    out = build_topology_slice(g, (1.0, 1.0), 2, PruneSpec(0.5, metric="correlation"), scores)
     assert out.graph.edges == ((0, 1), (1, 2), (0, 2))
     assert out.graph.weights[2] == 0.9
-
-
-def test_correlation_latent_weight_rescores_after_pruning(rng):
-    g = StaticGraph(3, ((0, 1), (1, 2)))
-    scorer = lambda pairs: np.full(len(pairs), 0.42)
-    out = build_topology_slice(
-        g, (1.0, 1.0), 2, PruneSpec(0.0), latent_weight="correlation", candidate_scores=scorer
-    )
-    assert out.graph.weights[2] == 0.42
+    scores[0, 2] = 0.5  # equality is pruned
+    out = build_topology_slice(g, (1.0, 1.0), 2, PruneSpec(0.5, metric="correlation"), scores)
+    assert out.graph.edges == g.edges
 
 
 def test_correlation_metric_requires_scorer():
     g = StaticGraph(3, ((0, 1), (1, 2)))
-    with pytest.raises(ValueError, match="candidate_scores"):
+    with pytest.raises(ValueError, match="requires a scores matrix"):
         build_topology_slice(g, (1.0, 1.0), 2, PruneSpec(0.5, metric="correlation"))
 
 
