@@ -15,11 +15,14 @@ Two functions compute the same scores for different callers:
   online dynamic-multihop rule calls it on the base edges alone when it
   reads nothing else.
 - :func:`window_abs_correlation` maps one window to the symmetric (N, N)
-  matrix over every pair, accumulating the same products as whole matrices
-  in the same offset order, so each entry has the bits of that pair's
-  per-pair score. It costs O(N^2 x window) and serves the online rules that
-  read every pair: the sgm threshold, and dynamic-multihop when it prunes or
-  weights latent edges by correlation.
+  matrix over every pair. It centres the contiguous (w, N) window once and
+  sums the products with one ``np.einsum("ki,kj->ij", c, c)``, which adds
+  them in the same offset order, rounding each product before adding it,
+  so each entry has the bits of that pair's per-pair score. (A numpy build
+  whose einsum fused multiply and add would break this;
+  ``tests/test_edge_dynamics.py`` checks for it.) It costs O(N^2 x window)
+  and serves the online rules that read every pair: the sgm threshold, and
+  dynamic-multihop when it prunes or weights latent edges by correlation.
 
 Warm-up: rows before the first full window repeat the first defined row
 (constant extrapolation backward). Zero-variance windows score 0 — no
@@ -149,15 +152,12 @@ def window_abs_correlation(rows: np.ndarray) -> np.ndarray:
     ``sliding_abs_correlation`` for pair (i, j) over the same window; the
     diagonal is 0. ``rows`` must be finite; it is not checked here.
     """
-    x = rows.T  # (N, w), the layout of one sliding window
-    centered = x - x.mean(axis=1, keepdims=True)
-    sumsq = np.einsum("nw,nw->n", centered, centered)
-    flat = np.ptp(x, axis=1) == 0.0
+    centered = rows - rows.mean(axis=0)  # contiguous (w, N)
+    sumsq = np.einsum("ki,ki->i", centered, centered)
+    flat = np.ptp(rows, axis=0) == 0.0
 
-    # window products accumulate in offset order, one (N, N) matrix each
-    products = np.multiply.outer(centered[:, 0], centered[:, 0])
-    for k in range(1, x.shape[1]):
-        products += np.multiply.outer(centered[:, k], centered[:, k])
+    # einsum adds the window products in offset order, one (N, N) matrix
+    products = np.einsum("ki,kj->ij", centered, centered)
     ok = ~np.logical_or.outer(flat, flat)
     np.fill_diagonal(ok, False)
     scores = np.zeros_like(products)

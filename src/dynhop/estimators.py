@@ -306,9 +306,10 @@ def stability_bound(
     the filtered-and-masked quadratic form.
 
     mask_policy "full" evaluates at the identity mask (optimistic); a float
-    in (0, 1] stands for a uniform per-node observation probability; an
-    array gives per-node probabilities. An empty mask (or an all-zero
-    response) has lambda_max = 0 and the bound is +inf.
+    in [0, 1] stands for a uniform per-node observation probability; an
+    array gives per-node probabilities, each in [0, 1]. Any other
+    probability, NaN included, raises ``ValueError``. An empty mask (or an
+    all-zero response) has lambda_max = 0 and the bound is +inf.
     """
     lap = build_laplacian(subject) if isinstance(subject, StaticGraph) else np.asarray(subject, float)
     decomp = eigendecompose(lap)
@@ -324,12 +325,25 @@ def stability_bound(
         m = np.asarray(mask_policy, dtype=float)
         if m.shape != (n,):
             raise ValueError(f"mask policy shape {m.shape} does not match {n} nodes")
+    outside = ~((m >= 0.0) & (m <= 1.0))  # NaN fails too
+    if outside.any():
+        raise ValueError(f"mask policy probability {m[outside][0]} is outside [0, 1]")
     shaped = decomp.eigenvectors * h  # U Sigma
     quad = shaped.T @ (shaped * m[:, None])
     lam_max = float(np.linalg.eigvalsh(quad)[-1])
     if lam_max <= 1e-15:
         return math.inf
     return 2.0 / lam_max
+
+
+def _row_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a (K, N) array, into ``out``.
+
+    Each row's dot product is the one ``np.linalg.norm`` takes, so every
+    norm has its bits whichever other rows share the call.
+    """
+    squares = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+    return np.sqrt(squares, out=out)
 
 
 def _bind(cfg: EstimatorConfig, adjacency: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -424,10 +438,18 @@ def run_estimation(
     every run: the static graph, or for dynamic-multihop its multi-hop
     expansion with every latent candidate scored 0. At each step with usable
     history the dynamic family rebuilds that run's topology from its
-    strictly causal history and re-binds the filter. ``refresh_weights`` is
-    read only by dynamic-multihop, whose topology never changes when it is
-    False; the sgm orderings always refresh. ``ground_truth`` is only
-    consulted when ``cfg.weights_source == "ground-truth"``.
+    strictly causal history and re-binds the filter; the no-history
+    operator is applied only to the runs without usable history.
+    ``refresh_weights`` is read only by dynamic-multihop, whose topology
+    never changes when it is False; the sgm orderings always refresh.
+    ``ground_truth`` is only consulted when
+    ``cfg.weights_source == "ground-truth"``.
+
+    A step computes only what it reads. A fixed step rule's sizes are
+    written once per call, and its ``residual_norms`` are recomputed after
+    the loop from each run's estimates, one (T, N) run at a time. The
+    residual-adaptive rule reads each step's norms, so it takes them in the
+    loop. Either way each norm has the bits of ``np.linalg.norm``.
     """
     n = g.node_count
     t_total = stream.steps
@@ -452,9 +474,12 @@ def run_estimation(
     # one binding serves every step without usable history, in every run
     fixed_apply = _bind(cfg, fixed[0])
 
+    adaptive = cfg.step.kind == "residual-adaptive"
     estimates = np.zeros((runs, t_total, n))
     residual_norms = np.zeros((runs, t_total))
-    step_sizes = np.zeros((runs, t_total))
+    step_sizes = np.empty((runs, t_total))
+    if not adaptive:
+        step_sizes.fill(cfg.step.mu)
     edge_counts = np.full((runs, t_total), fixed[1], dtype=int)
     latent_candidates = np.full((runs, t_total), fixed[2], dtype=int)
     latent_survivors = np.full((runs, t_total), fixed[3], dtype=int)
@@ -473,23 +498,38 @@ def run_estimation(
     x_hat = np.zeros((runs, n))
     for t in range(t_total):
         residual = np.where(mask[:, t], observations[:, t] - x_hat, 0.0)
-        # each run's dot product is the one np.linalg.norm takes, bit for bit
-        norms = np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0]
-        norms = np.sqrt(norms, out=residual_norms[:, t])
-        # math.exp per run: np.exp is not guaranteed to round the same way
         mu = step_sizes[:, t]
-        mu[:] = [adaptive_mu(v, cfg.step) for v in norms.tolist()]
+        if adaptive:
+            norms = _row_norms(residual, out=residual_norms[:, t])
+            # math.exp per run: np.exp is not guaranteed to round the same way
+            mu[:] = [adaptive_mu(v, cfg.step) for v in norms.tolist()]
         shaped = error_nonlinearity(residual, algo, cfg.p_exponent)
-        filtered = fixed_apply(shaped)
-        if rebuild is not None:
+        if rebuild is None:
+            filtered = fixed_apply(shaped)
+        else:
+            filtered = np.empty_like(shaped)
+            stale = []  # runs without usable history
             for r in range(runs):
                 rows = history_rows(r, t)
-                if rows is not None:
-                    adjacency, edge_counts[r, t], latent_candidates[r, t], latent_survivors[r, t] = (
-                        rebuild(rows)
-                    )
-                    filtered[r] = _bind(cfg, adjacency)(shaped[r])
+                if rows is None:
+                    stale.append(r)
+                    continue
+                adjacency, edge_counts[r, t], latent_candidates[r, t], latent_survivors[r, t] = (
+                    rebuild(rows)
+                )
+                filtered[r] = _bind(cfg, adjacency)(shaped[r])
+            if stale:
+                filtered[stale] = fixed_apply(shaped[stale])
         x_hat = np.add(x_hat, mu[:, None] * filtered, out=estimates[:, t])
+
+    if not adaptive:
+        # no step read the norms: recompute each run's residuals from its
+        # estimates, one (T, N) run at a time
+        for r in range(runs):
+            residual = observations[r].copy()
+            residual[1:] -= estimates[r, :-1]  # the estimate is 0 before step 0
+            residual[~mask[r]] = 0.0
+            _row_norms(residual, out=residual_norms[r])
 
     if algo == "dynamic-multihop" and np.any(
         latent_candidates.any(axis=1) & ~latent_survivors.any(axis=1)

@@ -237,10 +237,14 @@ def graph_from_csv(path: str | Path) -> StaticGraph:
     pass; a file that pass refuses is read again row by row, which names
     the first row without exactly 3 cells by its 1-based file line, and
     the first bad cell (an index that is not an integer, a weight that is
-    not a finite number >= 0) by its line and column.
+    not a finite number >= 0) by its line and column. Every ``ValueError``
+    it raises starts with ``path``.
     """
-    graph = _graph_loadtxt(path)
-    return _graph_rows(path) if graph is None else graph
+    try:
+        graph = _graph_loadtxt(path)
+        return _graph_rows(path) if graph is None else graph
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", float)])
@@ -255,7 +259,14 @@ def _read_preamble(fh: TextIO, path: str | Path) -> tuple[int | None, int]:
     if first.startswith("#"):
         key, _, value = first.lstrip("# ").partition("=")
         if key.strip() == "node_count":
-            node_count = int(value)
+            try:
+                node_count = int(value)
+            except ValueError:
+                node_count = 0  # fails the check below
+            if node_count < 1:
+                raise ValueError(
+                    f"{path}: line 1: node_count {value.strip()!r} is not an integer >= 1"
+                )
         comment_lines = 1
     else:
         fh.seek(0)
@@ -307,7 +318,10 @@ def _graph_rows(path: str | Path) -> StaticGraph:
             line = lines + reader.line_num + 1  # a quoted cell may span lines
     if node_count is None:
         node_count = 1 + max((max(i, j) for i, j in edges), default=0)
-    return StaticGraph(node_count, tuple(edges), tuple(weights))
+    try:
+        return StaticGraph(node_count, tuple(edges), tuple(weights))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _edge_cells(path: str | Path, line: int, row: list[str]) -> tuple[int, int, float]:

@@ -85,8 +85,8 @@ def _resolve_dataset(
     else:
         try:
             graph = graph_from_csv(dataset.graph)
-        except ValueError as err:
-            raise DataError(f"graph CSV {dataset.graph}: {err}") from None
+        except ValueError as err:  # its message names the file
+            raise DataError(str(err)) from None
         if graph.node_count != series.node_count:
             raise DataError(
                 f"graph CSV {dataset.graph} has {graph.node_count} nodes, "

@@ -49,12 +49,10 @@ def mse_curve(traces: Sequence, ground_truth: np.ndarray) -> np.ndarray:
     if len(traces) < 1:
         raise ValueError("need at least one run")
     truth = np.asarray(ground_truth, dtype=float)
-    arrays = []
-    for tr in traces:
-        est = np.asarray(getattr(tr, "estimates", tr), dtype=float)
-        if est.shape != truth.shape:
-            raise ValueError(f"trace shape {est.shape} does not match truth {truth.shape}")
-        arrays.append(est)
-    stack = np.stack(arrays)  # (R, T, N)
+    if isinstance(traces, np.ndarray):
+        stack = traces.astype(float, copy=False)
+    else:
+        stack = np.stack([np.asarray(getattr(tr, "estimates", tr), dtype=float) for tr in traces])
+    if stack.shape[1:] != truth.shape:
+        raise ValueError(f"estimates shape {stack.shape} does not match (R,) + truth {truth.shape}")
     return np.mean((stack - truth[None]) ** 2, axis=(0, 2))
-

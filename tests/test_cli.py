@@ -436,7 +436,11 @@ def test_report_without_reports_is_data_error(tmp_path, capsys):
     "src,dst,weight\n0,1\n",  # a row of 2 cells
     "src,dst,weight\n0,1,1.0,7\n",  # a row of 4 cells
     "src,dst,weight\n0,x,1.0\n",  # a cell that is not an integer
-], ids=["wrong-header", "self-loop", "node-count", "two-cells", "four-cells", "bad-cell"])
+    "# node_count=abc\nsrc,dst,weight\n0,1,1.0\n",  # a node count that is not a number
+    "# node_count=1e3\nsrc,dst,weight\n0,1,1.0\n",  # nor an integer
+    "src,dst,weight\n0,1,1.0\n1,0,0.5\n",  # a duplicate edge
+], ids=["wrong-header", "self-loop", "node-count", "two-cells", "four-cells", "bad-cell",
+        "node-count-abc", "node-count-1e3", "duplicate-edge"])
 def test_run_with_bad_graph_csv_is_data_error(tmp_path, capsys, text):
     graph = tmp_path / "graph.csv"
     graph.write_text(text)
@@ -444,6 +448,7 @@ def test_run_with_bad_graph_csv_is_data_error(tmp_path, capsys, text):
     assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and str(graph) in err
+    assert err.count(str(graph)) == 1
 
 
 @pytest.mark.parametrize("name, text", [

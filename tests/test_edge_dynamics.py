@@ -147,6 +147,18 @@ def _bit_exact_case(name, rng):
         stack[:, :, 90] = -2.5
         stack[:, :, 40] = 1.0 - 3.0 * stack[:, :, 41]
         return stack[1, 12:22], WindowSpec(10), [(0, 1), (7, 8), (40, 41), (89, 90)]
+    if name == "two-nodes":
+        # the shortest window: each defined score is 1 up to its last bits,
+        # and the window over rows 3 and 4 is flat
+        values = rng.standard_normal((9, 2)) * [0.3, 40.0]
+        values[3:5, 1] = -0.5
+        return values, WindowSpec(2), [(0, 1), (1, 0), (1, 1)]
+    if name == "window-40":
+        n = 26
+        values = rng.standard_normal((45, n)) * rng.uniform(0.1, 50.0, size=n)
+        values[:, 4] = 0.1
+        values[:, 9] = 2.0 + 0.5 * values[:, 10]
+        return values, WindowSpec(40), [tuple(p) for p in np.column_stack(np.triu_indices(n, 1))]
     n = 6
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j][::3] + [(2, 2)]
     values = rng.standard_normal((31, n)) * rng.uniform(0.1, 50.0, size=n)
@@ -160,7 +172,8 @@ def _bit_exact_case(name, rng):
 
 
 @pytest.mark.parametrize(
-    "name", ["single-window", "flat-window", "no-pairs", "all-pairs-26", "all-pairs-111"]
+    "name", ["single-window", "flat-window", "no-pairs", "all-pairs-26", "all-pairs-111",
+             "two-nodes", "window-40"]
 )
 def test_batched_scores_equal_ordered_per_pair_loop_bit_for_bit(name, rng):
     values, spec, pairs = _bit_exact_case(name, rng)
@@ -177,6 +190,19 @@ def test_batched_scores_equal_ordered_per_pair_loop_bit_for_bit(name, rng):
     assert np.array_equal(matrix, matrix.T) and not np.diagonal(matrix).any()
     assert np.array_equal(
         matrix[every[:, 0], every[:, 1]], ordered_pair_reference(last, spec, every)[-1]
+    )
+
+
+def test_einsum_rounds_each_window_product_before_adding_it():
+    # (1 + e)(1 - e) = 1 - e^2 rounds to 1, so the sum is exactly 0; a build
+    # whose einsum fuses the multiply into the add keeps -e^2 instead
+    e = 2.0**-30
+    x = np.array([[1.0, -1.0], [1.0 + e, 1.0 - e]])
+    got = np.einsum("ki,kj->ij", x, x)[0, 1]
+    assert got == 0.0, (
+        f"np.einsum fused multiply and add ({got!r}, not 0.0): window_abs_correlation's "
+        "bit-exactness against sliding_abs_correlation rests on einsum rounding each "
+        "window product before it adds it"
     )
 
 

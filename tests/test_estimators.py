@@ -375,6 +375,19 @@ def test_short_stream_dynamic_runs_bind_the_static_graph_once(rng, monkeypatch):
         assert len(binds) == 1, algo
 
 
+def test_steps_without_history_apply_the_static_operator(rng):
+    # until the window fills, the sgm orderings update every run with the
+    # static graph's filter, as glms does; then each run refreshes its own
+    g = random_graph(rng, 10)
+    runs = rng.standard_normal((3, 12, 10))
+    stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
+    glms = run_estimation(stream, g, EstimatorConfig("glms", window=WindowSpec(8)))
+    for algo in ("sgm-then-glms", "glms-then-sgm"):
+        trace = run_estimation(stream, g, EstimatorConfig(algo, window=WindowSpec(8)))
+        assert np.array_equal(trace.estimates[:, :8], glms.estimates[:, :8])
+        assert not np.array_equal(trace.estimates[:, 8], glms.estimates[:, 8])
+
+
 def test_ideal_filter_binds_as_configured_at_any_size(rng, monkeypatch):
     # no size switch: a 201-node run re-binds the configured ideal filter
     # at every topology change and warns about nothing
@@ -506,6 +519,8 @@ def assert_stack_matches_single_runs(stream, g, cfg, ground_truth=None):
             for obs, mask in zip(stream.observations, stream.mask)
         ]
     assert stacked.steps == stream.steps
+    if cfg.step.kind == "fixed":
+        assert np.all(stacked.step_sizes == cfg.step.mu)
     for r, single in enumerate(singles):
         # the residual norm is np.linalg.norm's, bit for bit
         previous = np.vstack([np.zeros(g.node_count), single.estimates[:-1]])
@@ -601,6 +616,20 @@ def test_stability_bound_identity_filter_full_mask(rng):
 def test_stability_bound_empty_mask_is_infinite(rng):
     g = random_graph(rng, 6)
     assert stability_bound(g, FilterSpec(passband_fraction=1.0), np.zeros(6)) == math.inf
+    assert stability_bound(g, FilterSpec(passband_fraction=1.0), 0.0) == math.inf
+
+
+@pytest.mark.parametrize("policy, named", [
+    (-0.5, "-0.5"),
+    (1.5, "1.5"),
+    (math.nan, "nan"),
+    (np.array([0.5, 1.0, 0.0, 1.25, 0.3, -2.0]), "1.25"),
+    (np.array([0.5, math.nan, 0.0, 1.0, 0.3, 0.2]), "nan"),
+], ids=["negative", "above-one", "nan", "array-entry", "array-nan"])
+def test_stability_bound_rejects_probabilities_outside_unit_interval(rng, policy, named):
+    g = random_graph(rng, 6)
+    with pytest.raises(ValueError, match=rf"mask policy probability {named} is outside \[0, 1\]"):
+        stability_bound(g, FilterSpec(passband_fraction=1.0), policy)
 
 
 def test_stability_bound_matches_spectral_oracle(rng):

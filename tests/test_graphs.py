@@ -250,6 +250,34 @@ def test_csv_bad_cells_name_their_line_and_column(tmp_path, row, message):
     assert str(err.value) == f"{path}: line 5, {message}"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# node_count=abc\nsrc,dst,weight\n0,1,1.0\n",
+     "line 1: node_count 'abc' is not an integer >= 1"),
+    ("# node_count=1e3\nsrc,dst,weight\n0,1,1.0\n",
+     "line 1: node_count '1e3' is not an integer >= 1"),
+    ("# node_count=0\nsrc,dst,weight\n", "line 1: node_count '0' is not an integer >= 1"),
+    ("src,dst,weight\n0,1,1.0\n2,2,1.0\n", "self-loop at node 2"),
+    ("src,dst,weight\n0,1,1.0\n1,0,0.5\n", "duplicate edge (0, 1)"),
+    ("# node_count=2\nsrc,dst,weight\n0,3,1.0\n",
+     "edge (0, 3) references a node outside 0..1"),
+], ids=["node-count-abc", "node-count-1e3", "node-count-0", "self-loop", "duplicate",
+        "outside-node-count"])
+def test_csv_graph_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        graph_from_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_csv_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_bytes(b"src,dst,weight\n0,1,\xff\n")
+    with pytest.raises(ValueError) as err:
+        graph_from_csv(path)
+    assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode")
+
+
 def test_csv_edge_list_is_parsed_in_one_loadtxt_pass(tmp_path, rng):
     g = random_graph(rng, 30, 60)
     path = tmp_path / "g.csv"

@@ -54,3 +54,13 @@ def test_shape_mismatch_rejected(rng):
     with pytest.raises(ValueError):
         mse_curve([], truth)
 
+
+
+def test_stacked_estimates_reduce_like_the_list_of_traces(rng):
+    truth = rng.standard_normal((30, 7))
+    stack = truth + rng.standard_normal((4, 30, 7))
+    got = mse_curve(stack, truth)
+    assert got.tobytes() == mse_curve(list(stack), truth).tobytes()
+    for shape in ((4, 29, 7), (4, 30, 6), (30, 7), (1, 4, 30, 7)):
+        with pytest.raises(ValueError, match="does not match"):
+            mse_curve(np.zeros(shape), truth)
