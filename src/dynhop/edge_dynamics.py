@@ -9,11 +9,16 @@ step t from the window ending at t - 1, the strictly causal history.
 Two functions compute the same scores for different callers:
 
 - :func:`sliding_abs_correlation` scores the requested pairs over every
-  window of a whole series. Each pair accumulates its window products in
-  offset order, so its score has the same bits whichever other pairs are
-  requested with it, and a call costs O(pairs x window) per window. The
-  online dynamic-multihop rule calls it on the base edges alone when it
-  reads nothing else.
+  window of a whole series. It centres a block of windows at once, gathers
+  the centred values of each pair's endpoints (and of each node with
+  itself, for its sum of squares) in one pass, and adds the products one
+  offset after another, each rounded before it is added. So a pair's score
+  has the same bits whichever other pairs are requested with it. A call
+  costs O((N + pairs) x window) per window, in about 20 numpy calls plus
+  two adds per window offset for each block of windows, however many
+  windows the block holds. The online dynamic-multihop rule scores one
+  window of its base edges alone when it reads nothing else, so it pays
+  that fixed cost once per step.
 - :func:`window_abs_correlation` maps one window to the symmetric (N, N)
   matrix over every pair. It centres the contiguous (w, N) window once and
   sums the products with one ``np.einsum("ki,kj->ij", c, c)``, which adds
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "WindowSpec",
@@ -44,6 +49,11 @@ __all__ = [
     "sliding_abs_correlation",
     "window_abs_correlation",
 ]
+
+# values in one block's (w, windows, N + pairs) product stack of
+# sliding_abs_correlation: bounded so a long series streams through small
+# temporaries instead of page-faulting fresh (w, T, pairs) arrays
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ class NodeSignalSeries:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError(f"values must be 2-D (T, N), got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("series contains non-finite values")
         v = v.copy()
         v.setflags(write=False)
@@ -100,6 +110,25 @@ class NodeSignalSeries:
     @property
     def node_count(self) -> int:
         return self.values.shape[1]
+
+
+def _offset_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum over the leading (window offset) axis, one offset after another.
+
+    An explicit loop, because ``np.add.reduce`` (and so ``.sum(axis=0)``)
+    adds pairwise along whichever axis the memory layout makes the fast one:
+    a fancy-indexed gather (which numpy lays out pair axis first) or a
+    single window of one column would round differently.
+    """
+    total = stack[0] + stack[1]
+    for k in range(2, stack.shape[0]):
+        total += stack[k]
+    return total
+
+
+def _flat(windows: np.ndarray) -> np.ndarray:
+    """Whether each window of a (w, ...) stack is exactly constant."""
+    return np.maximum.reduce(windows, axis=0) == np.minimum.reduce(windows, axis=0)
 
 
 def sliding_abs_correlation(
@@ -123,24 +152,33 @@ def sliding_abs_correlation(
         i, j = index[outside[0]]
         raise ValueError(f"pair ({i}, {j}) references a node outside 0..{n - 1}")
     ii, jj = index[:, 0], index[:, 1]
+    # a node's sum of squares is its product with itself: the n self-pairs
+    # come first, so one gather and one offset loop serve both sums
+    nodes = np.arange(n)
+    left, right = np.concatenate((nodes, ii)), np.concatenate((nodes, jj))
 
-    windows = sliding_window_view(x, w, axis=0)  # (T - w + 1, N, w)
-    centered = windows - windows.mean(axis=2, keepdims=True)
-    sumsq = np.einsum("tnw,tnw->tn", centered, centered)
-    # exact-constant windows have zero spread; their correlation is undefined
-    # and scored 0
-    flat = np.ptp(windows, axis=2) == 0.0
-
-    out = np.empty((t_total, len(index)))
+    out = np.zeros((t_total, len(index)))
     scores = out[w - 1 :]
-    # window products accumulate in offset order
-    np.multiply(centered[:, ii, 0], centered[:, jj, 0], out=scores)
-    for k in range(1, w):
-        scores += centered[:, ii, k] * centered[:, jj, k]
-    ok = ~(flat[:, ii] | flat[:, jj])
-    scores[ok] = np.abs(scores[ok]) / np.sqrt(sumsq[:, ii][ok] * sumsq[:, jj][ok])
-    scores[~ok] = 0.0
-    np.clip(scores, 0.0, 1.0, out=scores)
+    starts = t_total - w + 1
+    # windows per block: the block's product stack stays near _BLOCK values
+    step = max(1, _BLOCK // (w * left.size))
+    for first in range(0, starts, step):
+        rows = x[first : first + step + w - 1]
+        b = rows.shape[0] - w + 1
+        # windows[k, s] is row s + k: offset k of the window starting at s
+        windows = as_strided(rows, (w, b, n), (rows.strides[0],) + rows.strides, writeable=False)
+        centered = windows - _offset_sum(windows) / w
+        products = np.take(centered, left, axis=2)
+        products *= np.take(centered, right, axis=2)
+        sums = _offset_sum(products)
+        sumsq, num = sums[:, :n], sums[:, n:]
+        # exact-constant windows have zero spread; their correlation is
+        # undefined and scored 0
+        flat = _flat(windows)
+        ok = ~(flat[:, ii] | flat[:, jj])
+        block = scores[first : first + b]
+        np.divide(np.abs(num), np.sqrt(sumsq[:, ii] * sumsq[:, jj]), out=block, where=ok)
+        np.minimum(block, 1.0, out=block)
     out[: w - 1] = scores[0]
     return out
 
@@ -152,14 +190,14 @@ def window_abs_correlation(rows: np.ndarray) -> np.ndarray:
     ``sliding_abs_correlation`` for pair (i, j) over the same window; the
     diagonal is 0. ``rows`` must be finite; it is not checked here.
     """
-    centered = rows - rows.mean(axis=0)  # contiguous (w, N)
-    sumsq = np.einsum("ki,ki->i", centered, centered)
-    flat = np.ptp(rows, axis=0) == 0.0
-
-    # einsum adds the window products in offset order, one (N, N) matrix
+    centered = rows - _offset_sum(rows) / rows.shape[0]  # contiguous (w, N)
+    # einsum adds the window products in offset order, one (N, N) matrix;
+    # its diagonal is each node's sum of squares
     products = np.einsum("ki,kj->ij", centered, centered)
-    ok = ~np.logical_or.outer(flat, flat)
+    sumsq = np.diagonal(products)
+    flat = _flat(rows)
+    ok = ~(flat[:, None] | flat)
     np.fill_diagonal(ok, False)
     scores = np.zeros_like(products)
-    np.divide(np.abs(products), np.sqrt(np.multiply.outer(sumsq, sumsq)), out=scores, where=ok)
-    return np.clip(scores, 0.0, 1.0, out=scores)
+    np.divide(np.abs(products), np.sqrt(sumsq[:, None] * sumsq), out=scores, where=ok)
+    return np.minimum(scores, 1.0, out=scores)

@@ -346,15 +346,14 @@ def _row_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.sqrt(squares, out=out)
 
 
-def _bind(cfg: EstimatorConfig, adjacency: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The algorithm's operator bound to one topology: diffusion or its filter."""
-    laplacian = adjacency_laplacian(adjacency)
+def _bind(cfg: EstimatorConfig, laplacian: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The algorithm's operator bound to one Laplacian: diffusion or its filter."""
     if cfg.algorithm in _SPATIAL:
         return diffusion_operator(laplacian, cfg.diffusion_eps)
     return bind_filter(laplacian, cfg.filter)
 
 
-# (adjacency, edge count, latent candidates, latent survivors) of one step
+# (Laplacian, edge count, latent candidates, latent survivors) of one step
 Topology = tuple[np.ndarray, int, int, int]
 
 
@@ -377,16 +376,16 @@ def _topology_rule(
     "weight-magnitude", dynamic-multihop reads only its base-edge weights
     and scores the E base edges alone with ``sliding_abs_correlation``.
     """
-    static = (g.adjacency(), g.edge_count, 0, 0)
+    weights = g.adjacency()
     if cfg.algorithm == "dynamic-multihop":
         base = g.edge_mask()
 
         def multihop(adjacency: np.ndarray, scores: np.ndarray | None) -> Topology:
             topo = expand_prune_merge(base, adjacency, cfg.hops, cfg.prune, scores)
-            return topo.adjacency, g.edge_count + topo.survivors, topo.candidates, topo.survivors
+            return topo.laplacian, g.edge_count + topo.survivors, topo.candidates, topo.survivors
 
         # no usable history: static weights, candidates scored as unsupported
-        fixed = multihop(static[0], np.zeros_like(static[0]))
+        fixed = multihop(weights, np.zeros_like(weights))
         if not cfg.refresh_weights:
             return fixed, None
 
@@ -410,6 +409,7 @@ def _topology_rule(
             return multihop(adjacency, corr)
 
         return fixed, refreshed
+    static = (adjacency_laplacian(weights), g.edge_count, 0, 0)
     if cfg.algorithm not in _SGM:
         return static, None
 
@@ -417,7 +417,8 @@ def _topology_rule(
         corr = window_abs_correlation(rows)
         keep = cfg.prune.survives(corr)
         # keep is symmetric with a false diagonal: two entries per edge
-        return np.where(keep, corr, 0.0), int(np.count_nonzero(keep)) // 2, 0, 0
+        laplacian = adjacency_laplacian(np.where(keep, corr, 0.0))
+        return laplacian, int(np.count_nonzero(keep)) // 2, 0, 0
 
     return static, correlation_thresholded
 
@@ -491,7 +492,7 @@ def run_estimation(
         if cfg.weights_source == "ground-truth":
             return ground_truth.values[t - window : t]
         rows = estimates[r, t - window : t]
-        if not np.all(np.isfinite(rows)):
+        if not np.isfinite(rows).all():
             return None  # diverged history carries no usable statistics
         return rows
 
@@ -514,10 +515,10 @@ def run_estimation(
                 if rows is None:
                     stale.append(r)
                     continue
-                adjacency, edge_counts[r, t], latent_candidates[r, t], latent_survivors[r, t] = (
+                laplacian, edge_counts[r, t], latent_candidates[r, t], latent_survivors[r, t] = (
                     rebuild(rows)
                 )
-                filtered[r] = _bind(cfg, adjacency)(shaped[r])
+                filtered[r] = _bind(cfg, laplacian)(shaped[r])
             if stale:
                 filtered[stale] = fixed_apply(shaped[stale])
         x_hat = np.add(x_hat, mu[:, None] * filtered, out=estimates[:, t])

@@ -202,12 +202,15 @@ def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # np.allclose(m, m.T, rtol=0, atol=1e-10) in one pass: equal entries
-    # (matching infinities included) or finite entries within 1e-10; NaN fails
-    with np.errstate(invalid="ignore"):
-        symmetric = (m == m.T) | (np.abs(m - m.T) <= 1e-10)
-    if not symmetric.all():
-        raise ValueError("matrix is not symmetric")
+    # an exactly symmetric matrix (every Laplacian the estimators bind) passes
+    # on one comparison; any other must pass np.allclose(m, m.T, rtol=0,
+    # atol=1e-10), here in one pass: equal entries (matching infinities
+    # included) or finite entries within 1e-10; NaN fails
+    if not (m == m.T).all():
+        with np.errstate(invalid="ignore"):
+            symmetric = (m == m.T) | (np.abs(m - m.T) <= 1e-10)
+        if not symmetric.all():
+            raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(m)
     return SpectralDecomposition(vals, vecs)
 

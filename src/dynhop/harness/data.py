@@ -55,9 +55,13 @@ def ingest_csv(path: str | Path) -> NodeSignalSeries:
     messages give the 1-based file line on which the offending row starts.
     The data rows are parsed in one ``np.loadtxt`` pass; a file that pass
     refuses is read again row by row, with the same values where both accept.
+    A file that is not UTF-8 raises a ``DataError`` naming it.
     """
-    series = _ingest_loadtxt(path)
-    return _ingest_rows(path) if series is None else series
+    try:
+        series = _ingest_loadtxt(path)
+        return _ingest_rows(path) if series is None else series
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: {err}") from None
 
 
 def _ingest_loadtxt(path: str | Path) -> NodeSignalSeries | None:

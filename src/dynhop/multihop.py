@@ -109,14 +109,16 @@ class LatentTopology:
     """One merged step as dense symmetric (N, N) arrays.
 
     ``adjacency`` holds the original edges at their step weights plus the
-    surviving latent edges at their latent weights. ``hop`` is the
-    provenance by hop order: 1 on an original edge, p on a latent edge first
-    reachable at order p, 0 where there is no edge. ``candidates`` and
-    ``survivors`` count latent pairs before and after pruning.
+    surviving latent edges at their latent weights, and ``laplacian`` is its
+    ``adjacency_laplacian``. ``hop`` is the provenance by hop order: 1 on an
+    original edge, p on a latent edge first reachable at order p, 0 where
+    there is no edge. ``candidates`` and ``survivors`` count latent pairs
+    before and after pruning.
     """
 
     adjacency: np.ndarray
     hop: np.ndarray
+    laplacian: np.ndarray
     candidates: int
     survivors: int
 
@@ -140,21 +142,26 @@ def _expand(
 
     Upper-triangular (N, N) arrays: entry (i, j) of the first holds the
     order p at which the pair first qualifies (0 if it never does), of the
-    second its |power entry| at that order.
+    second its |power entry| at that order. Each hop costs one matrix
+    product and six element-wise passes that write into buffers reused
+    across hops, so no boolean-indexed gather or scatter is made.
     """
     n = normalized_laplacian.shape[0]
     # only upper-triangle pairs that are not original edges can qualify
     free = ~(base | np.tri(n, dtype=bool))
     order = np.zeros((n, n), dtype=int)
     magnitude = np.zeros((n, n))
+    entry = np.empty((n, n))
+    fresh = np.empty((n, n), dtype=bool)
     power = normalized_laplacian
     for p in range(2, hops + 1):
         power = power @ normalized_laplacian
-        entry = np.abs(power)
-        fresh = (entry > EPS_ZERO) & free
-        order[fresh] = p
-        magnitude[fresh] = entry[fresh]
-        free &= ~fresh
+        np.abs(power, out=entry)
+        np.greater(entry, EPS_ZERO, out=fresh)
+        fresh &= free
+        np.copyto(order, p, where=fresh)
+        np.copyto(magnitude, entry, where=fresh)
+        free ^= fresh
     return order, magnitude
 
 
@@ -207,8 +214,9 @@ def expand_prune_merge(
     n = adjacency.shape[0]
     order = np.zeros((n, n), dtype=int)
     magnitude = np.zeros((n, n))
+    laplacian = adjacency_laplacian(adjacency)
     if hops >= 2:
-        normalized = spectral_normalize(adjacency_laplacian(adjacency))
+        normalized = spectral_normalize(laplacian)
         if normalized is not None:
             order, magnitude = _expand(normalized, base, hops)
     rows, cols = np.nonzero(order)
@@ -220,7 +228,12 @@ def expand_prune_merge(
     merged, provenance = _merge(
         adjacency, base, kept_rows, kept_cols, order[kept_rows, kept_cols], latent[keep]
     )
-    return LatentTopology(merged, provenance, candidates=rows.size, survivors=kept_rows.size)
+    if kept_rows.size:
+        laplacian = adjacency_laplacian(merged)
+    # else the merged adjacency is the input, and so is its Laplacian
+    return LatentTopology(
+        merged, provenance, laplacian, candidates=rows.size, survivors=kept_rows.size
+    )
 
 
 # -- tuple views of the array core ------------------------------------------------

@@ -487,6 +487,22 @@ def test_run_with_splits_past_the_series_is_data_error(tmp_path, capsys, test_ra
     assert "Traceback" not in err
 
 
+def test_run_with_series_csv_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--steps", "80"]) == 0
+    series = data / "series.csv"
+    series.write_bytes(series.read_bytes().replace(b"\n", b"\n\xff", 1))
+    cfg = run_config(tmp_path, dataset={
+        "synthetic": None, "graph": "build", "series_csv": str(series),
+        "splits": {"train": [1, 40], "validation": [41, 60], "test": [61, 80]},
+    })
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {series}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count(str(series)) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--nodes", "1"],
     ["synth", "--edges", "100000"],

@@ -1,10 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 
 from dynhop import (
     NodeSignalSeries,
@@ -15,6 +15,7 @@ from dynhop import (
     build_topology_slice,
     sliding_abs_correlation,
 )
+from dynhop import edge_dynamics
 from dynhop.edge_dynamics import window_abs_correlation
 from conftest import random_graph
 
@@ -106,27 +107,39 @@ def test_out_of_range_pair_message_names_the_pair(pair):
 
 
 def ordered_pair_reference(values, spec, pairs):
-    """Per-pair, per-window loop summing the window products in offset order.
+    """Per-window, per-pair loop in Python floats, every sum in offset order.
 
-    Centring, sums of squares and the flat test are the same array
-    expressions the batched pass uses; only the pair products are looped.
+    Each node's window total (for its mean), its sum of squared deviations
+    and each pair's sum of products add one offset after another, each
+    product rounded before it is added; a window whose values are all equal
+    is flat and scores 0. No numpy reduction is involved, so the reference
+    does not depend on how numpy orders a sum for a given memory layout.
     """
     w = spec.window
-    windows = sliding_window_view(values, w, axis=0)
-    centered = windows - windows.mean(axis=2, keepdims=True)
-    sumsq = np.einsum("tnw,tnw->tn", centered, centered)
-    flat = np.ptp(windows, axis=2) == 0.0
-    defined = np.zeros((windows.shape[0], len(pairs)))
-    for k, (i, j) in enumerate(pairs):
-        for s in range(windows.shape[0]):
-            if flat[s, i] or flat[s, j]:
+    starts = values.shape[0] - w + 1
+    defined = np.zeros((starts, len(pairs)))
+    for s in range(starts):
+        centered, sumsq, flat = [], [], []
+        for column in values[s : s + w].T.tolist():
+            total = column[0]
+            for v in column[1:]:
+                total = total + v
+            mean = total / w
+            c = [v - mean for v in column]
+            squares = c[0] * c[0]
+            for v in c[1:]:
+                squares = squares + v * v
+            centered.append(c)
+            sumsq.append(squares)
+            flat.append(max(column) == min(column))
+        for k, (i, j) in enumerate(pairs):
+            if flat[i] or flat[j]:
                 continue
-            num = centered[s, i, 0] * centered[s, j, 0]
+            num = centered[i][0] * centered[j][0]
             for o in range(1, w):
-                num = num + centered[s, i, o] * centered[s, j, o]
-            defined[s, k] = min(abs(num) / math.sqrt(sumsq[s, i] * sumsq[s, j]), 1.0)
-    full = np.vstack([np.repeat(defined[:1], w - 1, axis=0), defined])
-    return full[:: spec.stride]
+                num = num + centered[i][o] * centered[j][o]
+            defined[s, k] = min(abs(num) / math.sqrt(sumsq[i] * sumsq[j]), 1.0)
+    return np.vstack([np.repeat(defined[:1], w - 1, axis=0), defined])
 
 
 def _bit_exact_case(name, rng):
@@ -191,6 +204,34 @@ def test_batched_scores_equal_ordered_per_pair_loop_bit_for_bit(name, rng):
     assert np.array_equal(
         matrix[every[:, 0], every[:, 1]], ordered_pair_reference(last, spec, every)[-1]
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_scores_equal_ordered_pair_reference_on_random_series(data):
+    w = data.draw(st.integers(2, 40), label="window")
+    t_total = w + data.draw(st.integers(0, 12), label="steps past the first window")
+    n = data.draw(st.integers(1, 6), label="nodes")
+    r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = r.standard_normal((t_total, n)) * r.uniform(0.01, 100.0, n) + r.uniform(-50, 50, n)
+    node = st.integers(0, n - 1)
+    for column in data.draw(st.lists(node, max_size=2, unique=True), label="flat columns"):
+        # a constant stretch at least one window long: some windows are flat
+        first = data.draw(st.integers(0, t_total - w))
+        stop = first + data.draw(st.integers(w, t_total - first))
+        values[first:stop, column] = data.draw(st.sampled_from([0.1, -2.5, 0.0, 1e3 / 7]))
+    if n >= 2 and data.draw(st.booleans(), label="affine copy"):
+        values[:, 0] = 1.0 - 3.0 * values[:, 1]
+    pairs = data.draw(st.lists(st.tuples(node, node), max_size=10), label="pairs")
+    if pairs:  # the first pair reversed, repeated and paired with itself
+        i, j = pairs[0]
+        pairs += [(j, i), (i, j), (i, i)]
+    # one window per block, three, or the default block size
+    per_block = data.draw(st.sampled_from([1, 3, None]), label="windows per block")
+    block = edge_dynamics._BLOCK if per_block is None else per_block * w * (n + len(pairs))
+    with mock.patch.object(edge_dynamics, "_BLOCK", block):
+        got = sliding_abs_correlation(NodeSignalSeries(values), WindowSpec(w), pairs)
+    assert np.array_equal(got, ordered_pair_reference(values, WindowSpec(w), pairs))
 
 
 def test_einsum_rounds_each_window_product_before_adding_it():

@@ -25,7 +25,10 @@ from dynhop import (
     stability_bound,
 )
 from dynhop import estimators
-from dynhop.edge_dynamics import NodeSignalSeries, window_abs_correlation
+from dynhop.edge_dynamics import NodeSignalSeries, sliding_abs_correlation, window_abs_correlation
+from dynhop.filters import bind_filter
+from dynhop.graphs import adjacency_laplacian
+from dynhop.multihop import expand_prune_merge
 from conftest import random_graph
 
 RULE = StepSizeRule.adaptive(0.8, 3.5)
@@ -487,6 +490,115 @@ def test_base_edge_rule_scores_only_the_base_edges(rng, monkeypatch):
         for r in range(3):
             corr = window_abs_correlation(trace.estimates[r, t - 5 : t])
             assert np.array_equal(next(rebuilt)[1], np.where(base, corr, 0.0))
+
+
+# -- one step, composed from the public pieces ------------------------------------
+
+def stepwise_reference(stream, g, cfg):
+    """The trace of one (T, N) stream from a per-step loop over the public
+    pieces: NodeSignalSeries -> sliding_abs_correlation or
+    window_abs_correlation -> expand_prune_merge -> adjacency_laplacian ->
+    bind_filter, then the masked update."""
+    obs, mask = stream.observations, stream.mask
+    steps, n = obs.shape
+    w = cfg.window.window
+    base = g.edge_mask()
+
+    def multihop(adjacency, scores):
+        topo = expand_prune_merge(base, adjacency, cfg.hops, cfg.prune, scores)
+        return topo.adjacency, (g.edge_count + topo.survivors, topo.candidates, topo.survivors)
+
+    def topology(rows):
+        if cfg.algorithm != "dynamic-multihop":  # an sgm ordering
+            corr = window_abs_correlation(rows)
+            keep = corr > cfg.prune.threshold
+            return np.where(keep, corr, 0.0), (np.count_nonzero(keep) // 2, 0, 0)
+        if cfg.prune.metric == "correlation":
+            corr = window_abs_correlation(rows)
+            return multihop(np.where(base, corr, 0.0), corr)
+        weights = sliding_abs_correlation(NodeSignalSeries(rows), cfg.window, g.edges)[-1]
+        return multihop(g.with_weights(weights).adjacency(), None)
+
+    if cfg.algorithm == "dynamic-multihop":
+        static, static_counts = multihop(g.adjacency(), np.zeros((n, n)))
+    else:
+        static, static_counts = g.adjacency(), (g.edge_count, 0, 0)
+    static_filter = bind_filter(adjacency_laplacian(static), cfg.filter)
+    estimates = np.zeros((steps, n))
+    norms, mus = np.zeros(steps), np.zeros(steps)
+    counts = np.zeros((3, steps), dtype=int)
+    x = np.zeros(n)
+    for t in range(steps):
+        residual = np.where(mask[t], obs[t] - x, 0.0)
+        norms[t] = np.linalg.norm(residual)
+        mus[t] = adaptive_mu(norms[t], cfg.step)
+        shaped = error_nonlinearity(residual, cfg.algorithm, cfg.p_exponent)
+        rows = estimates[t - w : t]
+        if t >= w and np.all(np.isfinite(rows)):
+            adjacency, counts[:, t] = topology(rows)
+            operator = bind_filter(adjacency_laplacian(adjacency), cfg.filter)
+        else:
+            operator, counts[:, t] = static_filter, static_counts
+        x = x + mus[t] * operator(shaped)
+        estimates[t] = x
+    blown = ~np.all(np.abs(estimates) <= estimators.DIVERGENCE_GUARD, axis=1)
+    diverged = bool(blown.any())
+    return EstimationTrace(estimates, norms, mus, *counts, diverged=diverged,
+                           diverged_at=int(np.argmax(blown)) if diverged else None)
+
+
+@pytest.mark.parametrize("algo, prune, survivors", [
+    ("dynamic-multihop", PruneSpec(0.2), False),  # the presets' rule
+    ("dynamic-multihop", PruneSpec(0.005), True),
+    ("dynamic-multihop", PruneSpec(0.015, "correlation"), True),
+    ("sgm-then-glms", PruneSpec(0.6), False),
+    ("glms-then-sgm", PruneSpec(0.6), False),
+], ids=["weight-magnitude", "weight-magnitude-survivors", "correlation", "sgm-then-glms",
+        "glms-then-sgm"])
+def test_trace_equals_the_step_composed_from_public_pieces(algo, prune, survivors, rng):
+    g = random_graph(rng, 26, 40)
+    truth = rng.standard_normal((60, 26))
+    noisy = truth + 0.3 * rng.standard_normal(truth.shape)
+    stream = ObservationStream(noisy, rng.random(truth.shape) < 0.7)
+    cfg = EstimatorConfig(algo, filter=FilterSpec(passband_fraction=0.4), step=RULE, hops=6,
+                          prune=prune, window=WindowSpec(10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the 0.2 prune keeps no latent edge
+        trace = run_estimation(stream, g, cfg)
+    expected = stepwise_reference(stream, g, cfg)
+    for field in dataclasses.fields(EstimationTrace):
+        got, want = getattr(trace, field.name), getattr(expected, field.name)
+        assert np.array_equal(got, want), field.name
+    assert trace.latent_survivors[10:].any() == survivors
+    if algo == "dynamic-multihop":
+        assert trace.latent_candidates[10:].all()
+
+
+def test_each_rebinding_step_scores_and_diagonalizes_once(rng, monkeypatch):
+    # the benchmark's per-layer trace wraps these names where the pipeline
+    # looks them up: the presets' dynamic-multihop rule calls each once per
+    # re-binding step, after the static binding
+    from dynhop import filters, graphs
+
+    calls = []
+
+    def counted(module, name, tag):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, **kwargs: calls.append(tag) or original(*args, **kwargs))
+
+    counted(estimators, "sliding_abs_correlation", "score")
+    for module in (graphs, filters, estimators):
+        counted(module, "eigendecompose", "eigh")
+    g = random_graph(rng, 12, 14)
+    rows = rng.standard_normal((18, 12))
+    stream = ObservationStream(rows, rng.random(rows.shape) < 0.7)
+    cfg = EstimatorConfig("dynamic-multihop", step=StepSizeRule.fixed(0.5), hops=3,
+                          prune=PruneSpec(0.2), window=WindowSpec(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the 0.2 prune may keep no latent edge
+        run_estimation(stream, g, cfg)
+    assert calls == ["eigh"] + ["score", "eigh"] * (18 - 5)
 
 
 def test_prune_that_keeps_nothing_warns(rng):

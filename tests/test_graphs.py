@@ -117,6 +117,11 @@ def test_eigendecompose_triangle_complete_spectrum():
     assert np.allclose(d.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
 
 
+def allclose_to_transpose(m):
+    """The accepted set of eigendecompose's symmetry check."""
+    return np.allclose(m, m.T, rtol=0, atol=1e-10)
+
+
 def test_eigendecompose_symmetry_tolerance_is_absolute_1e_10():
     m = np.array([[2.0, 0.0], [0.0, 3.0]])  # off-diagonal differences stay exact
     eigendecompose(m + np.array([[0.0, 1e-10], [0.0, 0.0]]))
@@ -124,13 +129,34 @@ def test_eigendecompose_symmetry_tolerance_is_absolute_1e_10():
         eigendecompose(m + np.array([[0.0, 2e-10], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="not symmetric"):
         eigendecompose(np.array([[2.0, np.nan], [np.nan, 3.0]]))
+    # an exactly symmetric matrix takes one comparison, any other the
+    # tolerance test; both accept what np.allclose accepts
+    lap = np.array([[1.0, -0.25, -0.75], [-0.25, 0.5, -0.25], [-0.75, -0.25, 1.0]])
+    cases = [(lap, True)]
+    for delta, accepted in ((1e-11, True), (1e-9, False)):
+        skewed = lap.copy()
+        skewed[0, 2] += delta
+        cases.append((skewed, accepted))
+    nan = lap.copy()
+    nan[0, 2] = nan[2, 0] = np.nan
+    cases.append((nan, False))
+    for m, accepted in cases:
+        assert allclose_to_transpose(m) is accepted
+        if accepted:
+            eigendecompose(m)
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                eigendecompose(m)
 
 
 @pytest.mark.parametrize("m", [
     [[np.inf, -np.inf], [-np.inf, 1.0]],
     [[0.0, np.inf], [np.inf, 0.0]],
+    # matching +inf and -inf next to a 1e-11 asymmetry: the tolerance test
+    [[0.0, np.inf, -np.inf], [np.inf, 0.0, 1.0], [-np.inf, 1.0 + 1e-11, 0.0]],
 ])
 def test_eigendecompose_symmetry_check_accepts_matching_infinities(m):
+    assert allclose_to_transpose(np.array(m))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the check itself warns about nothing
         try:
@@ -144,6 +170,7 @@ def test_eigendecompose_symmetry_check_accepts_matching_infinities(m):
     [[0.0, np.inf], [-np.inf, 0.0]],
 ])
 def test_eigendecompose_rejects_unmatched_infinities(m):
+    assert not allclose_to_transpose(np.array(m))
     with pytest.raises(ValueError, match="not symmetric"):
         eigendecompose(np.array(m))
 

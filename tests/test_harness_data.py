@@ -107,6 +107,17 @@ def test_ingest_drops_utf8_byte_order_mark(tmp_path):
     assert np.array_equal(series.values, plain.values)
 
 
+@pytest.mark.parametrize("text", [b"a,b\n1.0,\xff\n", b"\xffa,b\n1.0,2.0\n"],
+                         ids=["data-row", "header"])
+def test_ingest_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, text):
+    path = tmp_path / "series.csv"
+    path.write_bytes(text)
+    with pytest.raises(DataError) as err:
+        ingest_csv(path)
+    assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+    assert str(err.value).count(str(path)) == 1
+
+
 def test_series_csv_round_trips_non_ascii_labels_as_utf8(tmp_path, rng):
     labels = ("café", "日経", "b")
     series = NodeSignalSeries(rng.standard_normal((4, 3)), labels=labels)

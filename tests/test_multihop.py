@@ -15,6 +15,7 @@ from dynhop import (
     spectral_normalize,
 )
 from dynhop.edge_dynamics import NodeSignalSeries, WindowSpec, sliding_abs_correlation
+from dynhop.graphs import adjacency_laplacian
 from dynhop.multihop import EPS_ZERO, expand_prune_merge
 from conftest import random_graph
 
@@ -74,6 +75,47 @@ def test_candidates_match_walk_oracle_unweighted(rng):
         got = hop_expand(normalized(g), g, 6)
         expected = walk_candidate_oracle(g, 6)
         assert [list(c.pairs) for c in got] == expected
+
+
+def expand_loop_reference(normalized_laplacian, base, hops):
+    """Hop order and power magnitude of every candidate, with fresh boolean
+    masks and boolean-index writes at every hop order."""
+    n = normalized_laplacian.shape[0]
+    free = ~(base | np.tri(n, dtype=bool))
+    order = np.zeros((n, n), dtype=int)
+    magnitude = np.zeros((n, n))
+    power = normalized_laplacian
+    for p in range(2, hops + 1):
+        power = power @ normalized_laplacian
+        entry = np.abs(power)
+        fresh = (entry > EPS_ZERO) & free
+        order[fresh] = p
+        magnitude[fresh] = entry[fresh]
+        free &= ~fresh
+    return order, magnitude
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), hops=st.integers(1, 7),
+       connected=st.booleans(), zero_weights=st.booleans())
+def test_hop_expand_matches_the_boolean_index_loop(seed, n, hops, connected, zero_weights):
+    # N=1 and N=2 graphs, disconnected ones (connected=False draws few
+    # edges) and zero-weight edges, which stay in the base edge set
+    r = np.random.default_rng(seed)
+    g = random_graph(r, n, connected=connected)
+    if zero_weights:
+        g = g.with_weights(np.where(r.random(g.edge_count) < 0.3, 0.0, g.weights))
+    lap = build_laplacian(g)
+    operator = spectral_normalize(lap)
+    if operator is None:  # no weighted edge: the zero operator
+        operator = lap
+    order, magnitude = expand_loop_reference(operator, g.edge_mask(), hops)
+    sets = hop_expand(operator, g, hops)
+    assert [c.hop for c in sets] == list(range(2, hops + 1))
+    for cand in sets:
+        rows, cols = np.nonzero(order == cand.hop)
+        assert cand.pairs == tuple(zip(rows.tolist(), cols.tolist()))
+        assert cand.scores == tuple(magnitude[rows, cols].tolist())
 
 
 def test_hop_expand_requires_positive_hops():
@@ -238,6 +280,8 @@ def test_array_core_matches_slice_view_and_loop_reference(
 
         merged, edge_count = tuple_chain_reference(g, weights, hops, spec, score_matrix)
         assert np.array_equal(topo.adjacency, merged)
+        # the Laplacian of the merged step, with or without survivors
+        assert np.array_equal(topo.laplacian, adjacency_laplacian(topo.adjacency))
         assert view.graph.edge_count == edge_count
         if hops == 1 or zero_weights:
             assert topo.candidates == topo.survivors == 0
