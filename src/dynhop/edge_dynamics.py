@@ -146,7 +146,15 @@ def sliding_abs_correlation(
     w = spec.window
     if t_total < w:
         raise ValueError(f"series has {t_total} steps, window needs {w}")
-    index = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    index = np.asarray(pairs)
+    if index.dtype.kind != "i":
+        # unsigned and bool indices become int (bools read as 0/1, as in
+        # StaticGraph); any other index is an error, not truncated
+        bad = [p for p in index.reshape(-1, 2).tolist() if not all(isinstance(v, int) for v in p)]
+        if bad:
+            raise ValueError(f"pair {tuple(bad[0])!r} has a non-integer node index")
+        index = index.astype(int)
+    index = index.reshape(-1, 2)
     if index.size and (index.min() < 0 or index.max() >= n):
         outside = np.flatnonzero(np.any((index < 0) | (index >= n), axis=1))
         i, j = index[outside[0]]
@@ -190,6 +198,8 @@ def window_abs_correlation(rows: np.ndarray) -> np.ndarray:
     ``sliding_abs_correlation`` for pair (i, j) over the same window; the
     diagonal is 0. ``rows`` must be finite; it is not checked here.
     """
+    if rows.ndim != 2 or rows.shape[0] < 2:
+        raise ValueError(f"need a (w, N) window of at least 2 rows, got shape {rows.shape}")
     centered = rows - _offset_sum(rows) / rows.shape[0]  # contiguous (w, N)
     # einsum adds the window products in offset order, one (N, N) matrix;
     # its diagonal is each node's sum of squares

@@ -2,7 +2,8 @@
 
 Subcommands: ``synth`` emits a synthetic dataset, ``build-graph`` derives a
 static graph from a series, ``run`` executes a configured experiment,
-``report`` merges written reports into a summary JSON.
+``report`` merges written reports into a summary JSON. A flag left out
+passes nothing, so the spec's own default applies.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 every single
 run of every algorithm diverged.
@@ -11,25 +12,22 @@ run of every algorithm diverged.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from ..edge_dynamics import NodeSignalSeries
-from ..estimators import LABEL
 from ..graphs import graph_to_csv
 from .config import ConfigError, deep_merge, load_config, resolve_config
 from .data import DataError, GraphBuildSpec, build_initial_graph, ingest_csv, series_to_csv
-from .experiment import brain_preset, run_experiment, stock_preset, write_reports
+from .experiment import PRESETS, read_reports, run_experiment, write_reports
 from .synthetic import SyntheticSpec, make_synthetic_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_ALL_DIVERGED = 4
-
-PRESETS = {"brain": brain_preset, "stock": stock_preset}
 
 
 def _positive_int(text: str) -> int:
@@ -42,17 +40,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _given(args: argparse.Namespace, spec_class) -> dict:
+    """The flags given for ``spec_class`` fields, keyed by field name."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(spec_class)}
+    return {name: value for name, value in given.items() if value is not None}
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
+    kwargs = _given(args, SyntheticSpec)
+    # a bare --switch-times spaces the regimes evenly, as leaving it out does
+    if kwargs.get("switch_times") == []:
+        del kwargs["switch_times"]
     try:
-        spec = SyntheticSpec(
-            nodes=args.nodes,
-            edges=args.edges,
-            steps=args.steps,
-            regimes=args.regimes,
-            switch_times=tuple(args.switch_times) if args.switch_times else None,
-            bandlimit=args.bandlimit,
-            seed=args.seed,
-        )
+        spec = SyntheticSpec(**kwargs)
     except ValueError as err:
         raise ConfigError(f"synth: {err}") from None
     graph, series = make_synthetic_dataset(spec)
@@ -71,7 +71,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
             raise ConfigError(f"--train-end must lie in 2..{series.steps}")
         series = NodeSignalSeries(series.values[: args.train_end], labels=series.labels)
     try:
-        spec = GraphBuildSpec(top_k=args.top_k, abs_corr_threshold=args.threshold)
+        spec = GraphBuildSpec(**_given(args, GraphBuildSpec))
     except ValueError as err:
         raise ConfigError(f"build-graph: {err}") from None
     graph = build_initial_graph(series, spec)
@@ -104,11 +104,9 @@ def _override_algorithm(entry: dict, args: argparse.Namespace) -> dict:
     kind = step.get("kind", "fixed")
     if kind == "fixed" and args.mu is not None:
         step = {"kind": "fixed", "mu": args.mu}
-    if kind == "residual-adaptive" and (args.mu_min is not None or args.mu_max is not None):
-        if args.mu_min is not None:
-            step["mu_min"] = args.mu_min
-        if args.mu_max is not None:
-            step["mu_max"] = args.mu_max
+    if kind == "residual-adaptive":
+        bounds = {"mu_min": args.mu_min, "mu_max": args.mu_max}
+        step.update({key: mu for key, mu in bounds.items() if mu is not None})
     if step:
         entry["step"] = step
     return entry
@@ -171,52 +169,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_curve(path: Path) -> list[float]:
-    """Value column of a written ``t,<value>`` curve CSV."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    try:
-        return [float(row[1]) for row in rows]
-    except (IndexError, ValueError) as err:
-        raise DataError(f"{path}: malformed curve row: {err}") from None
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    out = Path(args.out_dir)
-    manifest_path = out / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"{manifest_path} not found; run an experiment first")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as err:
-        raise DataError(f"{manifest_path} is not valid JSON: {err}") from None
-    if not isinstance(manifest, dict):
-        raise DataError(f"{manifest_path}: top level must be a JSON object")
-    summary: dict = {"version": manifest.get("version"), "algorithms": {}}
+    manifest, curves = read_reports(args.out_dir)
     window = args.final_window
-    results = manifest.get("results", {})
-    if not (isinstance(results, dict) and all(isinstance(c, dict) for c in results.values())):
-        raise DataError(f"{manifest_path}: results must map each label to a JSON object")
-    for label, counts in sorted(results.items()):
-        if not LABEL.fullmatch(label):
-            raise DataError(f"{manifest_path}: label {label!r} must match {LABEL.pattern}")
-        entry = dict(counts)
-        mse_path = out / f"{label}_mse.csv"
-        if mse_path.exists():
-            mse = _read_curve(mse_path)
+    summary: dict = {"version": manifest.get("version"), "algorithms": {}, "final_window": window}
+    for label, found in curves.items():
+        entry = dict(manifest["results"][label])
+        if "mse" in found:
+            mse = found["mse"]
             tail = mse[-window:]
             entry["mean_mse"] = sum(mse) / len(mse)
             entry["final_window_mean_mse"] = sum(tail) / len(tail)
-        deg_path = out / f"{label}_degree.csv"
-        if deg_path.exists():
-            deg = _read_curve(deg_path)
+        if "degree" in found:
+            deg = found["degree"]
             entry["mean_degree"] = sum(deg) / len(deg)
             entry["distinct_degree_values"] = len(set(deg))
         summary["algorithms"][label] = entry
-    summary["final_window"] = window
-    out_path = out / "summary.json"
+    out_path = Path(args.out_dir) / "summary.json"
     out_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -231,20 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="emit a synthetic dataset CSV and graph CSV")
     synth.add_argument("--out-dir", required=True)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--nodes", type=int, default=24)
-    synth.add_argument("--edges", type=int, default=38)
-    synth.add_argument("--steps", type=int, default=200)
-    synth.add_argument("--regimes", type=int, default=2)
-    synth.add_argument("--switch-times", type=int, nargs="*", default=None)
-    synth.add_argument("--bandlimit", type=float, default=0.4)
+    for flag in ("--seed", "--nodes", "--edges", "--steps", "--regimes"):
+        synth.add_argument(flag, type=int)
+    synth.add_argument("--switch-times", type=int, nargs="*")
+    synth.add_argument("--bandlimit", type=float)
     synth.set_defaults(func=_cmd_synth)
 
     build = sub.add_parser("build-graph", help="derive a static graph from a series CSV")
     build.add_argument("series_csv")
     build.add_argument("--out", required=True)
-    build.add_argument("--top-k", type=int, default=3)
-    build.add_argument("--threshold", type=float, default=0.95)
+    build.add_argument("--top-k", type=int)
+    build.add_argument("--threshold", type=float, dest="abs_corr_threshold", metavar="THRESHOLD")
     build.add_argument("--train-end", type=int, default=None,
                        help="use only the first N rows (1-based inclusive)")
     build.set_defaults(func=_cmd_build_graph)

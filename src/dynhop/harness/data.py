@@ -7,7 +7,6 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -76,52 +75,40 @@ def _ingest_loadtxt(path: str | Path) -> NodeSignalSeries | None:
 
 
 def _ingest_rows(path: str | Path) -> NodeSignalSeries:
-    """The series read row by row with ``csv`` and ``float``; raises the
-    error of the first empty, ragged or bad row."""
-    rows: list[tuple[int, list[str]]] = []
+    """The series read row by row with ``csv`` and ``float``, in file order;
+    raises the error of the first empty, ragged or bad row."""
+    header: list[str] = []
+    values: list[float] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         line = 1
         for row in reader:
-            if row:
-                rows.append((line, row))
+            if row and not header:
+                header = [cell.strip() for cell in row]
+            elif row:
+                if len(row) != len(header):
+                    raise RaggedRowError(
+                        f"{path}: line {line} has {len(row)} cells, expected {len(header)}"
+                    )
+                values.extend(_cell_value(path, line, name, cell) for name, cell in zip(header, row))
             line = reader.line_num + 1  # a quoted cell may span lines
-    if not rows:
+    if not header:
         raise EmptyCsvError(f"{path}: file is empty")
-    header = [cell.strip() for cell in rows[0][1]]
-    data = rows[1:]
-    if not data:
+    if not values:
         raise EmptyCsvError(f"{path}: header only, no data rows")
-    n = len(header)
+    return NodeSignalSeries(np.array(values).reshape(-1, len(header)), labels=tuple(header))
+
+
+def _cell_value(path: str | Path, line: int, column: str, cell: str) -> float:
     try:
-        if any(len(row) != n for _, row in data):
-            raise ValueError
-        cells = chain.from_iterable(row for _, row in data)
-        values = np.fromiter(map(float, cells), dtype=float, count=len(data) * n)
-        if not np.isfinite(values).all():
-            raise ValueError
+        value = float(cell)
     except ValueError:
-        _raise_first_bad_row(path, header, data)
-    return NodeSignalSeries(values.reshape(len(data), n), labels=tuple(header))
-
-
-def _raise_first_bad_row(path, header: list[str], data: list[tuple[int, list[str]]]) -> None:
-    """Raise the error of the first ragged row or bad cell, in file order."""
-    n = len(header)
-    for line, row in data:
-        if len(row) != n:
-            raise RaggedRowError(f"{path}: line {line} has {len(row)} cells, expected {n}")
-        for c, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise NonNumericCellError(
-                    f"{path}: line {line}, column {header[c]!r}: {cell!r} is not numeric"
-                ) from None
-            if not math.isfinite(v):
-                raise NonNumericCellError(
-                    f"{path}: line {line}, column {header[c]!r}: {cell!r} is not finite"
-                )
+        raise NonNumericCellError(
+            f"{path}: line {line}, column {column!r}: {cell!r} is not numeric"
+        ) from None
+    if not math.isfinite(value):
+        raise NonNumericCellError(f"{path}: line {line}, column {column!r}: {cell!r} is not finite")
+    return value
 
 
 def series_to_csv(series: NodeSignalSeries, path: str | Path) -> None:

@@ -12,7 +12,8 @@ import numpy as np
 
 from .. import __version__
 from ..edge_dynamics import NodeSignalSeries
-from ..estimators import EstimatorConfig, ObservationStream, run_estimation
+from ..estimators import (_SGM, ALGORITHMS, LABEL, EstimatorConfig, ObservationStream,
+                          run_estimation)
 from ..graphs import StaticGraph, graph_from_csv
 from .data import (
     DataError,
@@ -30,8 +31,10 @@ __all__ = [
     "DatasetSpec",
     "run_experiment",
     "write_reports",
+    "read_reports",
     "brain_preset",
     "stock_preset",
+    "PRESETS",
 ]
 
 
@@ -145,12 +148,30 @@ def run_experiment(
     return MetricsReport(times=times, algorithms=tuple(results))
 
 
+# the report layout: per label one ``t,<column>`` CSV per curve, named
+# ``<label>_<curve>.csv``, plus the manifest
+_CURVES = {"mse": "mse", "degree": "avg_degree"}
+_MANIFEST = "manifest.json"
+
+
 def _write_curve(path: Path, times: np.ndarray, column: str, values: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", column])
         for t, v in zip(times, values):
             writer.writerow([int(t), repr(float(v))])
+
+
+def _read_curve(path: Path) -> list[float]:
+    """Value column of a written ``t,<value>`` curve CSV."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    try:
+        return [float(row[1]) for row in rows]
+    except (IndexError, ValueError) as err:
+        raise DataError(f"{path}: malformed curve row: {err}") from None
 
 
 def write_reports(report: MetricsReport, out_dir: str | Path, config: dict | None = None) -> list[Path]:
@@ -164,12 +185,10 @@ def write_reports(report: MetricsReport, out_dir: str | Path, config: dict | Non
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for algo in report.algorithms:
-        mse_path = out / f"{algo.label}_mse.csv"
-        _write_curve(mse_path, report.times, "mse", algo.mse)
-        written.append(mse_path)
-        deg_path = out / f"{algo.label}_degree.csv"
-        _write_curve(deg_path, report.times, "avg_degree", algo.avg_degree)
-        written.append(deg_path)
+        for curve, values in (("mse", algo.mse), ("degree", algo.avg_degree)):
+            path = out / f"{algo.label}_{curve}.csv"
+            _write_curve(path, report.times, _CURVES[curve], values)
+            written.append(path)
     manifest = {
         "version": __version__,
         "config": config,
@@ -178,20 +197,44 @@ def write_reports(report: MetricsReport, out_dir: str | Path, config: dict | Non
             for algo in report.algorithms
         },
     }
-    manifest_path = out / "manifest.json"
+    manifest_path = out / _MANIFEST
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     written.append(manifest_path)
     return written
 
 
-def brain_preset() -> dict:
-    """Config template for the brain-network protocol.
+def read_reports(out_dir: str | Path) -> tuple[dict, dict[str, dict[str, list[float]]]]:
+    """The manifest that :func:`write_reports` left in ``out_dir`` and, per
+    result label in sorted order, the values of each curve CSV found, keyed
+    "mse" / "degree". Raises ``DataError`` on a malformed file or a label
+    that would name a file outside ``out_dir``."""
+    out = Path(out_dir)
+    manifest_path = out / _MANIFEST
+    if not manifest_path.exists():
+        raise DataError(f"{manifest_path} not found; run an experiment first")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as err:
+        raise DataError(f"{manifest_path} is not valid JSON: {err}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: top level must be a JSON object")
+    results = manifest.get("results", {})
+    if not (isinstance(results, dict) and all(isinstance(c, dict) for c in results.values())):
+        raise DataError(f"{manifest_path}: results must map each label to a JSON object")
+    curves: dict[str, dict[str, list[float]]] = {}
+    for label in sorted(results):
+        if not LABEL.fullmatch(label):
+            raise DataError(f"{manifest_path}: label {label!r} must match {LABEL.pattern}")
+        paths = {curve: out / f"{label}_{curve}.csv" for curve in _CURVES}
+        curves[label] = {c: _read_curve(p) for c, p in paths.items() if p.exists()}
+    return manifest, curves
 
-    111-node series, splits [1,40]/[41,60]/[61,end], per-node training-mean
-    normalization, top-3 / 0.95 graph build, window 10, 6 hops, ideal
-    low-pass at 0.4 of the spectrum, adaptive steps (0.8, 3.5) for the
-    dynamic algorithm and fixed 0.9 for the baselines, 100 runs. SNR is
-    meant to be swept over {3, 5, 10}; the missing fraction defaults to 0.3.
+
+def brain_preset() -> dict:
+    """Config template for the brain-network protocol on a 111-node series.
+
+    The dynamic algorithm takes adaptive steps, every other one of
+    ``ALGORITHMS`` a fixed step. SNR is meant to be swept over {3, 5, 10}.
     Fill in dataset.series_csv before running.
     """
     filt = {"kind": "ideal-band-limited", "passband_fraction": 0.4}
@@ -208,9 +251,9 @@ def brain_preset() -> dict:
             "window": window,
         }
     ]
-    for name in ("glms", "gdlms", "glmp", "gsign", "gsd", "sgm-then-glms", "glms-then-sgm"):
+    for name in [a for a in ALGORITHMS if a != "dynamic-multihop"]:
         entry = {"algorithm": name, "filter": filt, "step": dict(fixed), "window": window}
-        if name in ("sgm-then-glms", "glms-then-sgm"):
+        if name in _SGM:
             entry["prune"] = {"threshold": 0.8, "metric": "weight-magnitude"}
         algos.append(entry)
     return {
@@ -227,18 +270,16 @@ def brain_preset() -> dict:
 
 
 def stock_preset() -> dict:
-    """Config template for the stock-index protocol.
-
-    26-node series over 1238 steps, splits [1,200]/[201,400]/[401,end],
-    SNR 3 with 30% missing observations, fixed step 0.4 for baselines and
-    adaptive (0.2, 0.6) for the dynamic algorithm.
-    """
+    """Config template for the stock-index protocol on a 26-node series over
+    1238 steps: the brain protocol with its own splits and step sizes."""
     cfg = brain_preset()
     cfg["dataset"]["splits"] = {"train": [1, 200], "validation": [201, 400], "test": [401, None]}
-    cfg["noise"] = {"snr": 3.0, "missing_fraction": 0.3, "seed": 0, "runs": 100}
     for algo in cfg["algorithms"]:
         if algo["step"]["kind"] == "fixed":
             algo["step"]["mu"] = 0.4
         else:
             algo["step"] = {"kind": "residual-adaptive", "mu_min": 0.2, "mu_max": 0.6}
     return cfg
+
+
+PRESETS = {"brain": brain_preset, "stock": stock_preset}

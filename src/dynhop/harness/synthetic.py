@@ -29,18 +29,24 @@ __all__ = [
 ]
 
 
+CLUSTERS = 4  # per regime
+COUPLING, BACKGROUND = 3.0, 0.3  # generating edge strengths inside / across clusters
+MEMBER_NOISE = 0.15  # per-node deviation around the cluster driver
+TEMPORAL_SMOOTHING = 0.9  # AR(1) coefficient of drivers and deviations over time
+OFFSET = 10.0  # level added to every value
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Knobs for the regime-switching generator.
 
     ``switch_times`` lists the 1-based steps at which each new regime
     begins (length regimes - 1); None spaces the regimes evenly.
-    ``coupling``/``background`` are the generating edge strengths inside and
-    across clusters; ``member_noise`` is the per-node deviation around the
-    cluster driver; ``temporal_smoothing`` is the AR(1) coefficient of
-    drivers and deviations over time; ``drift`` adds a random-walk component
-    to each driver, making the series non-stationary the way slow real-world
-    signals are.
+    ``bandlimit`` is the fraction of the spectrum that carries the signal;
+    ``drift`` adds a random-walk component to each cluster driver, making
+    the series non-stationary the way slow real-world signals are. Every
+    regime has ``CLUSTERS`` clusters, so a spec needs at least that many
+    nodes.
     """
 
     nodes: int = 24
@@ -49,19 +55,13 @@ class SyntheticSpec:
     regimes: int = 2
     switch_times: tuple[int, ...] | None = None
     bandlimit: float = 0.4
-    clusters: int = 4
-    coupling: float = 3.0
-    background: float = 0.3
-    temporal_smoothing: float = 0.9
-    member_noise: float = 0.15
     drift: float = 0.1
-    offset: float = 10.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         n, e = self.nodes, self.edges
-        if n < 2:
-            raise ValueError("need at least 2 nodes")
+        if n < CLUSTERS:
+            raise ValueError(f"need at least {CLUSTERS} nodes, one per cluster")
         if e < n - 1 or e > n * (n - 1) // 2:
             raise ValueError(
                 f"edge count {e} infeasible for {n} nodes (need {n - 1}..{n * (n - 1) // 2})"
@@ -77,10 +77,6 @@ class SyntheticSpec:
             )
         if not 0.0 < self.bandlimit <= 1.0:
             raise ValueError("bandlimit must lie in (0, 1]")
-        if not 1 <= self.clusters <= n:
-            raise ValueError("clusters must lie in 1..nodes")
-        if not 0.0 <= self.temporal_smoothing < 1.0:
-            raise ValueError("temporal_smoothing must lie in [0, 1)")
         if self.switch_times is not None:
             st = tuple(int(t) for t in self.switch_times)
             if len(st) != self.regimes - 1:
@@ -149,7 +145,7 @@ def _structure(
         neighbors[j].append(i)
     partitions = []
     for _ in range(spec.regimes):
-        seeds = rng.choice(spec.nodes, size=spec.clusters, replace=False)
+        seeds = rng.choice(spec.nodes, size=CLUSTERS, replace=False)
         partitions.append(_grow_partition(rng, neighbors, seeds))
     return edges, partitions
 
@@ -178,21 +174,19 @@ def _regime_signal(
     inside the band, so the projection barely disturbs the field while
     making the output exactly band-limited on the regime topology.
     """
-    weights = [
-        spec.coupling if assign[i] == assign[j] else spec.background for i, j in edges
-    ]
+    weights = [COUPLING if assign[i] == assign[j] else BACKGROUND for i, j in edges]
     lap = build_laplacian(StaticGraph(spec.nodes, edges, weights))
     lam, u = np.linalg.eigh(lap)
     lam_max = float(lam[-1])
     band = u[:, lam <= spec.bandlimit * lam_max]
     projector = band @ band.T
-    drivers = _ar1(rng, length, spec.clusters, spec.temporal_smoothing)
+    drivers = _ar1(rng, length, CLUSTERS, TEMPORAL_SMOOTHING)
     if spec.drift > 0:
         drivers = drivers + spec.drift * np.cumsum(
-            rng.standard_normal((length, spec.clusters)), axis=0
+            rng.standard_normal((length, CLUSTERS)), axis=0
         )
-    local = _ar1(rng, length, spec.nodes, spec.temporal_smoothing)
-    raw = drivers[:, assign] + spec.member_noise * local
+    local = _ar1(rng, length, spec.nodes, TEMPORAL_SMOOTHING)
+    raw = drivers[:, assign] + MEMBER_NOISE * local
     return raw @ projector  # projector is symmetric
 
 
@@ -210,7 +204,7 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[StaticGraph, NodeSignal
         _regime_signal(rng, spec, edges, partitions[r], b - a)
         for r, (a, b) in enumerate(segments)
     ]
-    values = np.concatenate(parts, axis=0) + spec.offset
+    values = np.concatenate(parts, axis=0) + OFFSET
 
     first_len = segments[0][1] - segments[0][0]
     if first_len >= 2:

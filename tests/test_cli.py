@@ -48,16 +48,20 @@ def test_unknown_top_level_key_rejected(tmp_path):
         resolve_config(load_config(cfg["path"]))
 
 
-def test_unknown_nested_key_rejected(tmp_path):
+def test_unknown_nested_key_rejected(tmp_path, capsys):
     cfg = run_config(tmp_path, noise={"turbo": True})
     with pytest.raises(ConfigError, match="turbo"):
         resolve_config(load_config(cfg["path"]))
+    # the generator's cluster count is a constant, not a config key
+    cfg = run_config(tmp_path, dataset={"synthetic": {"clusters": 3}})
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "unknown key(s) ['clusters'] in dataset.synthetic" in capsys.readouterr().err
 
 
 def test_synthetic_keys_are_the_spec_fields(tmp_path):
-    raw = run_config(tmp_path, dataset={"synthetic": {"member_noise": 0.05, "drift": 0.0}})["raw"]
+    raw = run_config(tmp_path, dataset={"synthetic": {"bandlimit": 0.5, "drift": 0.0}})["raw"]
     synthetic = resolve_config(raw).dataset.synthetic
-    assert (synthetic.member_noise, synthetic.drift) == (0.05, 0.0)
+    assert (synthetic.bandlimit, synthetic.drift) == (0.5, 0.0)
     raw["dataset"]["synthetic"]["mode_decay"] = 0.5
     with pytest.raises(ConfigError, match=r"unknown key\(s\) \['mode_decay'\] in dataset\.synthetic"):
         resolve_config(raw)
@@ -304,6 +308,32 @@ def test_synth_writes_dataset(tmp_path, capsys):
     series = ingest_csv(out / "series.csv")
     assert series.steps == 50 and series.node_count == 24
     assert graph_from_csv(out / "graph.csv").edge_count == 38
+
+
+def test_synth_without_flags_writes_the_default_spec(tmp_path):
+    from dynhop import graph_to_csv
+    from dynhop.harness import make_synthetic_dataset, series_to_csv
+
+    out = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(out)]) == 0
+    graph, series = make_synthetic_dataset(SyntheticSpec())
+    series_to_csv(series, tmp_path / "series.csv")
+    graph_to_csv(graph, tmp_path / "graph.csv")
+    for name in ("series.csv", "graph.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_build_graph_without_flags_uses_the_default_spec(tmp_path):
+    from dynhop import graph_to_csv
+    from dynhop.harness import build_initial_graph, ingest_csv
+
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--steps", "60"]) == 0
+    out = tmp_path / "g.csv"
+    assert main(["build-graph", str(data / "series.csv"), "--out", str(out)]) == 0
+    expected = tmp_path / "expected.csv"
+    graph_to_csv(build_initial_graph(ingest_csv(data / "series.csv"), GraphBuildSpec()), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_build_graph_roundtrip(tmp_path):

@@ -106,6 +106,29 @@ def test_out_of_range_pair_message_names_the_pair(pair):
         sliding_abs_correlation(series, WindowSpec(5), [(0, 1), pair, (1, 0)])
 
 
+@pytest.mark.parametrize("pair", [(0.0, 1.5), (0.0, 1.0), ("0", 1)])
+def test_non_integer_pair_message_names_the_pair(pair):
+    series = NodeSignalSeries(np.arange(18.0).reshape(9, 2))
+    with pytest.raises(ValueError, match=r"pair \(.*\) has a non-integer node index"):
+        sliding_abs_correlation(series, WindowSpec(5), [(0, 1), pair, (1, 0)])
+
+
+def test_bool_self_reversed_and_repeated_pairs_accepted():
+    series = NodeSignalSeries(np.random.default_rng(0).standard_normal((9, 3)))
+    spec = WindowSpec(5)
+    expected = sliding_abs_correlation(series, spec, [(0, 1), (1, 1), (2, 0), (0, 1)])
+    got = sliding_abs_correlation(series, spec, [(False, True), (1, True), (2, False), (0, 1)])
+    assert np.array_equal(got, expected)
+    for unusual in (np.array([[False, True]]), np.array([[0, 1]], dtype=np.uint8)):
+        assert np.array_equal(sliding_abs_correlation(series, spec, unusual), expected[:, :1])
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (0, 3), (5,), (2, 2, 2)])
+def test_window_abs_correlation_rejects_bad_shapes(shape):
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        window_abs_correlation(np.zeros(shape))
+
+
 def ordered_pair_reference(values, spec, pairs):
     """Per-window, per-pair loop in Python floats, every sum in offset order.
 

@@ -97,19 +97,19 @@ def test_signal_is_bandlimited_per_regime():
     # every regime block lies in the low band of its own generating operator,
     # checked against the generator's internals via reconstruction energy
     spec = SyntheticSpec(seed=5, switch_times=(101,), drift=0.0)
-    from dynhop.harness.synthetic import _structure
+    from dynhop.harness.synthetic import BACKGROUND, COUPLING, OFFSET, _structure
     from dynhop.graphs import StaticGraph
 
     g, series = make_synthetic_dataset(spec)
     edges, partitions = _structure(np.random.default_rng(spec.seed), spec)
     seg = regime_segments(spec)
     for r, (a, b) in enumerate(seg):
-        weights = [spec.coupling if partitions[r][i] == partitions[r][j] else spec.background
+        weights = [COUPLING if partitions[r][i] == partitions[r][j] else BACKGROUND
                    for i, j in edges]
         lap = build_laplacian(StaticGraph(spec.nodes, edges, weights))
         d = eigendecompose(lap)
         band = d.eigenvalues <= spec.bandlimit * d.eigenvalues[-1]
-        rows = series.values[a:b] - spec.offset
+        rows = series.values[a:b] - OFFSET
         coeffs = rows @ d.eigenvectors
         out_of_band = np.abs(coeffs[:, ~band]).max() if (~band).any() else 0.0
         assert out_of_band < 1e-9
