@@ -89,6 +89,14 @@ LABEL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 # overflow norm computations; flag divergence here instead of waiting for inf
 DIVERGENCE_GUARD = 1e100
 
+
+def _glmp_exponent(p: float | None) -> float:
+    """The glmp exponent ``p`` as a float; it must be given and lie in (1, 2]."""
+    if p is None or not 1.0 < p <= 2.0:
+        raise ValueError("glmp exponent must lie in (1, 2]")
+    return float(p)
+
+
 @dataclass(frozen=True)
 class StepSizeRule:
     """Fixed step size, or one decaying exponentially with the residual norm."""
@@ -210,8 +218,8 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if self.algorithm == "glmp" and not 1.0 < self.p_exponent <= 2.0:
-            raise ValueError("glmp exponent must lie in (1, 2]")
+        if self.algorithm == "glmp":
+            _glmp_exponent(self.p_exponent)
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
         if self.diffusion_eps is not None and not math.isfinite(self.diffusion_eps):
@@ -257,7 +265,8 @@ def error_nonlinearity(e: np.ndarray, algorithm: str, p_exponent: float | None =
     """Element-wise residual shaping for each algorithm family.
 
     Least-squares members pass the residual through; the p-norm member uses
-    sign(e)|e|^(p-1); sign members keep only the sign (sign(0) = 0).
+    sign(e)|e|^(p-1), with ``p_exponent`` as p (required, in (1, 2]); sign
+    members keep only the sign (sign(0) = 0).
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -265,10 +274,7 @@ def error_nonlinearity(e: np.ndarray, algorithm: str, p_exponent: float | None =
     if algorithm in _SIGN:
         return np.sign(e)
     if algorithm == "glmp":
-        p = 1.5 if p_exponent is None else float(p_exponent)
-        if not 1.0 < p <= 2.0:
-            raise ValueError("glmp exponent must lie in (1, 2]")
-        return np.sign(e) * np.abs(e) ** (p - 1.0)
+        return np.sign(e) * np.abs(e) ** (_glmp_exponent(p_exponent) - 1.0)
     return e
 
 

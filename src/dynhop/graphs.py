@@ -12,13 +12,13 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import eq, index
+from operator import index
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._loadtxt import loadtxt_rows, parses_integers_strictly
+from ._loadtxt import cell_value, csv_file, loadtxt_rows, numbered_rows, parses_integers_strictly
 
 __all__ = [
     "StaticGraph",
@@ -33,34 +33,14 @@ __all__ = [
 
 
 def _canonical_edges(edges, n: int) -> tuple[tuple[int, int], ...]:
-    """``edges`` as lower-index-first pairs of ints, checked on ``n`` nodes.
-
-    An (E, 2) integer array (or pairs of ints, which convert to one) is
-    ordered with two array operations and checked as a whole: its lowest and
-    highest node, self-loops and one set of its pairs. Anything else, and any
-    array that fails a check, goes through :func:`_checked_pairs`, which
-    raises the first bad edge's message. (Each numpy call costs microseconds
-    when its code is cold, as in a graph built once per run, so the checks
-    use few of them.)
+    """``edges`` as lower-index-first pairs of ints, checked on ``n`` nodes:
+    in edge order, raise on the first non-integer index, self-loop,
+    out-of-range node or duplicate pair. An integer array is read as lists
+    of Python ints, so pairs of ints given as tuples, lists or an array
+    raise the same messages.
     """
-    try:
-        ends = np.asarray(edges)
-    except (ValueError, TypeError, OverflowError):  # ragged or not numbers
-        return _checked_pairs(edges, n)
-    if ends.dtype.kind not in "iu" or ends.ndim != 2 or ends.shape[1] != 2 or not ends.size:
-        return _checked_pairs(edges, n)
-    i, j = ends.T
-    lo, hi = np.minimum(i, j).tolist(), np.maximum(i, j).tolist()
-    canon = tuple(zip(lo, hi))
-    if min(lo) < 0 or max(hi) >= n or any(map(eq, lo, hi)) or len(set(canon)) < len(canon):
-        return _checked_pairs(edges, n)
-    return canon
-
-
-def _checked_pairs(edges, n: int) -> tuple[tuple[int, int], ...]:
-    """The per-edge reference of :func:`_canonical_edges`: in edge order,
-    raise on the first non-integer index, self-loop, out-of-range node or
-    duplicate pair."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+        edges = edges.tolist()
     canon: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for pair in edges:
@@ -72,7 +52,7 @@ def _checked_pairs(edges, n: int) -> tuple[tuple[int, int], ...]:
         if i == j:
             raise ValueError(f"self-loop at node {i}")
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge {pair!r} references a node outside 0..{n - 1}")
+            raise ValueError(f"edge {(i, j)!r} references a node outside 0..{n - 1}")
         p = (i, j) if i < j else (j, i)
         if p in seen:
             raise ValueError(f"duplicate edge {p!r}")
@@ -96,7 +76,6 @@ class StaticGraph:
     node_count: int
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...] | None = None
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         n = int(self.node_count)
@@ -118,19 +97,13 @@ class StaticGraph:
                 raise ValueError(f"weights must be finite and >= 0, got {bad}")
         object.__setattr__(self, "weights", w)
 
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != n:
-                raise ValueError(f"{len(labels)} labels for {n} nodes")
-            object.__setattr__(self, "labels", labels)
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def with_weights(self, weights: Sequence[float]) -> "StaticGraph":
         """Same topology, new per-edge weights."""
-        return StaticGraph(self.node_count, self.edges, tuple(float(w) for w in weights), self.labels)
+        return StaticGraph(self.node_count, self.edges, tuple(float(w) for w in weights))
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix with zero diagonal."""
@@ -237,21 +210,18 @@ def graph_from_csv(path: str | Path) -> StaticGraph:
     The node count is the ``# node_count=`` line if there is one, else one
     more than the highest node. Blank lines are skipped and a UTF-8 byte
     order mark is dropped. The edge rows are parsed in one ``np.loadtxt``
-    pass; a file that pass refuses is read again row by row, which names
-    the first row without exactly 3 cells by its 1-based file line, and
-    the first bad cell (an index that is not an integer, a weight that is
-    not a finite number >= 0) by its line and column. Every ``ValueError``
-    it raises starts with ``path``.
+    pass; a file that pass refuses is read again with the package's CSV row
+    reader (``dynhop._loadtxt``), which names the first row without exactly
+    3 cells by its 1-based file line, and the first bad cell (an index that
+    is not an integer, a weight that is not a finite number >= 0) by its
+    line and column. Every ``ValueError`` it raises starts with ``path``.
     """
-    try:
-        graph = _graph_loadtxt(path)
-        return _graph_rows(path) if graph is None else graph
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: {err}") from None
+    graph = _graph_loadtxt(path)
+    return _graph_rows(path) if graph is None else graph
 
 
 _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", float)])
-_EDGE_CELLS = (("src", int, "an integer"), ("dst", int, "an integer"), ("weight", float, "numeric"))
+_WEIGHT = (lambda w: 0.0 <= w < math.inf, "finite and >= 0")  # NaN fails too
 
 
 def _read_preamble(fh: TextIO, path: str | Path) -> tuple[int | None, int]:
@@ -284,10 +254,10 @@ def _read_preamble(fh: TextIO, path: str | Path) -> tuple[int | None, int]:
 def _graph_loadtxt(path: str | Path) -> StaticGraph | None:
     """The graph from one ``np.loadtxt`` pass over the edge rows, or None
     where that pass refuses them or they do not make a valid graph (the row
-    reader then raises the message it raises for tuples)."""
+    reader then raises the message of the first bad row)."""
     if not parses_integers_strictly():
         return None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with csv_file(path) as fh:
         node_count, _ = _read_preamble(fh, path)
         rows = loadtxt_rows(fh, _EDGE_ROW, ndmin=1)
     if rows is None:
@@ -302,44 +272,18 @@ def _graph_loadtxt(path: str | Path) -> StaticGraph | None:
 
 
 def _graph_rows(path: str | Path) -> StaticGraph:
-    """The graph read row by row with ``csv``, ``int`` and ``float``."""
+    """The graph read with the row reader, in file order."""
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with csv_file(path) as fh:
         node_count, lines = _read_preamble(fh, path)
-        reader = csv.reader(fh)
-        line = lines + 1
-        for row in reader:
-            if row:
-                if len(row) != len(_CSV_HEADER):
-                    raise ValueError(
-                        f"{path}: line {line} has {len(row)} cells, expected {len(_CSV_HEADER)}"
-                    )
-                i, j, w = _edge_cells(path, line, row)
-                edges.append((i, j))
-                weights.append(w)
-            line = lines + reader.line_num + 1  # a quoted cell may span lines
+        for line, (i, j, w) in numbered_rows(fh, path, len(_CSV_HEADER), lines):
+            edges.append((cell_value(path, line, "src", i, int),
+                          cell_value(path, line, "dst", j, int)))
+            weights.append(cell_value(path, line, "weight", w, accept=_WEIGHT))
     if node_count is None:
         node_count = 1 + max((max(i, j) for i, j in edges), default=0)
     try:
         return StaticGraph(node_count, tuple(edges), tuple(weights))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-
-
-def _edge_cells(path: str | Path, line: int, row: list[str]) -> tuple[int, int, float]:
-    """The src, dst and weight of one edge row; the first bad cell raises an
-    error naming its 1-based file line and column."""
-    values = []
-    for (column, parse, kind), cell in zip(_EDGE_CELLS, row):
-        try:
-            values.append(parse(cell))
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {line}, column {column!r}: {cell!r} is not {kind}"
-            ) from None
-    if not 0.0 <= values[2] < math.inf:  # NaN fails too
-        raise ValueError(
-            f"{path}: line {line}, column 'weight': {row[2]!r} is not finite and >= 0"
-        )
-    return tuple(values)

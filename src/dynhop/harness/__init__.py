@@ -2,10 +2,7 @@
 
 from .data import (
     DataError,
-    EmptyCsvError,
     GraphBuildSpec,
-    NonNumericCellError,
-    RaggedRowError,
     SplitSpec,
     build_initial_graph,
     ingest_csv,
@@ -21,12 +18,9 @@ __all__ = [
     "AlgorithmMetrics",
     "DataError",
     "DatasetSpec",
-    "EmptyCsvError",
     "GraphBuildSpec",
     "MetricsReport",
     "NoiseMaskSpec",
-    "NonNumericCellError",
-    "RaggedRowError",
     "SplitSpec",
     "SyntheticSpec",
     "brain_preset",

@@ -5,7 +5,8 @@ static graph from a series, ``run`` executes a configured experiment,
 ``report`` merges written reports into a summary JSON. A flag left out
 passes nothing, so the spec's own default applies.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 every single
+Exit codes: 0 success, 2 configuration error (an output directory that is
+a file included), 3 data error (any ``OSError`` included), 4 every single
 run of every algorithm diverged.
 """
 
@@ -46,7 +47,18 @@ def _given(args: argparse.Namespace, spec_class) -> dict:
     return {name: value for name, value in given.items() if value is not None}
 
 
+def _out_dir(path: str) -> Path:
+    """``path`` as an output directory, checked before any work is done: it,
+    or else its nearest existing ancestor, must be a directory."""
+    out = Path(path)
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out}: {existing} is not a directory")
+    return out
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out_dir)
     kwargs = _given(args, SyntheticSpec)
     # a bare --switch-times spaces the regimes evenly, as leaving it out does
     if kwargs.get("switch_times") == []:
@@ -56,7 +68,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise ConfigError(f"synth: {err}") from None
     graph, series = make_synthetic_dataset(spec)
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     series_to_csv(series, out / "series.csv")
     graph_to_csv(graph, out / "graph.csv")
@@ -150,6 +161,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     resolved = resolve_config(raw)
     if resolved.out_dir is None:
         raise ConfigError("no output directory: pass --out-dir or set out_dir in the config")
+    out = _out_dir(resolved.out_dir)
 
     report = run_experiment(
         resolved.dataset, resolved.noise, resolved.algorithms, resolved.graph_build
@@ -157,7 +169,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # out_dir is where the reports land, not part of the experiment: keeping
     # it out of the manifest makes identical runs byte-identical anywhere
     captured = {k: v for k, v in resolved.raw.items() if k != "out_dir"}
-    written = write_reports(report, resolved.out_dir, config=captured)
+    written = write_reports(report, out, config=captured)
     for path in written:
         print(f"wrote {path}")
 
@@ -250,10 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as err:
+    except (DataError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .._loadtxt import loadtxt_rows
+from .._loadtxt import FINITE, csv_file, loadtxt_rows, numeric_table
 from ..edge_dynamics import NodeSignalSeries
 from ..graphs import StaticGraph
 
@@ -19,9 +18,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "DataError",
-    "EmptyCsvError",
-    "RaggedRowError",
-    "NonNumericCellError",
     "SplitSpec",
     "GraphBuildSpec",
     "ingest_csv",
@@ -35,38 +31,29 @@ class DataError(Exception):
     """Problem with an input data file."""
 
 
-class EmptyCsvError(DataError):
-    """The file has no header or no data rows."""
-
-
-class RaggedRowError(DataError):
-    """A data row has a different cell count than the header."""
-
-
-class NonNumericCellError(DataError):
-    """A data cell failed to parse as a finite number."""
-
-
 def ingest_csv(path: str | Path) -> NodeSignalSeries:
     """Read a rectangular numeric CSV: header of node labels, one row per step.
 
-    Blank lines are skipped and a UTF-8 byte order mark is dropped; error
-    messages give the 1-based file line on which the offending row starts.
-    The data rows are parsed in one ``np.loadtxt`` pass; a file that pass
-    refuses is read again row by row, with the same values where both accept.
-    A file that is not UTF-8 raises a ``DataError`` naming it.
+    Blank lines are skipped and a UTF-8 byte order mark is dropped. The data
+    rows are parsed in one ``np.loadtxt`` pass; a file that pass refuses is
+    read again with the package's CSV row reader (``dynhop._loadtxt``), with
+    the same values where both accept. Every error is a ``DataError`` whose
+    message starts with ``path``: a file that is empty, has no data rows or
+    is not UTF-8, the 1-based file line of the first row without one cell
+    per label, or the line and column of the first cell that is not a
+    finite number.
     """
     try:
         series = _ingest_loadtxt(path)
         return _ingest_rows(path) if series is None else series
-    except UnicodeDecodeError as err:
-        raise DataError(f"{path}: {err}") from None
+    except ValueError as err:  # its message names the file
+        raise DataError(str(err)) from None
 
 
 def _ingest_loadtxt(path: str | Path) -> NodeSignalSeries | None:
     """The series in one ``np.loadtxt`` pass over the data rows, or None where
     that pass refuses the file or finds a value that is not finite."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with csv_file(path) as fh:
         header = next(filter(None, csv.reader(fh)), None)
         values = None if header is None else loadtxt_rows(fh, float, ndmin=2)
     if values is None or values.shape[1] != len(header) or not np.isfinite(values).all():
@@ -75,40 +62,10 @@ def _ingest_loadtxt(path: str | Path) -> NodeSignalSeries | None:
 
 
 def _ingest_rows(path: str | Path) -> NodeSignalSeries:
-    """The series read row by row with ``csv`` and ``float``, in file order;
-    raises the error of the first empty, ragged or bad row."""
-    header: list[str] = []
-    values: list[float] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        line = 1
-        for row in reader:
-            if row and not header:
-                header = [cell.strip() for cell in row]
-            elif row:
-                if len(row) != len(header):
-                    raise RaggedRowError(
-                        f"{path}: line {line} has {len(row)} cells, expected {len(header)}"
-                    )
-                values.extend(_cell_value(path, line, name, cell) for name, cell in zip(header, row))
-            line = reader.line_num + 1  # a quoted cell may span lines
-    if not header:
-        raise EmptyCsvError(f"{path}: file is empty")
-    if not values:
-        raise EmptyCsvError(f"{path}: header only, no data rows")
+    """The series read with the row reader, in file order; raises the
+    ``ValueError`` of the first empty, ragged or bad row."""
+    header, values = numeric_table(path, accept=FINITE)
     return NodeSignalSeries(np.array(values).reshape(-1, len(header)), labels=tuple(header))
-
-
-def _cell_value(path: str | Path, line: int, column: str, cell: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise NonNumericCellError(
-            f"{path}: line {line}, column {column!r}: {cell!r} is not numeric"
-        ) from None
-    if not math.isfinite(value):
-        raise NonNumericCellError(f"{path}: line {line}, column {column!r}: {cell!r} is not finite")
-    return value
 
 
 def series_to_csv(series: NodeSignalSeries, path: str | Path) -> None:
@@ -233,4 +190,4 @@ def build_initial_graph(series: NodeSignalSeries, spec: GraphBuildSpec) -> Stati
 
     edges = tuple(sorted(chosen))
     weights = tuple(float(absc[i, j]) for i, j in edges)
-    return StaticGraph(n, edges, weights, labels=series.labels)
+    return StaticGraph(n, edges, weights)

@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import __version__
+from .._loadtxt import numeric_table
 from ..edge_dynamics import NodeSignalSeries
 from ..estimators import (_SGM, ALGORITHMS, LABEL, EstimatorConfig, ObservationStream,
                           run_estimation)
@@ -155,7 +156,7 @@ _MANIFEST = "manifest.json"
 
 
 def _write_curve(path: Path, times: np.ndarray, column: str, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", column])
         for t, v in zip(times, values):
@@ -163,15 +164,9 @@ def _write_curve(path: Path, times: np.ndarray, column: str, values: np.ndarray)
 
 
 def _read_curve(path: Path) -> list[float]:
-    """Value column of a written ``t,<value>`` curve CSV."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    try:
-        return [float(row[1]) for row in rows]
-    except (IndexError, ValueError) as err:
-        raise DataError(f"{path}: malformed curve row: {err}") from None
+    """Value column of a written ``t,<value>`` curve CSV; raises the
+    ``ValueError`` of the first ragged row or cell that is not a number."""
+    return numeric_table(path, width=2)[1][1::2]
 
 
 def write_reports(report: MetricsReport, out_dir: str | Path, config: dict | None = None) -> list[Path]:
@@ -213,8 +208,8 @@ def read_reports(out_dir: str | Path) -> tuple[dict, dict[str, dict[str, list[fl
     if not manifest_path.exists():
         raise DataError(f"{manifest_path} not found; run an experiment first")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as err:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as err:  # not UTF-8, or not JSON
         raise DataError(f"{manifest_path} is not valid JSON: {err}") from None
     if not isinstance(manifest, dict):
         raise DataError(f"{manifest_path}: top level must be a JSON object")
@@ -226,7 +221,10 @@ def read_reports(out_dir: str | Path) -> tuple[dict, dict[str, dict[str, list[fl
         if not LABEL.fullmatch(label):
             raise DataError(f"{manifest_path}: label {label!r} must match {LABEL.pattern}")
         paths = {curve: out / f"{label}_{curve}.csv" for curve in _CURVES}
-        curves[label] = {c: _read_curve(p) for c, p in paths.items() if p.exists()}
+        try:
+            curves[label] = {c: _read_curve(p) for c, p in paths.items() if p.exists()}
+        except ValueError as err:  # its message names the file
+            raise DataError(str(err)) from None
     return manifest, curves
 
 

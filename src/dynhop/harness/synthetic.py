@@ -213,9 +213,8 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[StaticGraph, NodeSignal
     else:
         weights = tuple(1.0 for _ in edges)
 
-    labels = tuple(f"node{i}" for i in range(spec.nodes))
-    graph = StaticGraph(spec.nodes, edges, weights, labels=labels)
-    series = NodeSignalSeries(values, labels=labels)
+    graph = StaticGraph(spec.nodes, edges, weights)
+    series = NodeSignalSeries(values, labels=tuple(f"node{i}" for i in range(spec.nodes)))
     return graph, series
 
 

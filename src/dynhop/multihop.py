@@ -287,7 +287,6 @@ def _as_slice(g_t: StaticGraph, merged: np.ndarray, provenance: np.ndarray) -> T
         g_t.node_count,
         g_t.edges + latent,
         g_t.weights + tuple(merged[rows, cols].tolist()),
-        g_t.labels,
     )
     tags = ("original",) * g_t.edge_count + tuple(f"hop{p}" for p in provenance[rows, cols])
     return TopologySlice(graph=graph, provenance=tags)

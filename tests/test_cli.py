@@ -8,6 +8,7 @@ import pytest
 from dynhop import EstimatorConfig, FilterSpec, PruneSpec, StepSizeRule, WindowSpec
 from dynhop.harness import (DatasetSpec, GraphBuildSpec, NoiseMaskSpec, SplitSpec,
                             SyntheticSpec)
+from dynhop.harness import cli
 from dynhop.harness.cli import main
 from dynhop.harness.config import (ConfigError, ResolvedConfig, _reader, _schema, deep_merge,
                                    load_config, resolve_config)
@@ -401,6 +402,36 @@ def test_run_requires_out_dir(tmp_path, capsys):
     assert main(["run", "--config", str(cfg["path"])]) == 2
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_out_dir_that_is_not_a_directory_is_config_error_before_any_work(
+        tmp_path, capsys, monkeypatch, command, below):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    monkeypatch.setattr(cli, "make_synthetic_dataset", refuse)
+    argv = ["run", "--config", str(run_config(tmp_path)["path"])] if command == "run" else ["synth"]
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if below else blocker
+    before = sorted(tmp_path.iterdir())
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+    assert sorted(tmp_path.iterdir()) == before and blocker.read_text() == "kept\n"
+
+
+def test_os_errors_are_data_errors(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--steps", "30"]) == 0
+    capsys.readouterr()
+    # --out names a directory, so writing the graph fails with IsADirectoryError
+    assert main(["build-graph", str(data / "series.csv"), "--out", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(data) in err
+
+
 def test_algo_flag_replaces_algorithm_list(tmp_path):
     cfg = run_config(tmp_path)
     out = tmp_path / "o"
@@ -501,6 +532,17 @@ def test_report_on_malformed_files_is_data_error(tmp_path, capsys, name, text):
     assert main(["report", "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and name in err
+
+
+@pytest.mark.parametrize("name", ["glms_mse.csv", "manifest.json"])
+def test_report_on_a_file_that_is_not_utf8_is_data_error_naming_it(tmp_path, capsys, name):
+    (tmp_path / "manifest.json").write_text(json.dumps({"results": {"glms": {"runs": 1}}}))
+    (tmp_path / "glms_mse.csv").write_text("t,mse\n61,0.5\n")
+    (tmp_path / name).write_bytes(b"t,mse\n61,\xff\n")
+    assert main(["report", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {tmp_path / name}")
+    assert "'utf-8' codec can't decode byte 0xff" in err
 
 
 @pytest.mark.parametrize("test_range", [[61, 200], [61, None]], ids=["closed", "open"])

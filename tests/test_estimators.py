@@ -124,6 +124,12 @@ def test_pnorm_exponent_validated():
         error_nonlinearity(np.ones(2), "glmp", 2.5)
 
 
+def test_pnorm_exponent_has_no_default_outside_the_config():
+    with pytest.raises(ValueError, match=r"glmp exponent must lie in \(1, 2\]"):
+        error_nonlinearity(np.ones(2), "glmp")
+    assert EstimatorConfig("glmp").p_exponent == 1.5
+
+
 # -- diffusion operator ------------------------------------------------------------
 
 def test_diffusion_zero_eps_is_identity(rng):

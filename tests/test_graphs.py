@@ -411,25 +411,24 @@ def loop_adjacency(g):
 @given(n=st.integers(1, 7),
        pairs=st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)), max_size=10))
 def test_array_checks_match_the_per_edge_loop(n, pairs):
-    """Pairs as tuples, lists or integer arrays build equal graphs, or raise
-    what the per-edge loop raises for the same input."""
+    """Pairs as tuples, lists or integer arrays build the graph the tuple
+    form builds, or raise the message the tuple form raises."""
     weights = tuple(0.25 * k for k in range(len(pairs)))
     forms = [tuple(pairs), [list(p) for p in pairs]]
     if pairs:
         forms += [np.array(pairs, dtype=np.int64), np.array(pairs, dtype=np.int32)]
-    built = []
-    for form in forms:
-        try:
-            expected = graphs._checked_pairs(form, n)
-        except ValueError as err:
+    try:
+        expected = StaticGraph(n, forms[0], weights)
+    except ValueError as err:
+        for form in forms[1:]:
             with pytest.raises(ValueError) as raised:
                 StaticGraph(n, form, weights)
             assert str(raised.value) == str(err)
-            continue
+        return
+    assert expected.edges == tuple((min(p), max(p)) for p in pairs)
+    for form in forms:
         g = StaticGraph(n, form, weights)
-        assert g.edges == expected
+        assert g == expected
         assert all(type(v) is int for pair in g.edges for v in pair)
         assert np.array_equal(g.adjacency(), loop_adjacency(g))
         assert np.array_equal(g.edge_mask(), loop_adjacency(g.with_weights([1.0] * len(pairs))) > 0)
-        built.append(g)
-    assert all(g == built[0] for g in built)

@@ -7,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynhop.edge_dynamics import NodeSignalSeries
+from dynhop.graphs import graph_from_csv
 from dynhop.harness import data
 from dynhop.harness import (
     DataError,
-    EmptyCsvError,
     GraphBuildSpec,
-    NonNumericCellError,
-    RaggedRowError,
     SplitSpec,
     build_initial_graph,
     ingest_csv,
     normalize_by_train_mean,
     series_to_csv,
 )
+from dynhop.harness.experiment import read_reports
 
 
 def write(tmp_path, text, name="series.csv"):
@@ -40,45 +39,78 @@ def test_ingest_two_by_two(tmp_path):
 
 def test_ingest_non_numeric_cell_names_row_and_column(tmp_path):
     path = write(tmp_path, "a,b\n1.0,2.0\n3.0,oops\n")
-    with pytest.raises(NonNumericCellError, match=r"line 3.*'b'.*oops"):
+    with pytest.raises(DataError, match=r"line 3.*'b'.*oops"):
         ingest_csv(path)
 
 
 def test_ingest_non_finite_cell_rejected(tmp_path):
     path = write(tmp_path, "a,b\n1.0,inf\n")
-    with pytest.raises(NonNumericCellError, match="not finite"):
+    with pytest.raises(DataError, match="not finite"):
         ingest_csv(path)
 
 
 def test_ingest_ragged_row(tmp_path):
     path = write(tmp_path, "a,b\n1.0,2.0\n3.0\n")
-    with pytest.raises(RaggedRowError, match="line 3"):
+    with pytest.raises(DataError, match="line 3"):
         ingest_csv(path)
 
 
 def test_ingest_empty_file(tmp_path):
-    with pytest.raises(EmptyCsvError):
+    with pytest.raises(DataError):
         ingest_csv(write(tmp_path, ""))
 
 
 def test_ingest_header_only(tmp_path):
-    with pytest.raises(EmptyCsvError, match="no data rows"):
+    with pytest.raises(DataError, match="no data rows"):
         ingest_csv(write(tmp_path, "a,b\n"))
 
 
 def test_ingest_errors_name_the_first_bad_row_in_file_order(tmp_path):
     path = write(tmp_path, "a,b\n1.0,2.0\n3.0,nan\n4.0\n5.0,x\n")
-    with pytest.raises(NonNumericCellError) as err:
+    with pytest.raises(DataError) as err:
         ingest_csv(path)
     assert str(err.value) == f"{path}: line 3, column 'b': 'nan' is not finite"
     path = write(tmp_path, "a,b\n1.0,2.0\n4.0\n5.0,x\n")
-    with pytest.raises(RaggedRowError) as err:
+    with pytest.raises(DataError) as err:
         ingest_csv(path)
     assert str(err.value) == f"{path}: line 3 has 1 cells, expected 2"
     path = write(tmp_path, "a,b\n1.0,2.0\n5.0, x \n")
-    with pytest.raises(NonNumericCellError) as err:
+    with pytest.raises(DataError) as err:
         ingest_csv(path)
     assert str(err.value) == f"{path}: line 3, column 'b': ' x ' is not numeric"
+
+
+def read_curve(path):
+    path.with_name("manifest.json").write_text('{"results": {"c": {}}}')
+    return read_reports(path.parent)
+
+
+# per file kind: its reader, file name, header and one good row, and the
+# cells of a row before its last column
+FILE_KINDS = {
+    "series": (ingest_csv, "s.csv", "a,mse\n1,2\n", "1"),
+    "graph": (graph_from_csv, "g.csv", "src,dst,weight\n0,1,1.0\n", "0,2"),
+    "curve": (read_curve, "c_mse.csv", "t,mse\n1,2.0\n", "2"),
+}
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_series_graph_and_curve_files_name_a_bad_row_and_cell_alike(tmp_path, kind):
+    read, name, head, lead = FILE_KINDS[kind]
+    header = head.splitlines()[0].split(",")
+    path = tmp_path / name
+    path.write_text(head + "7\n")
+    with pytest.raises((DataError, ValueError)) as err:
+        read(path)
+    assert str(err.value) == f"{path}: line 3 has 1 cells, expected {len(header)}"
+    path.write_text(head + lead + ",oops\n")
+    with pytest.raises((DataError, ValueError)) as err:
+        read(path)
+    assert str(err.value) == f"{path}: line 3, column {header[-1]!r}: 'oops' is not numeric"
+    path.write_text(head + lead + "," + "x" * 200_000 + "\n")
+    with pytest.raises((DataError, ValueError)) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}: field larger than field limit")
 
 
 def test_ingest_skips_blank_lines_and_counts_file_lines(tmp_path):
@@ -87,12 +119,12 @@ def test_ingest_skips_blank_lines_and_counts_file_lines(tmp_path):
     assert np.array_equal(series.values, [[1.0, 2.0], [3.0, 4.0]])
     series = ingest_csv(write(tmp_path, "a,b\n\n1,2\n\n3,4\n"))
     assert np.array_equal(series.values, [[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(NonNumericCellError, match=r"line 5, column 'b'"):
+    with pytest.raises(DataError, match=r"line 5, column 'b'"):
         ingest_csv(write(tmp_path, "a,b\n1,2\n\n\n3,oops\n"))
     # a quoted cell spanning two lines moves every later row down one line
-    with pytest.raises(NonNumericCellError, match=r"line 4, column 'b'"):
+    with pytest.raises(DataError, match=r"line 4, column 'b'"):
         ingest_csv(write(tmp_path, 'a,b\n"1\n",2\n3,oops\n'))
-    with pytest.raises(EmptyCsvError, match="no data rows"):
+    with pytest.raises(DataError, match="no data rows"):
         ingest_csv(write(tmp_path, "a,b\n\n\n"))
 
 
@@ -150,12 +182,12 @@ def test_series_csv_round_trip_exact(tmp_path, rng):
 
 
 def series_outcome(read, path):
-    """A series' labels and value bits, the error it raises, or None where
-    ``read`` refuses the file."""
+    """A series' labels and value bits, the message of the error it raises,
+    or None where ``read`` refuses the file."""
     try:
         series = read(path)
-    except DataError as err:
-        return type(err), str(err)
+    except (DataError, ValueError) as err:
+        return str(err)
     if series is None:
         return None
     return series.labels, series.values.shape, series.values.tobytes()
