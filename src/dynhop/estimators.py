@@ -161,22 +161,32 @@ class ObservationStream:
             raise ValueError(
                 f"observations {obs.shape} and mask {mask.shape} must be equal 2-D or 3-D shapes"
             )
-        obs = np.where(mask, obs, 0.0)
-        obs.setflags(write=False)
-        mask = mask.copy()
+        self._own(np.where(mask, obs, 0.0), mask.copy())
+
+    def _own(self, observations: np.ndarray, mask: np.ndarray) -> None:
+        """Hold fresh arrays, already zeroed where unobserved, read-only."""
+        observations.setflags(write=False)
         mask.setflags(write=False)
-        object.__setattr__(self, "observations", obs)
+        object.__setattr__(self, "observations", observations)
         object.__setattr__(self, "mask", mask)
 
     @classmethod
     def stack(cls, streams: Sequence["ObservationStream"]) -> "ObservationStream":
-        """R single-run streams of one (T, N) shape as one (R, T, N) stream."""
+        """R single-run streams of one (T, N) shape as one (R, T, N) stream.
+
+        Streams are zeroed where unobserved already, so their stacked copies
+        are taken as they are; anything else goes through the constructor.
+        """
         shapes = sorted({s.observations.shape for s in streams})
         if len(shapes) != 1 or len(shapes[0]) != 2:
             raise ValueError(f"need one or more 2-D streams of one shape, got shapes {shapes}")
-        return cls(
-            np.stack([s.observations for s in streams]), np.stack([s.mask for s in streams])
-        )
+        observations = np.stack([s.observations for s in streams])
+        mask = np.stack([s.mask for s in streams])
+        if not all(isinstance(s, ObservationStream) for s in streams):
+            return cls(observations, mask)
+        stream = object.__new__(cls)
+        stream._own(observations, mask)
+        return stream
 
     @property
     def steps(self) -> int:
@@ -261,6 +271,19 @@ class EstimationTrace:
         return self.estimates.shape[-2]
 
 
+def _shaping(
+    algorithm: str, p_exponent: float | None
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The algorithm's element-wise residual shaping, or None for the
+    identity of the least-squares members."""
+    if algorithm in _SIGN:
+        return np.sign
+    if algorithm == "glmp":
+        power = _glmp_exponent(p_exponent) - 1.0
+        return lambda e: np.sign(e) * np.abs(e) ** power
+    return None
+
+
 def error_nonlinearity(e: np.ndarray, algorithm: str, p_exponent: float | None = None) -> np.ndarray:
     """Element-wise residual shaping for each algorithm family.
 
@@ -271,11 +294,8 @@ def error_nonlinearity(e: np.ndarray, algorithm: str, p_exponent: float | None =
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     e = np.asarray(e, dtype=float)
-    if algorithm in _SIGN:
-        return np.sign(e)
-    if algorithm == "glmp":
-        return np.sign(e) * np.abs(e) ** (_glmp_exponent(p_exponent) - 1.0)
-    return e
+    shape = _shaping(algorithm, p_exponent)
+    return e if shape is None else shape(e)
 
 
 def diffusion_operator(
@@ -452,11 +472,14 @@ def run_estimation(
     ``ground_truth`` is only consulted when
     ``cfg.weights_source == "ground-truth"``.
 
-    A step computes only what it reads. A fixed step rule's sizes are
-    written once per call, and its ``residual_norms`` are recomputed after
-    the loop from each run's estimates, one (T, N) run at a time. The
-    residual-adaptive rule reads each step's norms, so it takes them in the
-    loop. Either way each norm has the bits of ``np.linalg.norm``.
+    A step computes only what it reads. What no step changes is resolved
+    once per call: the residual shaping of ``error_nonlinearity`` (none for
+    the least-squares members), and a fixed rule's step size, one float
+    for every run, written to ``step_sizes`` once. A fixed rule's
+    ``residual_norms`` are recomputed after the loop from the estimates,
+    every (R, T) row in one pass. The residual-adaptive rule reads each
+    step's norms, so it takes them in the loop and sizes each run's step
+    from them. Either way each norm has the bits of ``np.linalg.norm``.
     """
     n = g.node_count
     t_total = stream.steps
@@ -481,12 +504,14 @@ def run_estimation(
     # one binding serves every step without usable history, in every run
     fixed_apply = _bind(cfg, fixed[0])
 
+    shape = _shaping(algo, cfg.p_exponent)
     adaptive = cfg.step.kind == "residual-adaptive"
     estimates = np.zeros((runs, t_total, n))
     residual_norms = np.zeros((runs, t_total))
     step_sizes = np.empty((runs, t_total))
     if not adaptive:
-        step_sizes.fill(cfg.step.mu)
+        mu = float(cfg.step.mu)
+        step_sizes.fill(mu)
     edge_counts = np.full((runs, t_total), fixed[1], dtype=int)
     latent_candidates = np.full((runs, t_total), fixed[2], dtype=int)
     latent_survivors = np.full((runs, t_total), fixed[3], dtype=int)
@@ -503,14 +528,17 @@ def run_estimation(
         return rows
 
     x_hat = np.zeros((runs, n))
-    for t in range(t_total):
-        residual = np.where(mask[:, t], observations[:, t] - x_hat, 0.0)
-        mu = step_sizes[:, t]
+    # step t's (R, N) observations, mask and estimates, as views
+    steps = zip(observations.swapaxes(0, 1), mask.swapaxes(0, 1), estimates.swapaxes(0, 1))
+    for t, (observed, seen, estimate) in enumerate(steps):
+        residual = np.where(seen, observed - x_hat, 0.0)
         if adaptive:
             norms = _row_norms(residual, out=residual_norms[:, t])
+            sizes = step_sizes[:, t]
             # math.exp per run: np.exp is not guaranteed to round the same way
-            mu[:] = [adaptive_mu(v, cfg.step) for v in norms.tolist()]
-        shaped = error_nonlinearity(residual, algo, cfg.p_exponent)
+            sizes[:] = [adaptive_mu(v, cfg.step) for v in norms.tolist()]
+            mu = sizes[:, None]
+        shaped = residual if shape is None else shape(residual)
         if rebuild is None:
             filtered = fixed_apply(shaped)
         else:
@@ -527,16 +555,15 @@ def run_estimation(
                 filtered[r] = _bind(cfg, laplacian)(shaped[r])
             if stale:
                 filtered[stale] = fixed_apply(shaped[stale])
-        x_hat = np.add(x_hat, mu[:, None] * filtered, out=estimates[:, t])
+        x_hat = np.add(x_hat, mu * filtered, out=estimate)
 
     if not adaptive:
-        # no step read the norms: recompute each run's residuals from its
-        # estimates, one (T, N) run at a time
-        for r in range(runs):
-            residual = observations[r].copy()
-            residual[1:] -= estimates[r, :-1]  # the estimate is 0 before step 0
-            residual[~mask[r]] = 0.0
-            _row_norms(residual, out=residual_norms[r])
+        # no step read the norms: recompute every run's residuals from its
+        # estimates, all (R, T) rows in one pass
+        residuals = observations.copy()
+        residuals[:, 1:] -= estimates[:, :-1]  # the estimate is 0 before step 0
+        residuals[~mask] = 0.0
+        _row_norms(residuals.reshape(-1, n), out=residual_norms.reshape(-1))
 
     if algo == "dynamic-multihop" and np.any(
         latent_candidates.any(axis=1) & ~latent_survivors.any(axis=1)

@@ -224,13 +224,25 @@ _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", float)])
 _WEIGHT = (lambda w: 0.0 <= w < math.inf, "finite and >= 0")  # NaN fails too
 
 
+def _next_line(fh: TextIO) -> tuple[str, int]:
+    """The next line of ``fh`` that is not blank ("" at the end), and the
+    number of lines read up to and including it."""
+    read = 0
+    for line in iter(fh.readline, ""):
+        read += 1
+        if line.rstrip("\r\n"):
+            return line, read
+    return "", read
+
+
 def _read_preamble(fh: TextIO, path: str | Path) -> tuple[int | None, int]:
-    """Read the optional ``# node_count=`` line and the header row; return
-    the node count given there and the number of file lines read."""
+    """Read the optional ``# node_count=`` line and the header row, blank
+    lines before either skipped; return the node count given there and the
+    number of file lines read."""
     node_count: int | None = None
-    first = fh.readline()
-    if first.startswith("#"):
-        key, _, value = first.lstrip("# ").partition("=")
+    line, lines = _next_line(fh)
+    if line.startswith("#"):
+        key, _, value = line.lstrip("# ").partition("=")
         if key.strip() == "node_count":
             try:
                 node_count = int(value)
@@ -238,17 +250,16 @@ def _read_preamble(fh: TextIO, path: str | Path) -> tuple[int | None, int]:
                 node_count = 0  # fails the check below
             if node_count < 1:
                 raise ValueError(
-                    f"{path}: line 1: node_count {value.strip()!r} is not an integer >= 1"
+                    f"{path}: line {lines}: node_count {value.strip()!r} is not an integer >= 1"
                 )
-        comment_lines = 1
-    else:
-        fh.seek(0)
-        comment_lines = 0
-    reader = csv.reader(fh)
+        line, read = _next_line(fh)
+        lines += read
+    # a quoted header cell may run on into the following lines
+    reader = csv.reader(chain((line,), fh))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != _CSV_HEADER:
         raise ValueError(f"{path}: expected header {','.join(_CSV_HEADER)}")
-    return node_count, comment_lines + reader.line_num
+    return node_count, lines - 1 + reader.line_num
 
 
 def _graph_loadtxt(path: str | Path) -> StaticGraph | None:

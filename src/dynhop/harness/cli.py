@@ -76,6 +76,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(str(Path(args.out).parent))
     series = ingest_csv(args.series_csv)
     if args.train_end is not None:
         if not 2 <= args.train_end <= series.steps:
@@ -86,6 +87,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise ConfigError(f"build-graph: {err}") from None
     graph = build_initial_graph(series, spec)
+    out_dir.mkdir(parents=True, exist_ok=True)
     graph_to_csv(graph, args.out)
     print(f"wrote {args.out} ({graph.node_count} nodes, {graph.edge_count} edges)")
     return EXIT_OK

@@ -72,5 +72,5 @@ def simulate_observations(
     mask = rng.random((t_len, n)) >= spec.missing_fraction
     noise_std = np.sqrt(var / spec.linear_snr)
     noise = rng.standard_normal((t_len, n)) * noise_std
-    observed = np.where(mask, values + noise, 0.0)
-    return ObservationStream(observed, mask)
+    # the stream zeroes the unobserved entries
+    return ObservationStream(values + noise, mask)

@@ -422,6 +422,32 @@ def test_out_dir_that_is_not_a_directory_is_config_error_before_any_work(
     assert sorted(tmp_path.iterdir()) == before and blocker.read_text() == "kept\n"
 
 
+def test_build_graph_out_below_a_file_is_config_error_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "ingest_csv", refuse)
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    out = blocker / "g.csv"
+    before = sorted(tmp_path.iterdir())
+    assert main(["build-graph", str(tmp_path / "series.csv"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(blocker) in err
+    assert sorted(tmp_path.iterdir()) == before and blocker.read_text() == "kept\n"
+
+
+def test_build_graph_creates_a_missing_out_parent(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(data), "--steps", "60"]) == 0
+    out = tmp_path / "new" / "sub" / "g.csv"
+    assert main(["build-graph", str(data / "series.csv"), "--out", str(out)]) == 0
+    expected = tmp_path / "expected.csv"
+    assert main(["build-graph", str(data / "series.csv"), "--out", str(expected)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_os_errors_are_data_errors(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--steps", "30"]) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -504,7 +505,8 @@ def stepwise_reference(stream, g, cfg):
     """The trace of one (T, N) stream from a per-step loop over the public
     pieces: NodeSignalSeries -> sliding_abs_correlation or
     window_abs_correlation -> expand_prune_merge -> adjacency_laplacian ->
-    bind_filter, then the masked update."""
+    bind_filter (diffusion_operator for gdlms and gsd), then the masked
+    update. The static baselines bind their graph once."""
     obs, mask = stream.observations, stream.mask
     steps, n = obs.shape
     w = cfg.window.window
@@ -529,7 +531,15 @@ def stepwise_reference(stream, g, cfg):
         static, static_counts = multihop(g.adjacency(), np.zeros((n, n)))
     else:
         static, static_counts = g.adjacency(), (g.edge_count, 0, 0)
-    static_filter = bind_filter(adjacency_laplacian(static), cfg.filter)
+
+    def bind(adjacency):
+        laplacian = adjacency_laplacian(adjacency)
+        if cfg.algorithm in ("gdlms", "gsd"):
+            return diffusion_operator(laplacian, cfg.diffusion_eps)
+        return bind_filter(laplacian, cfg.filter)
+
+    rebinds = cfg.algorithm in ("dynamic-multihop", "sgm-then-glms", "glms-then-sgm")
+    static_filter = bind(static)
     estimates = np.zeros((steps, n))
     norms, mus = np.zeros(steps), np.zeros(steps)
     counts = np.zeros((3, steps), dtype=int)
@@ -540,9 +550,9 @@ def stepwise_reference(stream, g, cfg):
         mus[t] = adaptive_mu(norms[t], cfg.step)
         shaped = error_nonlinearity(residual, cfg.algorithm, cfg.p_exponent)
         rows = estimates[t - w : t]
-        if t >= w and np.all(np.isfinite(rows)):
+        if rebinds and t >= w and np.all(np.isfinite(rows)):
             adjacency, counts[:, t] = topology(rows)
-            operator = bind_filter(adjacency_laplacian(adjacency), cfg.filter)
+            operator = bind(adjacency)
         else:
             operator, counts[:, t] = static_filter, static_counts
         x = x + mus[t] * operator(shaped)
@@ -553,20 +563,27 @@ def stepwise_reference(stream, g, cfg):
                            diverged_at=int(np.argmax(blown)) if diverged else None)
 
 
-@pytest.mark.parametrize("algo, prune, survivors", [
-    ("dynamic-multihop", PruneSpec(0.2), False),  # the presets' rule
-    ("dynamic-multihop", PruneSpec(0.005), True),
-    ("dynamic-multihop", PruneSpec(0.015, "correlation"), True),
-    ("sgm-then-glms", PruneSpec(0.6), False),
-    ("glms-then-sgm", PruneSpec(0.6), False),
+FIXED = StepSizeRule.fixed(0.5)
+
+
+@pytest.mark.parametrize("algo, prune, step, survivors", [
+    ("dynamic-multihop", PruneSpec(0.2), RULE, False),  # the presets' rule
+    ("dynamic-multihop", PruneSpec(0.005), RULE, True),
+    ("dynamic-multihop", PruneSpec(0.015, "correlation"), RULE, True),
+    ("sgm-then-glms", PruneSpec(0.6), RULE, False),
+    ("glms-then-sgm", PruneSpec(0.6), RULE, False),
+    # the static baselines under a fixed rule: their residual shaping and step
+    # size are resolved once per call, their norms taken after the loop
+    *((static, PruneSpec(0.2), FIXED, False)
+      for static in ("glms", "gdlms", "glmp", "gsign", "gsd")),
 ], ids=["weight-magnitude", "weight-magnitude-survivors", "correlation", "sgm-then-glms",
-        "glms-then-sgm"])
-def test_trace_equals_the_step_composed_from_public_pieces(algo, prune, survivors, rng):
+        "glms-then-sgm", "glms", "gdlms", "glmp", "gsign", "gsd"])
+def test_trace_equals_the_step_composed_from_public_pieces(algo, prune, step, survivors, rng):
     g = random_graph(rng, 26, 40)
     truth = rng.standard_normal((60, 26))
     noisy = truth + 0.3 * rng.standard_normal(truth.shape)
     stream = ObservationStream(noisy, rng.random(truth.shape) < 0.7)
-    cfg = EstimatorConfig(algo, filter=FilterSpec(passband_fraction=0.4), step=RULE, hops=6,
+    cfg = EstimatorConfig(algo, filter=FilterSpec(passband_fraction=0.4), step=step, hops=6,
                           prune=prune, window=WindowSpec(10))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the 0.2 prune keeps no latent edge
@@ -721,6 +738,22 @@ def test_stacking_needs_equal_2d_shapes(rng):
         ObservationStream.stack([stacked, stacked])
     with pytest.raises(ValueError, match="2-D or 3-D"):
         ObservationStream(np.zeros((1, 2, 5, 3)), np.ones((1, 2, 5, 3), dtype=bool))
+
+
+def test_stacking_copies_streams_as_they_are_and_zeroes_outside_arrays(rng):
+    obs, mask = rng.standard_normal((5, 3)), rng.random((5, 3)) < 0.5
+    a = ObservationStream(obs, mask)
+    stacked = ObservationStream.stack([a, a])
+    assert np.array_equal(stacked.observations, np.stack([np.where(mask, obs, 0.0)] * 2))
+    assert np.array_equal(stacked.mask, np.stack([mask] * 2))
+    assert not stacked.observations.flags.writeable and not stacked.mask.flags.writeable
+    assert not np.shares_memory(stacked.observations, a.observations)
+    assert not np.shares_memory(stacked.mask, a.mask)
+    # arrays that are not a stream's are zeroed where unobserved, as the
+    # constructor zeroes them
+    outside = types.SimpleNamespace(observations=obs, mask=mask)
+    assert np.array_equal(ObservationStream.stack([outside, a]).observations,
+                          stacked.observations)
 
 
 # -- stability bound -------------------------------------------------------------------

@@ -238,6 +238,24 @@ def test_csv_read_drops_utf8_byte_order_mark(tmp_path):
     assert graph_from_csv(bom).edges == ((0, 1),)
 
 
+@pytest.mark.parametrize("text, node_count, line", [
+    ("\nsrc,dst,weight\n0,1,1.0\n", 2, 4),
+    ("# node_count=3\n\nsrc,dst,weight\n0,1,1.0\n", 3, 5),
+    ("\r\n# node_count=3\r\n\r\nsrc,dst,weight\r\n0,1,1.0\r\n", 3, 6),
+], ids=["before-header", "after-node-count", "crlf-before-both"])
+def test_csv_blank_lines_before_the_header_are_skipped(tmp_path, text, node_count, line):
+    path = tmp_path / "g.csv"
+    path.write_bytes(text.encode())
+    for read in (graph_from_csv, graphs._graph_rows):
+        g = read(path)
+        assert (g.node_count, g.edges, g.weights) == (node_count, ((0, 1),), (1.0,))
+    # rows after the header keep their file line numbers
+    path.write_bytes(text.encode() + b"1,2,x\n")
+    with pytest.raises(ValueError) as err:
+        graph_from_csv(path)
+    assert str(err.value) == f"{path}: line {line}, column 'weight': 'x' is not numeric"
+
+
 # -- property tests ----------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
