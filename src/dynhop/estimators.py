@@ -175,17 +175,15 @@ class ObservationStream:
         """R single-run streams of one (T, N) shape as one (R, T, N) stream.
 
         Streams are zeroed where unobserved already, so their stacked copies
-        are taken as they are; anything else goes through the constructor.
+        are taken as they are.
         """
         shapes = sorted({s.observations.shape for s in streams})
         if len(shapes) != 1 or len(shapes[0]) != 2:
             raise ValueError(f"need one or more 2-D streams of one shape, got shapes {shapes}")
-        observations = np.stack([s.observations for s in streams])
-        mask = np.stack([s.mask for s in streams])
-        if not all(isinstance(s, ObservationStream) for s in streams):
-            return cls(observations, mask)
         stream = object.__new__(cls)
-        stream._own(observations, mask)
+        stream._own(
+            np.stack([s.observations for s in streams]), np.stack([s.mask for s in streams])
+        )
         return stream
 
     @property
@@ -476,10 +474,10 @@ def run_estimation(
     once per call: the residual shaping of ``error_nonlinearity`` (none for
     the least-squares members), and a fixed rule's step size, one float
     for every run, written to ``step_sizes`` once. A fixed rule's
-    ``residual_norms`` are recomputed after the loop from the estimates,
-    every (R, T) row in one pass. The residual-adaptive rule reads each
-    step's norms, so it takes them in the loop and sizes each run's step
-    from them. Either way each norm has the bits of ``np.linalg.norm``.
+    ``residual_norms`` are recomputed after the loop from each run's
+    estimates, one (T, N) run at a time. The residual-adaptive rule reads
+    each step's norms, so it takes them in the loop and sizes each run's
+    step from them. Either way each norm has the bits of ``np.linalg.norm``.
     """
     n = g.node_count
     t_total = stream.steps
@@ -558,12 +556,13 @@ def run_estimation(
         x_hat = np.add(x_hat, mu * filtered, out=estimate)
 
     if not adaptive:
-        # no step read the norms: recompute every run's residuals from its
-        # estimates, all (R, T) rows in one pass
-        residuals = observations.copy()
-        residuals[:, 1:] -= estimates[:, :-1]  # the estimate is 0 before step 0
-        residuals[~mask] = 0.0
-        _row_norms(residuals.reshape(-1, n), out=residual_norms.reshape(-1))
+        # no step read the norms: recompute each run's residuals from its
+        # estimates, one (T, N) run at a time
+        for r in range(runs):
+            residual = observations[r].copy()
+            residual[1:] -= estimates[r, :-1]  # the estimate is 0 before step 0
+            residual[~mask[r]] = 0.0
+            _row_norms(residual, out=residual_norms[r])
 
     if algo == "dynamic-multihop" and np.any(
         latent_candidates.any(axis=1) & ~latent_survivors.any(axis=1)
