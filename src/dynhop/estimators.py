@@ -246,7 +246,8 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class EstimationTrace:
-    """Per-step outputs of one estimation run, or of a stack of R runs.
+    """Per-step outputs of one estimation run, or of a stack of R runs: the
+    estimates, the topology's edge counts and the latent counts.
 
     ``latent_candidates`` / ``latent_survivors`` count the latent pairs
     before and after pruning at each step of dynamic-multihop; they are 0
@@ -256,8 +257,6 @@ class EstimationTrace:
     """
 
     estimates: np.ndarray  # (T, N), estimate aligned with each observation
-    residual_norms: np.ndarray
-    step_sizes: np.ndarray
     edge_counts: np.ndarray  # edges of the topology used at each step
     latent_candidates: np.ndarray
     latent_survivors: np.ndarray
@@ -360,14 +359,14 @@ def stability_bound(
     return 2.0 / lam_max
 
 
-def _row_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of a (K, N) array, into ``out``.
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a (K, N) array.
 
     Each row's dot product is the one ``np.linalg.norm`` takes, so every
     norm has its bits whichever other rows share the call.
     """
     squares = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
-    return np.sqrt(squares, out=out)
+    return np.sqrt(squares)
 
 
 def _bind(cfg: EstimatorConfig, laplacian: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -473,11 +472,9 @@ def run_estimation(
     A step computes only what it reads. What no step changes is resolved
     once per call: the residual shaping of ``error_nonlinearity`` (none for
     the least-squares members), and a fixed rule's step size, one float
-    for every run, written to ``step_sizes`` once. A fixed rule's
-    ``residual_norms`` are recomputed after the loop from each run's
-    estimates, one (T, N) run at a time. The residual-adaptive rule reads
-    each step's norms, so it takes them in the loop and sizes each run's
-    step from them. Either way each norm has the bits of ``np.linalg.norm``.
+    for every run. Only the residual-adaptive rule takes each step's
+    residual norms, each with the bits of ``np.linalg.norm``, and sizes each
+    run's step from them.
     """
     n = g.node_count
     t_total = stream.steps
@@ -505,11 +502,8 @@ def run_estimation(
     shape = _shaping(algo, cfg.p_exponent)
     adaptive = cfg.step.kind == "residual-adaptive"
     estimates = np.zeros((runs, t_total, n))
-    residual_norms = np.zeros((runs, t_total))
-    step_sizes = np.empty((runs, t_total))
     if not adaptive:
         mu = float(cfg.step.mu)
-        step_sizes.fill(mu)
     edge_counts = np.full((runs, t_total), fixed[1], dtype=int)
     latent_candidates = np.full((runs, t_total), fixed[2], dtype=int)
     latent_survivors = np.full((runs, t_total), fixed[3], dtype=int)
@@ -531,11 +525,9 @@ def run_estimation(
     for t, (observed, seen, estimate) in enumerate(steps):
         residual = np.where(seen, observed - x_hat, 0.0)
         if adaptive:
-            norms = _row_norms(residual, out=residual_norms[:, t])
-            sizes = step_sizes[:, t]
+            norms = _row_norms(residual).tolist()
             # math.exp per run: np.exp is not guaranteed to round the same way
-            sizes[:] = [adaptive_mu(v, cfg.step) for v in norms.tolist()]
-            mu = sizes[:, None]
+            mu = np.array([adaptive_mu(v, cfg.step) for v in norms])[:, None]
         shaped = residual if shape is None else shape(residual)
         if rebuild is None:
             filtered = fixed_apply(shaped)
@@ -555,15 +547,6 @@ def run_estimation(
                 filtered[stale] = fixed_apply(shaped[stale])
         x_hat = np.add(x_hat, mu * filtered, out=estimate)
 
-    if not adaptive:
-        # no step read the norms: recompute each run's residuals from its
-        # estimates, one (T, N) run at a time
-        for r in range(runs):
-            residual = observations[r].copy()
-            residual[1:] -= estimates[r, :-1]  # the estimate is 0 before step 0
-            residual[~mask[r]] = 0.0
-            _row_norms(residual, out=residual_norms[r])
-
     if algo == "dynamic-multihop" and np.any(
         latent_candidates.any(axis=1) & ~latent_survivors.any(axis=1)
     ):
@@ -579,9 +562,7 @@ def run_estimation(
     diverged = tuple(bool(b) for b in blown.any(axis=1))
     first = tuple(int(np.argmax(b)) if d else None for b, d in zip(blown, diverged))
     estimates.setflags(write=False)
-    arrays = (
-        estimates, residual_norms, step_sizes, edge_counts, latent_candidates, latent_survivors
-    )
+    arrays = (estimates, edge_counts, latent_candidates, latent_survivors)
     if not stacked:
         arrays = tuple(a[0] for a in arrays)
         diverged, first = diverged[0], first[0]

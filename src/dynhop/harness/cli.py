@@ -77,6 +77,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
     out_dir = _out_dir(str(Path(args.out).parent))
+    if Path(args.out).is_dir():
+        raise DataError(f"--out {args.out} is a directory, not a graph file")
     series = ingest_csv(args.series_csv)
     if args.train_end is not None:
         if not 2 <= args.train_end <= series.steps:

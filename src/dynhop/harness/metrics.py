@@ -42,17 +42,14 @@ class MetricsReport:
 def mse_curve(traces: Sequence, ground_truth: np.ndarray) -> np.ndarray:
     """Per-step mean squared error, averaged over nodes and runs.
 
-    ``traces`` may hold EstimationTrace objects or raw (T, N) estimate
-    arrays, or be the (R, T, N) estimates of a stacked trace. All runs must
-    match the ground truth's shape.
+    ``traces`` holds the runs' (T, N) estimates: a sequence of arrays, or
+    the (R, T, N) estimates of a stacked trace. All runs must match the
+    ground truth's shape.
     """
     if len(traces) < 1:
         raise ValueError("need at least one run")
     truth = np.asarray(ground_truth, dtype=float)
-    if isinstance(traces, np.ndarray):
-        stack = traces.astype(float, copy=False)
-    else:
-        stack = np.stack([np.asarray(getattr(tr, "estimates", tr), dtype=float) for tr in traces])
+    stack = np.asarray(traces, dtype=float)
     if stack.shape[1:] != truth.shape:
         raise ValueError(f"estimates shape {stack.shape} does not match (R,) + truth {truth.shape}")
     return np.mean((stack - truth[None]) ** 2, axis=(0, 2))

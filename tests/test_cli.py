@@ -452,10 +452,13 @@ def test_os_errors_are_data_errors(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--steps", "30"]) == 0
     capsys.readouterr()
-    # --out names a directory, so writing the graph fails with IsADirectoryError
-    assert main(["build-graph", str(data / "series.csv"), "--out", str(data)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and str(data) in err
+    # --out names a directory, which the graph could not be written to: that
+    # is refused before the series is read, so a missing series is not named
+    for series in (data / "series.csv", tmp_path / "missing.csv"):
+        assert main(["build-graph", str(series), "--out", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(data) in err
+        assert "missing.csv" not in err
 
 
 def test_algo_flag_replaces_algorithm_list(tmp_path):

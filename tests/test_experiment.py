@@ -94,7 +94,7 @@ def test_batched_runs_reduce_like_separate_runs():
             for r in range(noise.runs)
         ]
         degree = np.mean([2.0 * tr.edge_counts / graph.node_count for tr in traces], axis=0)
-        assert np.array_equal(got.mse, mse_curve(traces, truth))
+        assert np.array_equal(got.mse, mse_curve([tr.estimates for tr in traces], truth))
         assert np.array_equal(got.avg_degree, degree)
         assert got.diverged_runs == sum(tr.diverged for tr in traces)
 
