@@ -9,16 +9,17 @@ step t from the window ending at t - 1, the strictly causal history.
 Two functions compute the same scores for different callers:
 
 - :func:`sliding_abs_correlation` scores the requested pairs over every
-  window of a whole series. It centres a block of windows at once, gathers
-  the centred values of each pair's endpoints (and of each node with
-  itself, for its sum of squares) in one pass, and adds the products one
-  offset after another, each rounded before it is added. So a pair's score
-  has the same bits whichever other pairs are requested with it. A call
-  costs O((N + pairs) x window) per window, in about 20 numpy calls plus
-  two adds per window offset for each block of windows, however many
-  windows the block holds. The online dynamic-multihop rule scores one
-  window of its base edges alone when it reads nothing else, so it pays
-  that fixed cost once per step.
+  window of a whole series. A series exactly one window long is scored
+  from its rows directly; a longer one is cut into blocks of windows, each
+  centred at once through a strided view. The kernel gathers the centred
+  values of each pair's endpoints (and of each node with itself, for its
+  sum of squares) in one pass, and adds the products one offset after
+  another, each rounded before it is added. So a pair's score has the same
+  bits whichever other pairs, and however many windows, are scored with
+  it. A call costs O((N + pairs) x window) per window, in about 30 numpy
+  calls per block of windows, however many windows the block holds. The
+  online dynamic-multihop rule scores one window of its base edges alone
+  when it reads nothing else, so it pays that fixed cost once per step.
 - :func:`window_abs_correlation` maps one window to the symmetric (N, N)
   matrix over every pair. It centres the contiguous (w, N) window once and
   sums the products with one ``np.einsum("ki,kj->ij", c, c)``, which adds
@@ -103,6 +104,20 @@ class NodeSignalSeries:
                 raise ValueError(f"{len(labels)} labels for {v.shape[1]} nodes")
             object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _checked(cls, values: np.ndarray) -> "NodeSignalSeries":
+        """Wrap a finite float (T, N) array its caller has already checked.
+
+        The series holds a read-only view, not a copy: the caller must not
+        change those rows while the series is in use.
+        """
+        view = values.view()
+        view.setflags(write=False)
+        series = object.__new__(cls)
+        object.__setattr__(series, "values", view)
+        object.__setattr__(series, "labels", None)
+        return series
+
     @property
     def steps(self) -> int:
         return self.values.shape[0]
@@ -115,20 +130,42 @@ class NodeSignalSeries:
 def _offset_sum(stack: np.ndarray) -> np.ndarray:
     """Sum over the leading (window offset) axis, one offset after another.
 
-    An explicit loop, because ``np.add.reduce`` (and so ``.sum(axis=0)``)
-    adds pairwise along whichever axis the memory layout makes the fast one:
-    a fancy-indexed gather (which numpy lays out pair axis first) or a
-    single window of one column would round differently.
+    The last of the running sums: ``np.add.accumulate`` adds each offset to
+    the sum of the ones before it, in one call. ``np.add.reduce`` (and so
+    ``.sum(axis=0)``) would instead add pairwise along whichever axis the
+    memory layout makes the fast one: a fancy-indexed gather (which numpy
+    lays out pair axis first) or a single window of one column would round
+    differently.
     """
-    total = stack[0] + stack[1]
-    for k in range(2, stack.shape[0]):
-        total += stack[k]
-    return total
+    return np.add.accumulate(stack, axis=0)[-1]
 
 
 def _flat(windows: np.ndarray) -> np.ndarray:
     """Whether each window of a (w, ...) stack is exactly constant."""
     return np.maximum.reduce(windows, axis=0) == np.minimum.reduce(windows, axis=0)
+
+
+def _score_windows(
+    windows: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray
+) -> None:
+    """Score a (w, ..., N) stack of windows into ``out`` (..., pairs).
+
+    ``left`` and ``right`` list the N self-pairs, then the requested pairs;
+    ``out`` must hold zeros, which stay where a window is flat.
+    """
+    w, n = windows.shape[0], windows.shape[-1]
+    centered = windows - _offset_sum(windows) / w
+    products = np.take(centered, left, axis=-1)
+    products *= np.take(centered, right, axis=-1)
+    sums = _offset_sum(products)
+    sumsq, num = sums[..., :n], sums[..., n:]
+    ii, jj = left[n:], right[n:]
+    # exact-constant windows have zero spread; their correlation is
+    # undefined and scored 0
+    flat = _flat(windows)
+    ok = ~(flat[..., ii] | flat[..., jj])
+    np.divide(np.abs(num), np.sqrt(sumsq[..., ii] * sumsq[..., jj]), out=out, where=ok)
+    np.minimum(out, 1.0, out=out)
 
 
 def sliding_abs_correlation(
@@ -159,34 +196,27 @@ def sliding_abs_correlation(
         outside = np.flatnonzero(np.any((index < 0) | (index >= n), axis=1))
         i, j = index[outside[0]]
         raise ValueError(f"pair ({i}, {j}) references a node outside 0..{n - 1}")
-    ii, jj = index[:, 0], index[:, 1]
     # a node's sum of squares is its product with itself: the n self-pairs
-    # come first, so one gather and one offset loop serve both sums
+    # come first, so one gather and one offset sum serve both sums
     nodes = np.arange(n)
-    left, right = np.concatenate((nodes, ii)), np.concatenate((nodes, jj))
+    left, right = np.concatenate((nodes, index[:, 0])), np.concatenate((nodes, index[:, 1]))
 
     out = np.zeros((t_total, len(index)))
     scores = out[w - 1 :]
-    starts = t_total - w + 1
-    # windows per block: the block's product stack stays near _BLOCK values
-    step = max(1, _BLOCK // (w * left.size))
-    for first in range(0, starts, step):
-        rows = x[first : first + step + w - 1]
-        b = rows.shape[0] - w + 1
-        # windows[k, s] is row s + k: offset k of the window starting at s
-        windows = as_strided(rows, (w, b, n), (rows.strides[0],) + rows.strides, writeable=False)
-        centered = windows - _offset_sum(windows) / w
-        products = np.take(centered, left, axis=2)
-        products *= np.take(centered, right, axis=2)
-        sums = _offset_sum(products)
-        sumsq, num = sums[:, :n], sums[:, n:]
-        # exact-constant windows have zero spread; their correlation is
-        # undefined and scored 0
-        flat = _flat(windows)
-        ok = ~(flat[:, ii] | flat[:, jj])
-        block = scores[first : first + b]
-        np.divide(np.abs(num), np.sqrt(sumsq[:, ii] * sumsq[:, jj]), out=block, where=ok)
-        np.minimum(block, 1.0, out=block)
+    if t_total == w:
+        # one window, as each online re-bind step passes: its rows are the window
+        _score_windows(x, left, right, scores[0])
+    else:
+        # windows per block: the block's product stack stays near _BLOCK values
+        step = max(1, _BLOCK // (w * left.size))
+        for first in range(0, t_total - w + 1, step):
+            rows = x[first : first + step + w - 1]
+            b = rows.shape[0] - w + 1
+            # windows[k, s] is row s + k: offset k of the window starting at s
+            windows = as_strided(
+                rows, (w, b, n), (rows.strides[0],) + rows.strides, writeable=False
+            )
+            _score_windows(windows, left, right, scores[first : first + b])
     out[: w - 1] = scores[0]
     return out
 
@@ -204,10 +234,10 @@ def window_abs_correlation(rows: np.ndarray) -> np.ndarray:
     # einsum adds the window products in offset order, one (N, N) matrix;
     # its diagonal is each node's sum of squares
     products = np.einsum("ki,kj->ij", centered, centered)
-    sumsq = np.diagonal(products)
+    sumsq = products.diagonal()
     flat = _flat(rows)
     ok = ~(flat[:, None] | flat)
     np.fill_diagonal(ok, False)
-    scores = np.zeros_like(products)
+    scores = np.zeros(products.shape)
     np.divide(np.abs(products), np.sqrt(sumsq[:, None] * sumsq), out=scores, where=ok)
     return np.minimum(scores, 1.0, out=scores)

@@ -418,7 +418,9 @@ def _topology_rule(
             ei, ej = edges[:, 0], edges[:, 1]
 
             def reweighted(rows: np.ndarray) -> Topology:
-                scores = sliding_abs_correlation(NodeSignalSeries(rows), cfg.window, edges)[-1]
+                # history_rows checked these rows finite: wrap them as they are
+                series = NodeSignalSeries._checked(rows)
+                scores = sliding_abs_correlation(series, cfg.window, edges)[-1]
                 adjacency = np.zeros((g.node_count, g.node_count))
                 adjacency[ei, ej] = adjacency[ej, ei] = scores
                 return multihop(adjacency, None)
@@ -444,6 +446,28 @@ def _topology_rule(
         return laplacian, int(np.count_nonzero(keep)) // 2, 0, 0
 
     return static, correlation_thresholded
+
+
+def _no_survivor_message(cfg: EstimatorConfig) -> str:
+    """Why a dynamic-multihop run kept no latent edge at any step."""
+    if cfg.refresh_weights:
+        return (
+            f"{cfg.name}: prune threshold {cfg.prune.threshold} ({cfg.prune.metric}) kept none "
+            "of the latent candidates at any step; the run reduces to re-weighted glms"
+        )
+    if cfg.prune.metric == "correlation":
+        # without refreshed weights no window is scored: every latent score is
+        # 0, which no threshold (all are >= 0) lets through
+        return (
+            f"{cfg.name}: refresh_weights=False scores every latent candidate 0 under the "
+            "correlation metric, so none survives whatever the prune threshold; the run "
+            "reduces to glms on the static graph"
+        )
+    return (
+        f"{cfg.name}: prune threshold {cfg.prune.threshold} (weight-magnitude) kept none of "
+        "the latent candidates of the static graph; with refresh_weights=False the run "
+        "reduces to glms on the static graph"
+    )
 
 
 def run_estimation(
@@ -550,11 +574,7 @@ def run_estimation(
     if algo == "dynamic-multihop" and np.any(
         latent_candidates.any(axis=1) & ~latent_survivors.any(axis=1)
     ):
-        warnings.warn(
-            f"{cfg.name}: prune threshold {cfg.prune.threshold} ({cfg.prune.metric}) kept none "
-            "of the latent candidates at any step; the run reduces to re-weighted glms",
-            stacklevel=2,
-        )
+        warnings.warn(_no_survivor_message(cfg), stacklevel=2)
 
     # a run diverges at its first non-finite estimate or one beyond the
     # guard (NaN and inf fail the comparison as well)

@@ -66,7 +66,7 @@ def ideal_response(eigenvalues: np.ndarray, passband_fraction: float) -> np.ndar
     everything (lambda = 0 is always inside the band).
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    lam_max = max(float(lam.max(initial=0.0)), 0.0)
+    lam_max = float(lam.max(initial=0.0))
     return (lam <= passband_fraction * lam_max).astype(float)
 
 

@@ -165,6 +165,17 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
 
+    @classmethod
+    def _of_eigh(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "SpectralDecomposition":
+        """Hold the fresh float arrays of ``np.linalg.eigh`` read-only: they
+        have the shapes ``__post_init__`` checks by construction."""
+        eigenvalues.setflags(write=False)
+        eigenvectors.setflags(write=False)
+        decomp = object.__new__(cls)
+        object.__setattr__(decomp, "eigenvalues", eigenvalues)
+        object.__setattr__(decomp, "eigenvectors", eigenvectors)
+        return decomp
+
 
 def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     """Full symmetric eigendecomposition, eigenvalues sorted ascending.
@@ -184,8 +195,7 @@ def eigendecompose(m: np.ndarray) -> SpectralDecomposition:
             symmetric = (m == m.T) | (np.abs(m - m.T) <= 1e-10)
         if not symmetric.all():
             raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(m)
-    return SpectralDecomposition(vals, vecs)
+    return SpectralDecomposition._of_eigh(*np.linalg.eigh(m))
 
 
 # -- serialization ----------------------------------------------------------

@@ -18,6 +18,7 @@ step that is stays with the caller, so the latent scores come in as one
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,6 +136,14 @@ def spectral_normalize(laplacian: np.ndarray) -> np.ndarray | None:
     return laplacian / lam_max
 
 
+@functools.cache
+def _lower_triangle(n: int) -> np.ndarray:
+    """Read-only (N, N) mask of the diagonal and the entries below it."""
+    tri = np.tri(n, dtype=bool)
+    tri.setflags(write=False)
+    return tri
+
+
 def _expand(
     normalized_laplacian: np.ndarray, base: np.ndarray, hops: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -143,12 +152,14 @@ def _expand(
     Upper-triangular (N, N) arrays: entry (i, j) of the first holds the
     order p at which the pair first qualifies (0 if it never does), of the
     second its |power entry| at that order. Each hop costs one matrix
-    product and six element-wise passes that write into buffers reused
-    across hops, so no boolean-indexed gather or scatter is made.
+    product, six element-wise passes that write into buffers reused across
+    hops (no boolean-indexed gather or scatter is made) and one test for a
+    pair still free. The hops stop once every free pair has qualified,
+    since a higher power could place none.
     """
     n = normalized_laplacian.shape[0]
     # only upper-triangle pairs that are not original edges can qualify
-    free = ~(base | np.tri(n, dtype=bool))
+    free = ~(base | _lower_triangle(n))
     order = np.zeros((n, n), dtype=int)
     magnitude = np.zeros((n, n))
     entry = np.empty((n, n))
@@ -159,9 +170,11 @@ def _expand(
         np.abs(power, out=entry)
         np.greater(entry, EPS_ZERO, out=fresh)
         fresh &= free
-        np.copyto(order, p, where=fresh)
-        np.copyto(magnitude, entry, where=fresh)
+        np.putmask(order, fresh, p)
+        np.putmask(magnitude, fresh, entry)
         free ^= fresh
+        if not free.any():
+            break
     return order, magnitude
 
 
@@ -175,11 +188,12 @@ def _merge(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merged adjacency and provenance (1 original, p latent from order p)."""
     merged = adjacency.copy()
-    merged[rows, cols] = weights
-    merged[cols, rows] = weights
     provenance = base.astype(int)
-    provenance[rows, cols] = hop
-    provenance[cols, rows] = hop
+    if rows.size:
+        merged[rows, cols] = weights
+        merged[cols, rows] = weights
+        provenance[rows, cols] = hop
+        provenance[cols, rows] = hop
     return merged, provenance
 
 
@@ -211,14 +225,13 @@ def expand_prune_merge(
         if scores.shape != adjacency.shape:
             raise ValueError(f"scores shape {scores.shape} does not match {adjacency.shape}")
 
-    n = adjacency.shape[0]
-    order = np.zeros((n, n), dtype=int)
-    magnitude = np.zeros((n, n))
     laplacian = adjacency_laplacian(adjacency)
-    if hops >= 2:
-        normalized = spectral_normalize(laplacian)
-        if normalized is not None:
-            order, magnitude = _expand(normalized, base, hops)
+    normalized = spectral_normalize(laplacian) if hops >= 2 else None
+    if normalized is None:  # no hop to expand, or no edge to diffuse along
+        n = adjacency.shape[0]
+        order, magnitude = np.zeros((n, n), dtype=int), np.zeros((n, n))
+    else:
+        order, magnitude = _expand(normalized, base, hops)
     rows, cols = np.nonzero(order)
     latent = (scores if correlation else magnitude)[rows, cols]
     if correlation and not np.all(latent >= 0):  # NaN fails too

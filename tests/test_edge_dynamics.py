@@ -45,6 +45,15 @@ def test_series_rejects_non_finite():
         NodeSignalSeries(np.array([[0.0, np.nan]]))
 
 
+def test_checked_series_wraps_its_rows_as_a_read_only_view(rng):
+    # the estimator hands over history rows it has already checked finite
+    rows = rng.standard_normal((5, 3))
+    series = NodeSignalSeries._checked(rows)
+    assert np.shares_memory(series.values, rows) and not series.values.flags.writeable
+    assert rows.flags.writeable and series.labels is None
+    assert np.array_equal(series.values, NodeSignalSeries(rows).values)
+
+
 def test_exact_copy_scores_one(rng):
     base = rng.standard_normal(30)
     series = NodeSignalSeries(np.column_stack([base, base]))
@@ -255,6 +264,26 @@ def test_scores_equal_ordered_pair_reference_on_random_series(data):
     with mock.patch.object(edge_dynamics, "_BLOCK", block):
         got = sliding_abs_correlation(NodeSignalSeries(values), WindowSpec(w), pairs)
     assert np.array_equal(got, ordered_pair_reference(values, WindowSpec(w), pairs))
+
+
+@pytest.mark.parametrize("w", [2, 3, 10])
+def test_one_window_call_equals_the_last_row_of_a_longer_series(w, rng):
+    # a series exactly one window long (each online re-bind step's call) is
+    # scored without the block loop, with each pair's bits from a longer call
+    n = 7
+    values = rng.standard_normal((w + 12, n)) * rng.uniform(0.1, 50.0, size=n)
+    values[:, 2] = 0.1  # flat in every window
+    values[-w:, 5] = -2.5  # flat in the last window only
+    values[:, 4] = 1.0 - 3.0 * values[:, 3]  # an exact affine copy
+    pairs = [(0, 1), (1, 0), (0, 1), (2, 3), (5, 6), (6, 5), (3, 4), (4, 3), (6, 6)]
+    longer = sliding_abs_correlation(NodeSignalSeries(values), WindowSpec(w), pairs)
+    with mock.patch.object(edge_dynamics, "as_strided", side_effect=AssertionError):
+        one = sliding_abs_correlation(NodeSignalSeries(values[-w:]), WindowSpec(w), pairs)
+    assert one.shape == (w, len(pairs))
+    assert np.array_equal(one, np.repeat(longer[-1:], w, axis=0))
+    assert np.array_equal(one, ordered_pair_reference(values[-w:], WindowSpec(w), pairs))
+    flat = [k for k, (i, j) in enumerate(pairs) if {i, j} & {2, 5}]
+    assert not one[:, flat].any() and np.all(one[:, [0, 1, 2, 6, 7]] > 0.0)
 
 
 def test_einsum_rounds_each_window_product_before_adding_it():

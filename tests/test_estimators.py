@@ -644,6 +644,31 @@ def test_prune_that_keeps_nothing_warns(rng):
         assert run_estimation(stream, g, latent).latent_survivors.any()
 
 
+@pytest.mark.parametrize("prune, message", [
+    (PruneSpec(0.0, "correlation"),
+     "dynamic-multihop: refresh_weights=False scores every latent candidate 0 under the "
+     "correlation metric, so none survives whatever the prune threshold; the run reduces "
+     "to glms on the static graph"),
+    (PruneSpec(0.99),
+     "dynamic-multihop: prune threshold 0.99 (weight-magnitude) kept none of the latent "
+     "candidates of the static graph; with refresh_weights=False the run reduces to glms "
+     "on the static graph"),
+])
+def test_static_weights_warning_names_why_no_latent_edge_survives(prune, message, rng):
+    # with refresh_weights=False no window is ever scored: under the
+    # correlation metric every latent score is 0, so the threshold is not
+    # what keeps the candidates out, and no run re-weights its edges
+    path = StaticGraph(12, tuple((i, i + 1) for i in range(11)))
+    rows = rng.standard_normal((30, 12))
+    stream = ObservationStream(rows, rng.random(rows.shape) < 0.7)
+    cfg = EstimatorConfig("dynamic-multihop", step=StepSizeRule.fixed(0.5), hops=6,
+                          prune=prune, window=WindowSpec(10), refresh_weights=False)
+    with pytest.warns(UserWarning) as record:
+        trace = run_estimation(stream, path, cfg)
+    assert trace.latent_candidates.all() and not trace.latent_survivors.any()
+    assert [str(w.message) for w in record] == [message]
+
+
 # -- run-batched estimation ------------------------------------------------------------
 
 def assert_stack_matches_single_runs(stream, g, cfg, ground_truth=None):

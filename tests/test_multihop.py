@@ -16,7 +16,7 @@ from dynhop import (
 )
 from dynhop.edge_dynamics import NodeSignalSeries, WindowSpec, sliding_abs_correlation
 from dynhop.graphs import adjacency_laplacian
-from dynhop.multihop import EPS_ZERO, expand_prune_merge
+from dynhop.multihop import EPS_ZERO, _expand, expand_prune_merge
 from conftest import random_graph
 
 
@@ -116,6 +116,71 @@ def test_hop_expand_matches_the_boolean_index_loop(seed, n, hops, connected, zer
         rows, cols = np.nonzero(order == cand.hop)
         assert cand.pairs == tuple(zip(rows.tolist(), cols.tolist()))
         assert cand.scores == tuple(magnitude[rows, cols].tolist())
+
+
+def weighted_diameter(g: StaticGraph) -> int:
+    """Longest shortest path (in edges) over the edges of positive weight,
+    taken within each connected component; 0 without such an edge."""
+    n = g.node_count
+    near = [set() for _ in range(n)]
+    for (i, j), w in zip(g.edges, g.weights):
+        if w > 0:
+            near[i].add(j)
+            near[j].add(i)
+    longest = 0
+    for source in range(n):
+        seen, frontier, depth = {source}, {source}, 0
+        while frontier:
+            frontier = {k for v in frontier for k in near[v]} - seen
+            seen |= frontier
+            depth += bool(frontier)
+        longest = max(longest, depth)
+    return longest
+
+
+def small_diameter_graphs():
+    """(graph, whether its positive-weight edges connect every node)."""
+    star = StaticGraph(7, tuple((0, k) for k in range(1, 7)), (0.3, 0.9, 1.0, 0.2, 0.6, 0.5))
+    complete = StaticGraph(5, tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
+    dense = random_graph(np.random.default_rng(4), 12, 40)
+    # a zero-weight edge splits the weighted graph in two: cross pairs
+    # never qualify, so the hops never stop early
+    split = StaticGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)), (0.5, 0.8, 0.0, 0.4, 0.7))
+    every_zero = StaticGraph(4, ((0, 1), (1, 2), (2, 3)), (0.0, 0.0, 0.0))
+    no_edges = StaticGraph(5, ())
+    return [(star, True), (complete, True), (dense, True), (split, False),
+            (every_zero, False), (no_edges, False)]
+
+
+@pytest.mark.parametrize("g, connected", small_diameter_graphs(),
+                         ids=["star", "complete", "dense", "split", "zero-weights", "no-edges"])
+@pytest.mark.parametrize("spec", [PruneSpec(0.01), PruneSpec(0.3, "correlation")],
+                         ids=["weight-magnitude", "correlation"])
+def test_hops_beyond_the_diameter_change_nothing(g, connected, spec):
+    # the hop loop stops once no free pair is left; a higher hop count can
+    # then place no further candidate, so every count from the diameter up
+    # gives the result of the full loop
+    n = g.node_count
+    scores = np.random.default_rng(n).uniform(0.0, 1.0, (n, n))
+    diameter = weighted_diameter(g)
+    base, adjacency = g.edge_mask(), g.adjacency()
+    first = expand_prune_merge(base, adjacency, max(diameter, 1), spec, scores)
+    operator = spectral_normalize(build_laplacian(g))
+    for hops in range(max(diameter, 1), diameter + 4):
+        topo = expand_prune_merge(base, adjacency, hops, spec, scores)
+        assert (topo.candidates, topo.survivors) == (first.candidates, first.survivors)
+        for field in ("adjacency", "hop", "laplacian"):
+            assert np.array_equal(getattr(topo, field), getattr(first, field)), (hops, field)
+        if operator is not None:
+            got, want = _expand(operator, base, hops), expand_loop_reference(operator, base, hops)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), hops
+    # connected, every free pair is placed by the diameter, and the hops stop
+    # there; otherwise some pair stays free and every hop runs
+    free_pairs = n * (n - 1) // 2 - g.edge_count
+    if connected:
+        assert first.candidates == free_pairs
+    else:
+        assert first.candidates < free_pairs
 
 
 def test_hop_expand_requires_positive_hops():
