@@ -9,17 +9,16 @@ step t from the window ending at t - 1, the strictly causal history.
 Two functions compute the same scores for different callers:
 
 - :func:`sliding_abs_correlation` scores the requested pairs over every
-  window of a whole series. A series exactly one window long is scored
-  from its rows directly; a longer one is cut into blocks of windows, each
-  centred at once through a strided view. The kernel gathers the centred
-  values of each pair's endpoints (and of each node with itself, for its
-  sum of squares) in one pass, and adds the products one offset after
-  another, each rounded before it is added. So a pair's score has the same
-  bits whichever other pairs, and however many windows, are scored with
-  it. A call costs O((N + pairs) x window) per window, in about 30 numpy
-  calls per block of windows, however many windows the block holds. The
-  online dynamic-multihop rule scores one window of its base edges alone
-  when it reads nothing else, so it pays that fixed cost once per step.
+  window of a whole series, one window at a time, through the same kernel
+  that scores each online re-bind step's single window. The kernel gathers
+  the centred values of each pair's endpoints (and of each node with
+  itself, for its sum of squares) in one pass, and adds the products one
+  offset after another, each rounded before it is added. So a pair's score
+  has the same bits whichever other pairs, and however many windows, are
+  scored with it. A window costs O((N + pairs) x window) in about 20 numpy
+  calls. The online dynamic-multihop rule scores one window of its base
+  edges alone when it reads nothing else, so it pays that fixed cost once
+  per step; an offline call over a long series pays it once per window.
 - :func:`window_abs_correlation` maps one window to the symmetric (N, N)
   matrix over every pair. It centres the contiguous (w, N) window once and
   sums the products with one ``np.einsum("ki,kj->ij", c, c)``, which adds
@@ -42,7 +41,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "WindowSpec",
@@ -50,12 +48,6 @@ __all__ = [
     "sliding_abs_correlation",
     "window_abs_correlation",
 ]
-
-# values in one block's (w, windows, N + pairs) product stack of
-# sliding_abs_correlation: bounded so a long series streams through small
-# temporaries instead of page-faulting fresh (w, T, pairs) arrays
-_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -140,31 +132,31 @@ def _offset_sum(stack: np.ndarray) -> np.ndarray:
     return np.add.accumulate(stack, axis=0)[-1]
 
 
-def _flat(windows: np.ndarray) -> np.ndarray:
-    """Whether each window of a (w, ...) stack is exactly constant."""
-    return np.maximum.reduce(windows, axis=0) == np.minimum.reduce(windows, axis=0)
+def _flat(rows: np.ndarray) -> np.ndarray:
+    """Whether each column of a (w, N) window is exactly constant."""
+    return np.maximum.reduce(rows, axis=0) == np.minimum.reduce(rows, axis=0)
 
 
-def _score_windows(
-    windows: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray
+def _score_window(
+    rows: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray
 ) -> None:
-    """Score a (w, ..., N) stack of windows into ``out`` (..., pairs).
+    """Score one (w, N) window into ``out`` (pairs,).
 
     ``left`` and ``right`` list the N self-pairs, then the requested pairs;
     ``out`` must hold zeros, which stay where a window is flat.
     """
-    w, n = windows.shape[0], windows.shape[-1]
-    centered = windows - _offset_sum(windows) / w
-    products = np.take(centered, left, axis=-1)
-    products *= np.take(centered, right, axis=-1)
+    w, n = rows.shape
+    centered = rows - _offset_sum(rows) / w
+    products = np.take(centered, left, axis=1)
+    products *= np.take(centered, right, axis=1)
     sums = _offset_sum(products)
-    sumsq, num = sums[..., :n], sums[..., n:]
+    sumsq, num = sums[:n], sums[n:]
     ii, jj = left[n:], right[n:]
     # exact-constant windows have zero spread; their correlation is
     # undefined and scored 0
-    flat = _flat(windows)
-    ok = ~(flat[..., ii] | flat[..., jj])
-    np.divide(np.abs(num), np.sqrt(sumsq[..., ii] * sumsq[..., jj]), out=out, where=ok)
+    flat = _flat(rows)
+    ok = ~(flat[ii] | flat[jj])
+    np.divide(np.abs(num), np.sqrt(sumsq[ii] * sumsq[jj]), out=out, where=ok)
     np.minimum(out, 1.0, out=out)
 
 
@@ -177,6 +169,12 @@ def sliding_abs_correlation(
 
     Returns an array of shape (T, len(pairs)); row t holds the scores of
     the window ending at step t.
+
+    Each window is scored on its own, as an online re-bind step scores its
+    one window, so a call over T steps makes T - w + 1 kernel calls. That
+    suits the estimators, which pass one window per call. An offline call
+    over a long, narrow series pays the kernel's fixed cost once per
+    window, so it is slower than a strided stack of windows would be.
     """
     x = series.values
     t_total, n = x.shape
@@ -202,22 +200,9 @@ def sliding_abs_correlation(
     left, right = np.concatenate((nodes, index[:, 0])), np.concatenate((nodes, index[:, 1]))
 
     out = np.zeros((t_total, len(index)))
-    scores = out[w - 1 :]
-    if t_total == w:
-        # one window, as each online re-bind step passes: its rows are the window
-        _score_windows(x, left, right, scores[0])
-    else:
-        # windows per block: the block's product stack stays near _BLOCK values
-        step = max(1, _BLOCK // (w * left.size))
-        for first in range(0, t_total - w + 1, step):
-            rows = x[first : first + step + w - 1]
-            b = rows.shape[0] - w + 1
-            # windows[k, s] is row s + k: offset k of the window starting at s
-            windows = as_strided(
-                rows, (w, b, n), (rows.strides[0],) + rows.strides, writeable=False
-            )
-            _score_windows(windows, left, right, scores[first : first + b])
-    out[: w - 1] = scores[0]
+    for end in range(w, t_total + 1):
+        _score_window(x[end - w : end], left, right, out[end - 1])
+    out[: w - 1] = out[w - 1]
     return out
 
 

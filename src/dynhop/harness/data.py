@@ -82,8 +82,10 @@ def series_to_csv(series: NodeSignalSeries, path: str | Path) -> None:
 class SplitSpec:
     """Train/validation/test ranges as 1-based inclusive [start, end] pairs.
 
-    Ranges must be ordered and disjoint. The test end may be None, meaning
-    "through the last step"; it is resolved once the series length is known.
+    Ranges must be ordered and disjoint, and train must hold at least 2
+    steps (the noise variance and the initial graph each need 2 rows). The
+    test end may be None, meaning "through the last step"; it is resolved
+    once the series length is known.
     """
 
     train: tuple[int, int]
@@ -94,6 +96,8 @@ class SplitSpec:
         tr, va, te = self.train, self.validation, self.test
         if tr[0] < 1 or tr[1] < tr[0]:
             raise ValueError(f"bad train range {tr}")
+        if tr[1] == tr[0]:
+            raise ValueError(f"train range {tr} holds 1 step; it needs at least 2")
         if va[0] <= tr[1] or va[1] < va[0]:
             raise ValueError(f"validation range {va} must follow train {tr}")
         if te[0] <= va[1] or (te[1] is not None and te[1] < te[0]):
@@ -101,6 +105,10 @@ class SplitSpec:
 
     def resolve(self, total_steps: int) -> "SplitSpec":
         """Pin an open test end and check everything fits in the series."""
+        if self.test[0] > total_steps:
+            raise ValueError(
+                f"test range starts at step {self.test[0]} but series has {total_steps} steps"
+            )
         end = self.test[1] if self.test[1] is not None else total_steps
         resolved = SplitSpec(self.train, self.validation, (self.test[0], end))
         if end > total_steps:

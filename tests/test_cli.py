@@ -217,6 +217,8 @@ def test_config_with_a_byte_order_mark_resolves(tmp_path):
      {"dataset": {"splits": {"train": [1.5, 40]}}}),
     ("dataset.splits.train must be a list of 2 items, got [1, 40, 50]",
      {"dataset": {"splits": {"train": [1, 40, 50]}}}),
+    ("bad dataset.splits: train range (1, 1) holds 1 step; it needs at least 2",
+     {"dataset": {"splits": {"train": [1, 1], "validation": [2, 20], "test": [21, None]}}}),
     ("noise.runs must be an integer, got 2.7", {"noise": {"runs": 2.7}}),
     ("noise.runs must be an integer, got True", {"noise": {"runs": True}}),
     ("noise.seed must be an integer, got '3'", {"noise": {"seed": "3"}}),
@@ -235,8 +237,8 @@ def test_config_with_a_byte_order_mark_resolves(tmp_path):
      {"algorithms": [{"algorithm": "gsd", "diffusion_eps": -math.inf}]}),
 ], ids=["hops-float", "hops-true", "window-float", "order-float", "eps-string", "step-no-kind",
         "nodes-float", "graph-number", "series-number", "train-float", "train-three-items",
-        "runs-float", "runs-true", "seed-string", "top-k-float", "snr-overflow", "mu-nan",
-        "mu-inf", "mu-max-inf", "eps-nan", "eps-minus-inf"])
+        "train-one-step", "runs-float", "runs-true", "seed-string", "top-k-float", "snr-overflow",
+        "mu-nan", "mu-inf", "mu-max-inf", "eps-nan", "eps-minus-inf"])
 def test_mistyped_values_are_config_errors_naming_their_key(tmp_path, capsys, message, overrides):
     cfg = run_config(tmp_path, **overrides)
     assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
@@ -574,18 +576,22 @@ def test_report_on_a_file_that_is_not_utf8_is_data_error_naming_it(tmp_path, cap
     assert "'utf-8' codec can't decode byte 0xff" in err
 
 
-@pytest.mark.parametrize("test_range", [[61, 200], [61, None]], ids=["closed", "open"])
-def test_run_with_splits_past_the_series_is_data_error(tmp_path, capsys, test_range):
+@pytest.mark.parametrize("splits, cause", [
+    ([[1, 40], [41, 60], [61, 200]], "test range starts at step 61 but series has 50 steps"),
+    ([[1, 40], [41, 60], [61, None]], "test range starts at step 61 but series has 50 steps"),
+    ([[1, 20], [21, 40], [41, 200]], "test range ends at 200 but series has 50 steps"),
+], ids=["closed", "open", "ends-past"])
+def test_run_with_splits_past_the_series_is_data_error(tmp_path, capsys, splits, cause):
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--steps", "50"]) == 0
     cfg = run_config(tmp_path, dataset={
         "synthetic": None, "graph": "build", "series_csv": str(data / "series.csv"),
-        "splits": {"train": [1, 40], "validation": [41, 60], "test": test_range},
+        "splits": dict(zip(("train", "validation", "test"), splits)),
     })
     assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert "data error" in err and "test range" in err and "50-step series" in err
-    assert "Traceback" not in err
+    assert err.startswith("data error: ") and "50-step series" in err
+    assert err.endswith(f": {cause}\n")
 
 
 def test_run_with_series_csv_that_is_not_utf8_is_data_error(tmp_path, capsys):

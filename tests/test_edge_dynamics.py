@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from dynhop import (
     build_topology_slice,
     sliding_abs_correlation,
 )
-from dynhop import edge_dynamics
 from dynhop.edge_dynamics import window_abs_correlation
 from conftest import random_graph
 
@@ -258,18 +256,14 @@ def test_scores_equal_ordered_pair_reference_on_random_series(data):
     if pairs:  # the first pair reversed, repeated and paired with itself
         i, j = pairs[0]
         pairs += [(j, i), (i, j), (i, i)]
-    # one window per block, three, or the default block size
-    per_block = data.draw(st.sampled_from([1, 3, None]), label="windows per block")
-    block = edge_dynamics._BLOCK if per_block is None else per_block * w * (n + len(pairs))
-    with mock.patch.object(edge_dynamics, "_BLOCK", block):
-        got = sliding_abs_correlation(NodeSignalSeries(values), WindowSpec(w), pairs)
+    got = sliding_abs_correlation(NodeSignalSeries(values), WindowSpec(w), pairs)
     assert np.array_equal(got, ordered_pair_reference(values, WindowSpec(w), pairs))
 
 
 @pytest.mark.parametrize("w", [2, 3, 10])
 def test_one_window_call_equals_the_last_row_of_a_longer_series(w, rng):
-    # a series exactly one window long (each online re-bind step's call) is
-    # scored without the block loop, with each pair's bits from a longer call
+    # a series exactly one window long (each online re-bind step's call)
+    # gives each pair the bits of the last row of a longer call
     n = 7
     values = rng.standard_normal((w + 12, n)) * rng.uniform(0.1, 50.0, size=n)
     values[:, 2] = 0.1  # flat in every window
@@ -277,8 +271,7 @@ def test_one_window_call_equals_the_last_row_of_a_longer_series(w, rng):
     values[:, 4] = 1.0 - 3.0 * values[:, 3]  # an exact affine copy
     pairs = [(0, 1), (1, 0), (0, 1), (2, 3), (5, 6), (6, 5), (3, 4), (4, 3), (6, 6)]
     longer = sliding_abs_correlation(NodeSignalSeries(values), WindowSpec(w), pairs)
-    with mock.patch.object(edge_dynamics, "as_strided", side_effect=AssertionError):
-        one = sliding_abs_correlation(NodeSignalSeries(values[-w:]), WindowSpec(w), pairs)
+    one = sliding_abs_correlation(NodeSignalSeries(values[-w:]), WindowSpec(w), pairs)
     assert one.shape == (w, len(pairs))
     assert np.array_equal(one, np.repeat(longer[-1:], w, axis=0))
     assert np.array_equal(one, ordered_pair_reference(values[-w:], WindowSpec(w), pairs))
