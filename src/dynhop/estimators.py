@@ -175,14 +175,17 @@ class ObservationStream:
         """R single-run streams of one (T, N) shape as one (R, T, N) stream.
 
         Streams are zeroed where unobserved already, so their stacked copies
-        are taken as they are.
+        are taken as they are. The copies are stored step-major, as (R, T, N)
+        views of (T, R, N) arrays: ``run_estimation`` reads one step of every
+        run at a time, and contiguous (R, N) rows make its numpy calls cheaper.
         """
         shapes = sorted({s.observations.shape for s in streams})
         if len(shapes) != 1 or len(shapes[0]) != 2:
             raise ValueError(f"need one or more 2-D streams of one shape, got shapes {shapes}")
         stream = object.__new__(cls)
         stream._own(
-            np.stack([s.observations for s in streams]), np.stack([s.mask for s in streams])
+            np.stack([s.observations for s in streams], axis=1).swapaxes(0, 1),
+            np.stack([s.mask for s in streams], axis=1).swapaxes(0, 1),
         )
         return stream
 
@@ -270,14 +273,21 @@ class EstimationTrace:
 
 def _shaping(
     algorithm: str, p_exponent: float | None
-) -> Callable[[np.ndarray], np.ndarray] | None:
-    """The algorithm's element-wise residual shaping, or None for the
-    identity of the least-squares members."""
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
+    """The algorithm's element-wise residual shaping ``(e, out) -> out``,
+    or None for the identity of the least-squares members. ``out`` must
+    not overlap ``e``."""
     if algorithm in _SIGN:
-        return np.sign
+        return lambda e, out: np.sign(e, out=out)
     if algorithm == "glmp":
         power = _glmp_exponent(p_exponent) - 1.0
-        return lambda e: np.sign(e) * np.abs(e) ** power
+
+        def signed_power(e: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.abs(e, out=out)
+            out **= power  # the scalar-power fast path of ``np.abs(e) ** power``
+            return np.multiply(np.sign(e), out, out=out)
+
+        return signed_power
     return None
 
 
@@ -292,17 +302,22 @@ def error_nonlinearity(e: np.ndarray, algorithm: str, p_exponent: float | None =
         raise ValueError(f"unknown algorithm {algorithm!r}")
     e = np.asarray(e, dtype=float)
     shape = _shaping(algorithm, p_exponent)
-    return e if shape is None else shape(e)
+    return e if shape is None else shape(e, np.empty_like(e))
 
 
 def diffusion_operator(
     laplacian: np.ndarray, eps: float | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[..., np.ndarray]:
     """One-step spatial diffusion x -> x - eps * L x, on (..., N) signals.
 
     ``eps`` defaults to 1 / lambda_max (0 for an edgeless graph). The
     operator is non-expansive for 0 < eps < 2 / lambda_max; values outside
     that range only warn, since exploratory use is legitimate.
+
+    Like a bound filter, the operator takes an optional ``out=`` array of the
+    signal's shape and returns it, with the bits of the allocating call. It
+    writes ``L x`` into ``out`` before it reads ``x`` again, so an ``out``
+    that overlaps ``x`` costs one copy of ``x``.
     """
     laplacian = np.asarray(laplacian, dtype=float)
     lam_max = float(np.linalg.eigvalsh(laplacian)[-1])
@@ -314,8 +329,14 @@ def diffusion_operator(
             stacklevel=2,
         )
 
-    def op(x: np.ndarray) -> np.ndarray:
-        return x - eps * _matvec(laplacian, x)
+    def op(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return x - eps * _matvec(laplacian, x)
+        if np.may_share_memory(x, out):
+            x = x.copy()
+        _matvec(laplacian, x, out)
+        np.multiply(out, eps, out=out)
+        return np.subtract(x, out, out=out)
 
     return op
 
@@ -499,6 +520,17 @@ def run_estimation(
     for every run. Only the residual-adaptive rule takes each step's
     residual norms, each with the bits of ``np.linalg.norm``, and sizes each
     run's step from them.
+
+    The loop owns its buffers: each call allocates one (R, N) residual, one
+    shaped residual (none for the least-squares members, which shape
+    nothing), one filtered residual and the running estimate, and every
+    step overwrites them in place. The bound operator writes into the
+    filtered buffer through its ``out=`` argument, a re-bound run into its
+    own row; the scaled step is added to the running estimate, which is
+    then copied into the step's row of the trace. So a static step
+    allocates no array but glmp's ``np.sign`` of the residual. The
+    unobserved mask is built once per call, step-major like the stream
+    of :meth:`ObservationStream.stack`, so each step reads contiguous rows.
     """
     n = g.node_count
     t_total = stream.steps
@@ -525,7 +557,8 @@ def run_estimation(
 
     shape = _shaping(algo, cfg.p_exponent)
     adaptive = cfg.step.kind == "residual-adaptive"
-    estimates = np.zeros((runs, t_total, n))
+    # every step writes its row, so the trace starts uninitialised
+    estimates = np.empty((runs, t_total, n))
     if not adaptive:
         mu = float(cfg.step.mu)
     edge_counts = np.full((runs, t_total), fixed[1], dtype=int)
@@ -543,20 +576,27 @@ def run_estimation(
             return None  # diverged history carries no usable statistics
         return rows
 
+    # contiguous (R, N) buffers that every step overwrites: numpy calls cost
+    # less on them than on a step's strided rows of the run-major trace
+    residual = np.empty((runs, n))
+    shaped = residual if shape is None else np.empty((runs, n))
+    filtered = np.empty((runs, n))
     x_hat = np.zeros((runs, n))
-    # step t's (R, N) observations, mask and estimates, as views
-    steps = zip(observations.swapaxes(0, 1), mask.swapaxes(0, 1), estimates.swapaxes(0, 1))
-    for t, (observed, seen, estimate) in enumerate(steps):
-        residual = np.where(seen, observed - x_hat, 0.0)
+    unseen = np.logical_not(mask.swapaxes(0, 1), order="C")  # step-major
+    # step t's (R, N) observations, unobserved mask and trace rows, as views
+    steps = zip(observations.swapaxes(0, 1), unseen, estimates.swapaxes(0, 1))
+    for t, (observed, unobserved, estimate) in enumerate(steps):
+        np.subtract(observed, x_hat, out=residual)
+        np.copyto(residual, 0.0, where=unobserved)
         if adaptive:
             norms = _row_norms(residual).tolist()
             # math.exp per run: np.exp is not guaranteed to round the same way
             mu = np.array([adaptive_mu(v, cfg.step) for v in norms])[:, None]
-        shaped = residual if shape is None else shape(residual)
+        if shape is not None:
+            shape(residual, shaped)
         if rebuild is None:
-            filtered = fixed_apply(shaped)
+            fixed_apply(shaped, out=filtered)
         else:
-            filtered = np.empty_like(shaped)
             stale = []  # runs without usable history
             for r in range(runs):
                 rows = history_rows(r, t)
@@ -566,10 +606,12 @@ def run_estimation(
                 laplacian, edge_counts[r, t], latent_candidates[r, t], latent_survivors[r, t] = (
                     rebuild(rows)
                 )
-                filtered[r] = _bind(cfg, laplacian)(shaped[r])
+                _bind(cfg, laplacian)(shaped[r], out=filtered[r])
             if stale:
                 filtered[stale] = fixed_apply(shaped[stale])
-        x_hat = np.add(x_hat, mu * filtered, out=estimate)
+        np.multiply(filtered, mu, out=filtered)
+        x_hat += filtered
+        estimate[...] = x_hat
 
     if algo == "dynamic-multihop" and np.any(
         latent_candidates.any(axis=1) & ~latent_survivors.any(axis=1)
@@ -577,8 +619,10 @@ def run_estimation(
         warnings.warn(_no_survivor_message(cfg), stacklevel=2)
 
     # a run diverges at its first non-finite estimate or one beyond the
-    # guard (NaN and inf fail the comparison as well)
-    blown = ~np.all(np.abs(estimates) <= DIVERGENCE_GUARD, axis=2)
+    # guard (NaN fails both comparisons, and each infinity one of them)
+    inside = np.less_equal(estimates, DIVERGENCE_GUARD)
+    np.greater_equal(estimates, -DIVERGENCE_GUARD, out=inside, where=inside)
+    blown = ~inside.all(axis=2)
     diverged = tuple(bool(b) for b in blown.any(axis=1))
     first = tuple(int(np.argmax(b)) if d else None for b, d in zip(blown, diverged))
     estimates.setflags(write=False)

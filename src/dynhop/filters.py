@@ -108,23 +108,31 @@ def fit_lowpass_coefficients(
     return tuple(theta / lam_max ** np.arange(order + 1))
 
 
-def _matvec(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """``matrix @ v`` for every vector v of a (..., N) stack.
+def _matvec(matrix: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``matrix @ v`` for every vector v of a (..., N) stack, into ``out`` if given.
 
     Each vector gets its own matrix-vector product, so it carries the same
     bits as ``matrix @ v`` alone; one matrix-matrix product over the stack
-    would round differently.
+    would round differently. ``np.matmul`` copies an input that overlaps
+    ``out`` first, so ``out`` may be ``vec`` itself.
     """
-    return np.matmul(matrix, vec[..., None])[..., 0]
+    if out is None:
+        return np.matmul(matrix, vec[..., None])[..., 0]
+    np.matmul(matrix, vec[..., None], out=out[..., None])
+    return out
 
 
-def _apply_polynomial(matrix: np.ndarray, coefficients, vec: np.ndarray) -> np.ndarray:
+def _apply_polynomial(
+    matrix: np.ndarray, coefficients, vec: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``sum_p c_p matrix^p vec``; ``out`` is written once, by the last term,
+    after every read of ``vec``, so it may overlap ``vec``."""
     acc = coefficients[0] * vec
     power = vec
-    for c in coefficients[1:]:
+    for c in coefficients[1:-1]:
         power = _matvec(matrix, power)
-        acc = acc + c * power
-    return acc
+        acc += c * power
+    return np.add(acc, coefficients[-1] * _matvec(matrix, power), out=out)
 
 
 def _resolve_coefficients(
@@ -163,19 +171,25 @@ def bind_filter(
     laplacian: np.ndarray,
     spec: FilterSpec,
     decomp: SpectralDecomposition | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[..., np.ndarray]:
     """Pre-bind a filter to one operator; returns a callable on (..., N) signals.
 
     Binding does the expensive work once (eigendecomposition or coefficient
     fit), so per-step application inside online loops is a single dense
     matvec or a short matvec chain per signal. A stack of signals is
     filtered signal by signal, bit-identical to filtering each alone.
+
+    The callable takes an optional ``out=`` array of the signal's shape,
+    fills it with the bits the allocating call returns, and returns it; the
+    dense route then allocates nothing. ``out`` may overlap the signal on
+    both routes: the dense product copies an overlapping signal first, and
+    the polynomial route writes ``out`` only after its last read of it.
     """
     if spec.kind == "chebyshev":
         coeffs = _resolve_coefficients(spec, laplacian, decomp)
 
-        def apply_poly(vec: np.ndarray) -> np.ndarray:
-            return _apply_polynomial(laplacian, coeffs, vec)
+        def apply_poly(vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            return _apply_polynomial(laplacian, coeffs, vec, out)
 
         return apply_poly
     if decomp is None:
@@ -183,7 +197,7 @@ def bind_filter(
     u = decomp.eigenvectors
     dense = (u * filter_response(decomp, spec)) @ u.T  # U diag(h) U^T
 
-    def apply_dense(vec: np.ndarray) -> np.ndarray:
-        return _matvec(dense, vec)
+    def apply_dense(vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _matvec(dense, vec, out)
 
     return apply_dense

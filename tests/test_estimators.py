@@ -744,6 +744,29 @@ def test_stacked_run_diverging_next_to_converging_runs(algo, rng):
         assert np.all(np.isfinite(stacked.estimates[[0, 2]]))
 
 
+def test_stacked_runs_flag_a_negative_blow_up_and_a_nan_at_their_own_steps(rng):
+    # run 1 observes -4e100 everywhere at step 5, which passes the low-pass
+    # filter as the constant it is and lands near -2e100, finite but past
+    # the guard; run 2 observes NaN at step 7
+    g = random_graph(rng, 10)
+    truth = bandlimited_vector(g, 0.4, rng)
+    observations = np.tile(truth, (3, 12, 1))
+    observations[1, 5] = -4e100
+    observations[2, 7] = np.nan
+    stream = ObservationStream(observations, np.ones(observations.shape, dtype=bool))
+    cfg = EstimatorConfig("glms", filter=FilterSpec(passband_fraction=0.4),
+                          step=StepSizeRule.fixed(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overflow and invalid-value warnings
+        trace = run_estimation(stream, g, cfg)
+    estimates = trace.estimates
+    assert np.all(np.isfinite(estimates[1, 5])) and np.all(
+        estimates[1, 5] < -estimators.DIVERGENCE_GUARD)
+    assert np.all(np.isnan(estimates[2, 7]))
+    assert trace.diverged == (False, True, True)
+    assert trace.diverged_at == (None, 5, 7)
+
+
 def test_stacking_needs_equal_2d_shapes(rng):
     a = ObservationStream(rng.standard_normal((5, 3)), np.ones((5, 3), dtype=bool))
     b = ObservationStream(rng.standard_normal((6, 3)), np.ones((6, 3), dtype=bool))
@@ -768,6 +791,26 @@ def test_stacking_copies_streams_as_they_are(rng):
     assert not stacked.observations.flags.writeable and not stacked.mask.flags.writeable
     assert not np.shares_memory(stacked.observations, a.observations)
     assert not np.shares_memory(stacked.mask, a.mask)
+
+
+@pytest.mark.parametrize("algo", ["glms", "glmp", "gsd", "dynamic-multihop"])
+def test_step_major_stack_traces_like_a_run_major_stream(algo, rng):
+    # stack() stores each step's runs together; a 3-D stream built directly
+    # keeps the caller's run-major layout, and the traces cannot tell them apart
+    g = random_graph(rng, 26, 40)
+    runs = rng.standard_normal((3, 40, 26))
+    masks = rng.random(runs.shape) < 0.7
+    direct = ObservationStream(runs, masks)
+    stacked = ObservationStream.stack([ObservationStream(o, m) for o, m in zip(runs, masks)])
+    assert stacked.observations.swapaxes(0, 1).flags.c_contiguous
+    assert stacked.mask.swapaxes(0, 1).flags.c_contiguous
+    cfg = batch_config(algo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the prune may keep no latent edge
+        got, want = run_estimation(stacked, g, cfg), run_estimation(direct, g, cfg)
+    for field in dataclasses.fields(EstimationTrace):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+    assert got.estimates.tobytes() == want.estimates.tobytes()
 
 
 # -- stability bound -------------------------------------------------------------------

@@ -7,6 +7,7 @@ from dynhop import (
     apply_filter,
     bind_filter,
     build_laplacian,
+    diffusion_operator,
     eigendecompose,
     fit_lowpass_coefficients,
 )
@@ -129,3 +130,34 @@ def test_bind_filter_matches_apply(rng):
         bound = bind_filter(lap, spec)
         assert np.array_equal(bound(x), apply_filter(x, lap, spec))
 
+
+
+# -- out= on every operator route ------------------------------------------------------
+
+def bound_operator(route, lap):
+    if route == "diffusion":
+        return diffusion_operator(lap)
+    spec = FilterSpec(passband_fraction=0.4) if route == "ideal" else FilterSpec(
+        "chebyshev", passband_fraction=0.4, order=6)
+    return bind_filter(lap, spec)
+
+
+@pytest.mark.parametrize("shape", [(9,), (4, 9)], ids=["signal", "stack"])
+@pytest.mark.parametrize("route", ["ideal", "chebyshev", "diffusion"])
+def test_out_holds_the_bits_of_the_allocating_call(route, shape, rng):
+    op = bound_operator(route, build_laplacian(random_graph(rng, 9)))
+    x = rng.standard_normal(shape)
+    want = op(x).tobytes()
+
+    out = np.full(shape, np.nan)
+    assert op(x, out=out) is out
+    assert out.tobytes() == want
+    # a row of a larger buffer, as a re-bound run writes its own row
+    rows = np.full((3,) + shape, np.nan)
+    assert op(x, out=rows[1]).tobytes() == want
+    # an out that overlaps the input: the input itself, then a shifted view
+    same = x.copy()
+    assert op(same, out=same) is same and same.tobytes() == want
+    buffer = np.zeros(shape[:-1] + (10,))
+    buffer[..., 1:] = x
+    assert op(buffer[..., 1:], out=buffer[..., :-1]).tobytes() == want
