@@ -302,7 +302,10 @@ def error_nonlinearity(e: np.ndarray, algorithm: str, p_exponent: float | None =
         raise ValueError(f"unknown algorithm {algorithm!r}")
     e = np.asarray(e, dtype=float)
     shape = _shaping(algorithm, p_exponent)
-    return e if shape is None else shape(e, np.empty_like(e))
+    if shape is None:
+        return e
+    shaped = shape(e, np.empty_like(e))
+    return shaped[()] if shaped.ndim == 0 else shaped  # a scalar for a scalar, as ufuncs give
 
 
 def diffusion_operator(
@@ -331,8 +334,8 @@ def diffusion_operator(
 
     def op(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
-            return x - eps * _matvec(laplacian, x)
-        if np.may_share_memory(x, out):
+            out = np.empty(np.shape(x))
+        elif np.may_share_memory(x, out):
             x = x.copy()
         _matvec(laplacian, x, out)
         np.multiply(out, eps, out=out)
@@ -390,7 +393,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def _bind(cfg: EstimatorConfig, laplacian: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _bind(cfg: EstimatorConfig, laplacian: np.ndarray) -> Callable[..., np.ndarray]:
     """The algorithm's operator bound to one Laplacian: diffusion or its filter."""
     if cfg.algorithm in _SPATIAL:
         return diffusion_operator(laplacian, cfg.diffusion_eps)

@@ -117,7 +117,7 @@ def _matvec(matrix: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None) 
     ``out`` first, so ``out`` may be ``vec`` itself.
     """
     if out is None:
-        return np.matmul(matrix, vec[..., None])[..., 0]
+        out = np.empty(vec.shape)
     np.matmul(matrix, vec[..., None], out=out[..., None])
     return out
 

@@ -52,6 +52,4 @@ def mse_curve(traces: Sequence, ground_truth: np.ndarray) -> np.ndarray:
     stack = np.asarray(traces, dtype=float)
     if stack.shape[1:] != truth.shape:
         raise ValueError(f"estimates shape {stack.shape} does not match (R,) + truth {truth.shape}")
-    squared = stack - truth[None]  # the one (R, T, N) temporary
-    np.square(squared, out=squared)
-    return np.mean(squared, axis=(0, 2))
+    return np.mean((stack - truth[None]) ** 2, axis=(0, 2))

@@ -113,6 +113,12 @@ def test_pnorm_nonlinearity():
     assert out[0] == pytest.approx(-2.0, abs=1e-15)
 
 
+def test_shaping_a_scalar_returns_a_scalar():
+    for algo, want in (("gsign", -1.0), ("gsd", -1.0), ("glmp", -2.0)):
+        shaped = error_nonlinearity(-4.0, algo, 1.5)
+        assert type(shaped) is np.float64 and shaped == want
+
+
 def test_identity_nonlinearity(rng):
     e = rng.standard_normal(5)
     assert np.array_equal(error_nonlinearity(e, "glms"), e)
