@@ -96,20 +96,6 @@ class NodeSignalSeries:
                 raise ValueError(f"{len(labels)} labels for {v.shape[1]} nodes")
             object.__setattr__(self, "labels", labels)
 
-    @classmethod
-    def _checked(cls, values: np.ndarray) -> "NodeSignalSeries":
-        """Wrap a finite float (T, N) array its caller has already checked.
-
-        The series holds a read-only view, not a copy: the caller must not
-        change those rows while the series is in use.
-        """
-        view = values.view()
-        view.setflags(write=False)
-        series = object.__new__(cls)
-        object.__setattr__(series, "values", view)
-        object.__setattr__(series, "labels", None)
-        return series
-
     @property
     def steps(self) -> int:
         return self.values.shape[0]

@@ -178,6 +178,13 @@ class ObservationStream:
         are taken as they are. The copies are stored step-major, as (R, T, N)
         views of (T, R, N) arrays: ``run_estimation`` reads one step of every
         run at a time, and contiguous (R, N) rows make its numpy calls cheaper.
+
+        The stack is the one stream built without the constructor. What the
+        constructor checks holds here by construction (one 2-D shape,
+        copies already zeroed), and going through it would zero the copies
+        a second time and copy the mask back into run-major order: 165 us
+        against 60 us per call at 8 runs of 120 steps x 26 nodes (timeit,
+        2-core VM, numpy 2.4).
         """
         shapes = sorted({s.observations.shape for s in streams})
         if len(shapes) != 1 or len(shapes[0]) != 2:
@@ -215,7 +222,7 @@ class EstimatorConfig:
     """
 
     algorithm: str
-    filter: FilterSpec = FilterSpec("ideal-band-limited", passband_fraction=0.4)
+    filter: FilterSpec = FilterSpec()
     step: StepSizeRule = StepSizeRule.fixed(0.9)
     hops: int = 6
     prune: PruneSpec = PruneSpec(0.2)
@@ -442,9 +449,7 @@ def _topology_rule(
             ei, ej = edges[:, 0], edges[:, 1]
 
             def reweighted(rows: np.ndarray) -> Topology:
-                # history_rows checked these rows finite: wrap them as they are
-                series = NodeSignalSeries._checked(rows)
-                scores = sliding_abs_correlation(series, cfg.window, edges)[-1]
+                scores = sliding_abs_correlation(NodeSignalSeries(rows), cfg.window, edges)[-1]
                 adjacency = np.zeros((g.node_count, g.node_count))
                 adjacency[ei, ej] = adjacency[ej, ei] = scores
                 return multihop(adjacency, None)
@@ -528,9 +533,10 @@ def run_estimation(
     shaped residual (none for the least-squares members, which shape
     nothing), one filtered residual and the running estimate, and every
     step overwrites them in place. The bound operator writes into the
-    filtered buffer through its ``out=`` argument, a re-bound run into its
-    own row; the scaled step is added to the running estimate, which is
-    then copied into the step's row of the trace. So a static step
+    filtered buffer through its ``out=`` argument; a dynamic algorithm
+    makes one operator call per run, re-bound or no-history, into the
+    run's own row. The scaled step is added to the running estimate,
+    which is then copied into the step's row of the trace. So a static step
     allocates no array but glmp's ``np.sign`` of the residual. The
     unobserved mask is built once per call, step-major like the stream
     of :meth:`ObservationStream.stack`, so each step reads contiguous rows.
@@ -600,18 +606,15 @@ def run_estimation(
         if rebuild is None:
             fixed_apply(shaped, out=filtered)
         else:
-            stale = []  # runs without usable history
             for r in range(runs):
                 rows = history_rows(r, t)
                 if rows is None:
-                    stale.append(r)
-                    continue
-                laplacian, edge_counts[r, t], latent_candidates[r, t], latent_survivors[r, t] = (
-                    rebuild(rows)
-                )
-                _bind(cfg, laplacian)(shaped[r], out=filtered[r])
-            if stale:
-                filtered[stale] = fixed_apply(shaped[stale])
+                    apply = fixed_apply
+                else:
+                    (laplacian, edge_counts[r, t], latent_candidates[r, t],
+                     latent_survivors[r, t]) = rebuild(rows)
+                    apply = _bind(cfg, laplacian)
+                apply(shaped[r], out=filtered[r])
         np.multiply(filtered, mu, out=filtered)
         x_hat += filtered
         estimate[...] = x_hat

@@ -33,14 +33,16 @@ class FilterSpec:
     """Low-pass filter description.
 
     kind "ideal-band-limited" passes exactly the components with eigenvalue
-    <= passband_fraction * lambda_max (boundary included). kind "chebyshev"
+    <= passband_fraction * lambda_max (boundary included); the default 0.4
+    is the low-pass every algorithm binds unless its config says otherwise,
+    and 1.0 passes everything. kind "chebyshev"
     evaluates a degree-``order`` polynomial in the Laplacian; when
     ``coefficients`` is None they are fitted to the ideal response at
     application time.
     """
 
     kind: str = "ideal-band-limited"
-    passband_fraction: float = 1.0
+    passband_fraction: float = 0.4
     order: int = 12
     coefficients: tuple[float, ...] | None = None
 

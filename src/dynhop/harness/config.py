@@ -31,7 +31,7 @@ from typing import Any, Callable, Collection, Union, get_args, get_origin, get_t
 
 from ..estimators import EstimatorConfig
 from .data import GraphBuildSpec
-from .experiment import DatasetSpec
+from .experiment import DatasetSpec, _check_unique_labels
 from .simulate import NoiseMaskSpec
 
 __all__ = ["ConfigError", "ResolvedConfig", "load_config", "resolve_config", "deep_merge"]
@@ -188,11 +188,10 @@ def resolve_config(raw: dict) -> ResolvedConfig:
     algorithms = tuple(
         _build(EstimatorConfig, a, f"algorithms[{i}]") for i, a in enumerate(algo_raw)
     )
-    labels = [a.name for a in algorithms]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(
-            f"algorithm labels must be unique (got {labels}); set 'label' to disambiguate"
-        )
+    try:
+        _check_unique_labels(algorithms)
+    except ValueError as err:
+        raise ConfigError(f"{err}; set 'label' to disambiguate") from None
     return ResolvedConfig(
         dataset=dataset,
         noise=noise,

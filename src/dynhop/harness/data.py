@@ -117,6 +117,8 @@ class SplitSpec:
 
     def rows(self, name: str) -> slice:
         """0-based half-open row slice for a named split."""
+        if name not in ("train", "validation", "test"):
+            raise ValueError(f"unknown split {name!r}; expected train, validation or test")
         start, end = getattr(self, name)
         if end is None:
             raise ValueError("resolve() the spec before slicing an open test range")

@@ -99,6 +99,13 @@ def _resolve_dataset(
     return series, graph, splits
 
 
+def _check_unique_labels(algorithms: Sequence[EstimatorConfig]) -> None:
+    labels = [cfg.name for cfg in algorithms]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"algorithm labels must be unique; repeated: {repeated}")
+
+
 def run_experiment(
     dataset: DatasetSpec,
     noise: NoiseMaskSpec,
@@ -116,8 +123,10 @@ def run_experiment(
     the evaluated split, so sweeps on the validation split (e.g. step-size
     or threshold selection) see the same noise level as the test split.
     Aggregation reduces runs in index order; the result is deterministic for
-    a fixed (dataset, noise, config) triple.
+    a fixed (dataset, noise, config) triple. Labels name the report files,
+    so two algorithms with one label are rejected before any work.
     """
+    _check_unique_labels(algorithms)
     series, graph, splits = _resolve_dataset(dataset, graph_build)
     rows = splits.rows(split)
     truth = series.values[rows]

@@ -193,6 +193,18 @@ def test_resolved_config_round_trip(tmp_path):
     assert resolved.dataset.synthetic.switch_times == (101,)
 
 
+def test_filter_section_without_a_fraction_takes_the_default_low_pass(tmp_path):
+    # a filter section, an empty one or none at all: one 0.4 low-pass
+    raw = run_config(tmp_path, algorithms=[
+        {"algorithm": "glms", "filter": {"kind": "ideal-band-limited"}},
+        {"algorithm": "glmp", "filter": {}},
+        {"algorithm": "gsign"},
+    ])["raw"]
+    specs = [a.filter for a in resolve_config(raw).algorithms]
+    assert specs == [FilterSpec()] * 3 and FilterSpec().passband_fraction == 0.4
+    assert EstimatorConfig("glms").filter == FilterSpec()
+
+
 def test_config_with_a_byte_order_mark_resolves(tmp_path):
     cfg = run_config(tmp_path)
     cfg["path"].write_text("\ufeff" + json.dumps(cfg["raw"]), encoding="utf-8")
@@ -326,6 +338,19 @@ def test_synth_without_flags_writes_the_default_spec(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+def test_synth_with_a_bare_switch_times_flag_spaces_the_regimes_evenly(tmp_path):
+    from dynhop import graph_to_csv
+    from dynhop.harness import make_synthetic_dataset, series_to_csv
+
+    out = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(out), "--switch-times", "--steps", "60"]) == 0
+    graph, series = make_synthetic_dataset(SyntheticSpec(steps=60))
+    series_to_csv(series, tmp_path / "series.csv")
+    graph_to_csv(graph, tmp_path / "graph.csv")
+    for name in ("series.csv", "graph.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 def test_build_graph_without_flags_uses_the_default_spec(tmp_path):
     from dynhop import graph_to_csv
     from dynhop.harness import build_initial_graph, ingest_csv
@@ -364,6 +389,35 @@ def test_run_writes_reports_and_flags_override(tmp_path):
     assert manifest["config"]["algorithms"][0]["prune"]["threshold"] == 0.02
     assert (out / "dynamic-multihop_mse.csv").exists()
     assert (out / "glms_degree.csv").exists()
+
+
+def test_run_flags_write_what_the_same_config_file_writes(tmp_path):
+    cfg = run_config(tmp_path, noise={"runs": 1})
+    flagged = tmp_path / "flagged"
+    code = main(["run", "--config", str(cfg["path"]), "--out-dir", str(flagged),
+                 "--hops", "2", "--window", "6", "--mu-min", "0.5", "--mu-max", "2.0",
+                 "--snr", "10", "--snr-db"])
+    assert code == 0
+    manifest = json.loads((flagged / "manifest.json").read_text())
+    dmh, glms = manifest["config"]["algorithms"]
+    assert manifest["config"]["noise"]["snr"] == 10.0 and manifest["config"]["noise"]["snr_in_db"]
+    assert dmh["hops"] == glms["hops"] == 2
+    assert dmh["window"] == {"window": 6, "stride": 1} and glms["window"] == {"window": 6}
+    assert dmh["step"] == {"kind": "residual-adaptive", "mu_min": 0.5, "mu_max": 2.0}
+    assert glms["step"] == {"kind": "fixed", "mu": 0.9}  # the bounds leave a fixed step alone
+
+    written = run_config(tmp_path, noise={"runs": 1, "snr": 10.0, "snr_in_db": True},
+                         algorithms=[dmh, glms])
+    direct = tmp_path / "direct"
+    assert main(["run", "--config", str(written["path"]), "--out-dir", str(direct)]) == 0
+    for name in ("dynamic-multihop_mse.csv", "glms_mse.csv", "dynamic-multihop_degree.csv"):
+        assert (flagged / name).read_bytes() == (direct / name).read_bytes()
+
+
+def test_run_without_config_or_preset_is_config_error(tmp_path, capsys):
+    assert main(["run", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "run needs --config and/or --preset" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_is_byte_deterministic(tmp_path):

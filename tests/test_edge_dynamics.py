@@ -43,15 +43,6 @@ def test_series_rejects_non_finite():
         NodeSignalSeries(np.array([[0.0, np.nan]]))
 
 
-def test_checked_series_wraps_its_rows_as_a_read_only_view(rng):
-    # the estimator hands over history rows it has already checked finite
-    rows = rng.standard_normal((5, 3))
-    series = NodeSignalSeries._checked(rows)
-    assert np.shares_memory(series.values, rows) and not series.values.flags.writeable
-    assert rows.flags.writeable and series.labels is None
-    assert np.array_equal(series.values, NodeSignalSeries(rows).values)
-
-
 def test_exact_copy_scores_one(rng):
     base = rng.standard_normal(30)
     series = NodeSignalSeries(np.column_stack([base, base]))

@@ -773,6 +773,40 @@ def test_stacked_runs_flag_a_negative_blow_up_and_a_nan_at_their_own_steps(rng):
     assert trace.diverged_at == (None, 5, 7)
 
 
+@pytest.mark.parametrize("metric, kernel", [
+    ("correlation", "window_abs_correlation"),
+    ("weight-magnitude", "sliding_abs_correlation"),
+])
+def test_stacked_run_with_a_non_finite_history_falls_back_to_the_no_history_topology(
+        metric, kernel, rng, monkeypatch):
+    # run 1 observes NaN at step 12, so its estimates are NaN from there on:
+    # every later window holds a non-finite row and the run binds the
+    # topology of a step without history, while runs 0 and 2 keep re-binding
+    g = random_graph(rng, 12, 20)
+    runs = rng.standard_normal((3, 30, 12))
+    runs[1, 12] = np.nan
+    stream = ObservationStream(runs, np.ones(runs.shape, dtype=bool))
+    cfg = dataclasses.replace(batch_config("dynamic-multihop"), prune=PruneSpec(0.015, metric))
+    window = cfg.window.window
+    stacked = assert_stack_matches_single_runs(stream, g, cfg)
+    assert np.isnan(stacked.estimates[1, 12:]).all()
+    assert np.isfinite(stacked.estimates[[0, 2]]).all()
+    fixed = stacked.edge_counts[1, 0]  # before the window fills
+    assert (stacked.edge_counts[:, :window] == fixed).all()
+    assert (stacked.edge_counts[1, 13:] == fixed).all()
+    assert stacked.diverged == (False, True, False)
+
+    scored = []
+    original = getattr(estimators, kernel)
+    monkeypatch.setattr(estimators, kernel, lambda *a: scored.append(1) or original(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # invalid-value warnings
+        run_estimation(stream, g, cfg)
+    # one scored window per run and step with usable history: runs 0 and 2
+    # from the step the window fills, run 1 only through step 12
+    assert len(scored) == 2 * (30 - window) + (13 - window)
+
+
 def test_stacking_needs_equal_2d_shapes(rng):
     a = ObservationStream(rng.standard_normal((5, 3)), np.ones((5, 3), dtype=bool))
     b = ObservationStream(rng.standard_normal((6, 3)), np.ones((6, 3), dtype=bool))

@@ -116,6 +116,29 @@ def test_validation_split_available_for_sweeps():
     assert rep.times[0] == 41
 
 
+def test_unknown_split_is_a_value_error_naming_the_splits():
+    dataset = synthetic_dataset()
+    noise = NoiseMaskSpec(snr=3.0, missing_fraction=0.0, seed=1, runs=1)
+    with pytest.raises(ValueError, match="'bogus'; expected train, validation or test"):
+        run_experiment(dataset, noise, [EstimatorConfig("glms")], split="bogus")
+
+
+def test_repeated_labels_are_rejected_before_any_work(monkeypatch):
+    from dynhop.harness import experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiment, "_resolve_dataset", refuse)
+    monkeypatch.setattr(experiment, "simulate_observations", refuse)
+    noise = NoiseMaskSpec(snr=3.0, missing_fraction=0.0, seed=1, runs=1)
+    cfgs = [EstimatorConfig("glms"), EstimatorConfig("gsign"),
+            EstimatorConfig("glms", step=StepSizeRule.fixed(0.5)),
+            EstimatorConfig("gdlms", label="gsign")]
+    with pytest.raises(ValueError, match=r"repeated: \['glms', 'gsign'\]"):
+        run_experiment(synthetic_dataset(), noise, cfgs)
+
+
 def test_graph_from_generator_vs_built(rng):
     synth = SyntheticSpec(seed=7, switch_times=(101,))
     ds_gen = DatasetSpec(splits=SPLITS, synthetic=synth, graph="generator", normalize=False)
