@@ -6,28 +6,18 @@ values keep weights non-negative (a Laplacian requirement) while retaining
 both positively and negatively coupled pairs. The online estimators score
 step t from the window ending at t - 1, the strictly causal history.
 
-Two functions compute the same scores for different callers:
-
-- :func:`sliding_abs_correlation` scores the requested pairs over every
-  window of a whole series, one window at a time, through the same kernel
-  that scores each online re-bind step's single window. The kernel gathers
-  the centred values of each pair's endpoints (and of each node with
-  itself, for its sum of squares) in one pass, and adds the products one
-  offset after another, each rounded before it is added. So a pair's score
-  has the same bits whichever other pairs, and however many windows, are
-  scored with it. A window costs O((N + pairs) x window) in about 20 numpy
-  calls. The online dynamic-multihop rule scores one window of its base
-  edges alone when it reads nothing else, so it pays that fixed cost once
-  per step; an offline call over a long series pays it once per window.
-- :func:`window_abs_correlation` maps one window to the symmetric (N, N)
-  matrix over every pair. It centres the contiguous (w, N) window once and
-  sums the products with one ``np.einsum("ki,kj->ij", c, c)``, which adds
-  them in the same offset order, rounding each product before adding it,
-  so each entry has the bits of that pair's per-pair score. (A numpy build
-  whose einsum fused multiply and add would break this;
-  ``tests/test_edge_dynamics.py`` checks for it.) It costs O(N^2 x window)
-  and serves the online rules that read every pair: the sgm threshold, and
-  dynamic-multihop when it prunes or weights latent edges by correlation.
+One kernel scores a window: it centres the contiguous (w, N) window once and
+sums every pair's window products with one ``np.einsum("ki,kj->ij", c, c)``,
+which adds them in offset order, each product rounded before it is added (a
+numpy build whose einsum fused multiply and add would break this;
+``tests/test_edge_dynamics.py`` checks for it). A window costs O(N^2 x w).
+:func:`window_abs_correlation` returns its symmetric (N, N) matrix, diagonal
+0, for the online rules that read every pair: the sgm threshold, and
+dynamic-multihop when it prunes or weights latent edges by correlation.
+:func:`sliding_abs_correlation` reads the requested pairs from each window's
+matrix over a series, so a pair's bits do not depend on the other pairs; the
+online dynamic-multihop rule calls it on one window of its base edges when
+it reads nothing else.
 
 Warm-up: rows before the first full window repeat the first defined row
 (constant extrapolation backward). Zero-variance windows score 0 — no
@@ -111,8 +101,7 @@ def _offset_sum(stack: np.ndarray) -> np.ndarray:
     The last of the running sums: ``np.add.accumulate`` adds each offset to
     the sum of the ones before it, in one call. ``np.add.reduce`` (and so
     ``.sum(axis=0)``) would instead add pairwise along whichever axis the
-    memory layout makes the fast one: a fancy-indexed gather (which numpy
-    lays out pair axis first) or a single window of one column would round
+    memory layout makes the fast one: a window of one column would round
     differently.
     """
     return np.add.accumulate(stack, axis=0)[-1]
@@ -123,27 +112,27 @@ def _flat(rows: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(rows, axis=0) == np.minimum.reduce(rows, axis=0)
 
 
-def _score_window(
-    rows: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray
-) -> None:
-    """Score one (w, N) window into ``out`` (pairs,).
+def _abs_correlation(rows: np.ndarray) -> np.ndarray:
+    """(N, N) absolute Pearson correlation of one finite (w, N) window.
 
-    ``left`` and ``right`` list the N self-pairs, then the requested pairs;
-    ``out`` must hold zeros, which stay where a window is flat.
+    Entry (i, i) is node i's score with itself.
     """
-    w, n = rows.shape
-    centered = rows - _offset_sum(rows) / w
-    products = np.take(centered, left, axis=1)
-    products *= np.take(centered, right, axis=1)
-    sums = _offset_sum(products)
-    sumsq, num = sums[:n], sums[n:]
-    ii, jj = left[n:], right[n:]
+    centered = rows - _offset_sum(rows) / rows.shape[0]  # contiguous (w, N)
+    # einsum adds the window products in offset order, one (N, N) matrix;
+    # its diagonal is each node's sum of squares
+    products = np.einsum("ki,kj->ij", centered, centered)
+    sumsq = products.diagonal()
+    denominator = np.sqrt(sumsq[:, None] * sumsq)
     # exact-constant windows have zero spread; their correlation is
-    # undefined and scored 0
+    # undefined and scored +0.0 by an inf denominator, so every pair goes
+    # through the same IEEE operations
     flat = _flat(rows)
-    ok = ~(flat[ii] | flat[jj])
-    np.divide(np.abs(num), np.sqrt(sumsq[ii] * sumsq[jj]), out=out, where=ok)
-    np.minimum(out, 1.0, out=out)
+    if flat.any():
+        denominator[flat] = np.inf
+        denominator[:, flat] = np.inf
+    scores = np.abs(products, out=products)
+    scores /= denominator
+    return np.minimum(scores, 1.0, out=scores)
 
 
 def sliding_abs_correlation(
@@ -157,10 +146,9 @@ def sliding_abs_correlation(
     the window ending at step t.
 
     Each window is scored on its own, as an online re-bind step scores its
-    one window, so a call over T steps makes T - w + 1 kernel calls. That
-    suits the estimators, which pass one window per call. An offline call
-    over a long, narrow series pays the kernel's fixed cost once per
-    window, so it is slower than a strided stack of windows would be.
+    one window: its (N, N) matrix is formed and the requested pairs are read
+    from it. A window costs O(N^2 x w) whatever the pair count, and a call
+    over T steps scores T - w + 1 windows.
     """
     x = series.values
     t_total, n = x.shape
@@ -180,14 +168,11 @@ def sliding_abs_correlation(
         outside = np.flatnonzero(np.any((index < 0) | (index >= n), axis=1))
         i, j = index[outside[0]]
         raise ValueError(f"pair ({i}, {j}) references a node outside 0..{n - 1}")
-    # a node's sum of squares is its product with itself: the n self-pairs
-    # come first, so one gather and one offset sum serve both sums
-    nodes = np.arange(n)
-    left, right = np.concatenate((nodes, index[:, 0])), np.concatenate((nodes, index[:, 1]))
+    ii, jj = index[:, 0], index[:, 1]
 
-    out = np.zeros((t_total, len(index)))
+    out = np.empty((t_total, len(index)))
     for end in range(w, t_total + 1):
-        _score_window(x[end - w : end], left, right, out[end - 1])
+        out[end - 1] = _abs_correlation(x[end - w : end])[ii, jj]
     out[: w - 1] = out[w - 1]
     return out
 
@@ -201,14 +186,6 @@ def window_abs_correlation(rows: np.ndarray) -> np.ndarray:
     """
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise ValueError(f"need a (w, N) window of at least 2 rows, got shape {rows.shape}")
-    centered = rows - _offset_sum(rows) / rows.shape[0]  # contiguous (w, N)
-    # einsum adds the window products in offset order, one (N, N) matrix;
-    # its diagonal is each node's sum of squares
-    products = np.einsum("ki,kj->ij", centered, centered)
-    sumsq = products.diagonal()
-    flat = _flat(rows)
-    ok = ~(flat[:, None] | flat)
-    np.fill_diagonal(ok, False)
-    scores = np.zeros(products.shape)
-    np.divide(np.abs(products), np.sqrt(sumsq[:, None] * sumsq), out=scores, where=ok)
-    return np.minimum(scores, 1.0, out=scores)
+    scores = _abs_correlation(rows)
+    np.fill_diagonal(scores, 0.0)
+    return scores

@@ -423,12 +423,14 @@ def _topology_rule(
     glms-then-sgm after it, for the next step; both read the history up to
     the previous step, so one rule serves both.
 
-    Each rule scores its window in the shape it reads. sgm and
-    dynamic-multihop with the "correlation" prune metric read every pair:
-    they take one (N, N) matrix from ``window_abs_correlation``, which gives
-    dynamic-multihop both its base-edge weights and its latent scores. With
-    "weight-magnitude", dynamic-multihop reads only its base-edge weights
-    and scores the E base edges alone with ``sliding_abs_correlation``.
+    Every rule scores its window once, through the one (N, N) window kernel
+    of ``edge_dynamics``. sgm and dynamic-multihop with the "correlation"
+    prune metric read every pair: they take the matrix from
+    ``window_abs_correlation``, which gives dynamic-multihop both its
+    base-edge weights and its latent scores. With "weight-magnitude",
+    dynamic-multihop reads only its base-edge weights: it asks
+    ``sliding_abs_correlation`` for the E base edges, which reads them from
+    the same matrix, so the weights have the bits of the correlation rule's.
     """
     weights = g.adjacency()
     if cfg.algorithm == "dynamic-multihop":
@@ -444,7 +446,7 @@ def _topology_rule(
             return fixed, None
 
         if cfg.prune.metric != "correlation":
-            # the rule reads only the base-edge weights: score those pairs alone
+            # the rule reads only the base-edge weights
             edges = np.array(g.edges, dtype=int).reshape(-1, 2)
             ei, ej = edges[:, 0], edges[:, 1]
 

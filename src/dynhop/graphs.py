@@ -150,16 +150,25 @@ def incidence(g: StaticGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs of a symmetric matrix, eigenvalues ascending."""
+    """Eigenpairs of a symmetric matrix, eigenvalues ascending.
+
+    The fields are read-only views of the given arrays, which stay writeable.
+    Unsorted eigenvalues raise ``ValueError``; NaN ones, a failed solve,
+    ``numpy.linalg.LinAlgError`` (a ``ValueError`` too).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=float)
+        vals = np.asarray(self.eigenvalues, dtype=float).view()
+        vecs = np.asarray(self.eigenvectors, dtype=float).view()
         if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
             raise ValueError("need n eigenvalues and an n-by-n eigenvector matrix")
+        # a NaN fails its comparison with a neighbour; a lone one is tested
+        if not (vals[:-1] <= vals[1:]).all() or (vals.size == 1 and np.isnan(vals[0])):
+            error = np.linalg.LinAlgError if np.isnan(vals).any() else ValueError
+            raise error("eigenvalues must be ascending and not NaN")
         vals.setflags(write=False)
         vecs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)

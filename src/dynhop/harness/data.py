@@ -78,6 +78,12 @@ def series_to_csv(series: NodeSignalSeries, path: str | Path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _check_split(name: str) -> None:
+    """Reject a split name other than train, validation or test."""
+    if name not in ("train", "validation", "test"):
+        raise ValueError(f"unknown split {name!r}; expected train, validation or test")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Train/validation/test ranges as 1-based inclusive [start, end] pairs.
@@ -117,8 +123,7 @@ class SplitSpec:
 
     def rows(self, name: str) -> slice:
         """0-based half-open row slice for a named split."""
-        if name not in ("train", "validation", "test"):
-            raise ValueError(f"unknown split {name!r}; expected train, validation or test")
+        _check_split(name)
         start, end = getattr(self, name)
         if end is None:
             raise ValueError("resolve() the spec before slicing an open test range")

@@ -20,6 +20,7 @@ from .data import (
     DataError,
     GraphBuildSpec,
     SplitSpec,
+    _check_split,
     build_initial_graph,
     ingest_csv,
     normalize_by_train_mean,
@@ -124,9 +125,11 @@ def run_experiment(
     or threshold selection) see the same noise level as the test split.
     Aggregation reduces runs in index order; the result is deterministic for
     a fixed (dataset, noise, config) triple. Labels name the report files,
-    so two algorithms with one label are rejected before any work.
+    so two algorithms with one label are rejected before any work, as is
+    an unknown split name.
     """
     _check_unique_labels(algorithms)
+    _check_split(split)
     series, graph, splits = _resolve_dataset(dataset, graph_build)
     rows = splits.rows(split)
     truth = series.values[rows]

@@ -277,9 +277,9 @@ def test_einsum_rounds_each_window_product_before_adding_it():
     x = np.array([[1.0, -1.0], [1.0 + e, 1.0 - e]])
     got = np.einsum("ki,kj->ij", x, x)[0, 1]
     assert got == 0.0, (
-        f"np.einsum fused multiply and add ({got!r}, not 0.0): window_abs_correlation's "
-        "bit-exactness against sliding_abs_correlation rests on einsum rounding each "
-        "window product before it adds it"
+        f"np.einsum fused multiply and add ({got!r}, not 0.0): the window kernel's "
+        "bit-exactness against the ordered per-pair reference rests on einsum rounding "
+        "each window product before it adds it"
     )
 
 

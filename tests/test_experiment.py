@@ -116,7 +116,13 @@ def test_validation_split_available_for_sweeps():
     assert rep.times[0] == 41
 
 
-def test_unknown_split_is_a_value_error_naming_the_splits():
+def test_unknown_split_is_a_value_error_naming_the_splits(monkeypatch):
+    from dynhop.harness import experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiment, "_resolve_dataset", refuse)
     dataset = synthetic_dataset()
     noise = NoiseMaskSpec(snr=3.0, missing_fraction=0.0, seed=1, runs=1)
     with pytest.raises(ValueError, match="'bogus'; expected train, validation or test"):

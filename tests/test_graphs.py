@@ -196,6 +196,20 @@ def test_eigendecompose_rejects_asymmetric():
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def test_spectral_decomposition_views_its_arrays_and_checks_their_order():
+    v, u = np.array([1.0, 1.0, 3.0]), np.eye(3)
+    d = graphs.SpectralDecomposition(v, u)
+    # read-only views: nothing copied, and the caller's arrays stay writeable
+    assert v.flags.writeable and u.flags.writeable
+    assert not (d.eigenvalues.flags.writeable or d.eigenvectors.flags.writeable)
+    assert np.shares_memory(d.eigenvalues, v) and np.shares_memory(d.eigenvectors, u)
+    with pytest.raises(ValueError, match="ascending"):
+        graphs.SpectralDecomposition(np.array([3.0, 1.0]), np.eye(2))
+    for values in ([1.0, np.nan], [np.nan, 1.0], [np.nan]):
+        with pytest.raises(np.linalg.LinAlgError, match="not NaN"):
+            graphs.SpectralDecomposition(np.array(values), np.eye(len(values)))
+
+
 def test_zero_eigenvalue_multiplicity_matches_components(rng):
     # union-find oracle over graphs that may be disconnected
     for _ in range(20):
