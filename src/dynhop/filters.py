@@ -9,6 +9,7 @@ response over a known spectrum; it never forms a matrix power explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,7 +39,7 @@ class FilterSpec:
     and 1.0 passes everything. kind "chebyshev"
     evaluates a degree-``order`` polynomial in the Laplacian; when
     ``coefficients`` is None they are fitted to the ideal response at
-    application time.
+    application time, else they must be ``order + 1`` finite numbers.
     """
 
     kind: str = "ideal-band-limited"
@@ -57,6 +58,8 @@ class FilterSpec:
             coeffs = tuple(float(c) for c in self.coefficients)
             if len(coeffs) != self.order + 1:
                 raise ValueError(f"{len(coeffs)} coefficients for order {self.order}")
+            if not all(map(math.isfinite, coeffs)):
+                raise ValueError(f"coefficients must be finite, got {coeffs}")
             object.__setattr__(self, "coefficients", coeffs)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import index
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -101,10 +101,6 @@ class StaticGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def with_weights(self, weights: Sequence[float]) -> "StaticGraph":
-        """Same topology, new per-edge weights."""
-        return StaticGraph(self.node_count, self.edges, tuple(float(w) for w in weights))
-
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix with zero diagonal."""
         a = np.zeros((self.node_count, self.node_count))
@@ -142,9 +138,10 @@ def incidence(g: StaticGraph) -> np.ndarray:
     ``B diag(w) B.T`` reproduces :func:`build_laplacian`.
     """
     b = np.zeros((g.node_count, g.edge_count))
-    for k, (i, j) in enumerate(g.edges):
-        b[i, k] = 1.0
-        b[j, k] = -1.0
+    i, j = g._ends()
+    k = np.arange(g.edge_count)
+    b[i, k] = 1.0
+    b[j, k] = -1.0
     return b
 
 

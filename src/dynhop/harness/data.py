@@ -182,7 +182,8 @@ def build_initial_graph(series: NodeSignalSeries, spec: GraphBuildSpec) -> Stati
     Edge set is the union of each node's top-k partners by |correlation| and
     all pairs whose |correlation| strictly exceeds the threshold. Weights are
     the |correlation| values. top_k is clipped to n-1 on small graphs, so two
-    nodes always yield their single possible edge.
+    nodes always yield their single possible edge. Among partners of equal
+    |correlation| the lower node index ranks first.
     """
     values = series.values
     t_len, n = values.shape
@@ -192,17 +193,11 @@ def build_initial_graph(series: NodeSignalSeries, spec: GraphBuildSpec) -> Stati
         raise ValueError("need at least 2 samples to correlate")
     absc = _abs_correlation_matrix(values)
 
-    chosen: set[tuple[int, int]] = set()
     k = min(spec.top_k, n - 1)
-    for i in range(n):
-        order = np.argsort(-absc[i], kind="stable")
-        partners = [j for j in order if j != i][:k]
-        for j in partners:
-            chosen.add((min(i, j), max(i, j)))
-    above = np.argwhere(np.triu(absc, 1) > spec.abs_corr_threshold)
-    for i, j in above:
-        chosen.add((int(i), int(j)))
-
-    edges = tuple(sorted(chosen))
-    weights = tuple(float(absc[i, j]) for i, j in edges)
-    return StaticGraph(n, edges, weights)
+    rank_key = -absc
+    np.fill_diagonal(rank_key, np.inf)  # a node is never its own partner: rank it last
+    partners = np.argsort(rank_key, axis=1, kind="stable")[:, :k]
+    top = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(top, partners, True, axis=1)
+    rows, cols = np.nonzero(np.triu(top | top.T | (absc > spec.abs_corr_threshold), 1))
+    return StaticGraph(n, np.column_stack((rows, cols)), absc[rows, cols])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,13 +13,18 @@ from ..estimators import ObservationStream
 
 __all__ = ["NoiseMaskSpec", "simulate_observations"]
 
+# 10 log10 of the largest float, about 3082.5 dB
+_DB_SNR_LIMIT = 10.0 * math.log10(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class NoiseMaskSpec:
     """Noise level, missingness, and Monte-Carlo bookkeeping.
 
-    ``snr`` is a linear signal-to-noise power ratio unless ``snr_in_db`` is
-    set. Each node is observed independently with probability
+    ``snr`` is a linear signal-to-noise power ratio (> 0, ``inf`` for no
+    noise) unless ``snr_in_db`` is set; a dB value must lie strictly within
+    about +-3082.5 dB, where the ratio and its reciprocal are finite. Each
+    node is observed independently with probability
     1 - missing_fraction, redrawn at every step. ``seed`` and a run index
     jointly seed each run, so runs are independent and reproducible.
     """
@@ -31,8 +37,9 @@ class NoiseMaskSpec:
 
     def __post_init__(self) -> None:
         if self.snr_in_db:
-            if not math.isfinite(self.snr):
-                raise ValueError("dB SNR must be finite")
+            # beyond this the linear ratio, or the noise scale 1 / ratio, is not finite
+            if not abs(self.snr) < _DB_SNR_LIMIT:  # NaN fails too
+                raise ValueError(f"|dB SNR| must be below {_DB_SNR_LIMIT:.3f}, got {self.snr}")
         elif not self.snr > 0:
             raise ValueError("linear SNR must be > 0")
         if not 0.0 <= self.missing_fraction < 1.0:

@@ -43,8 +43,9 @@ class SyntheticSpec:
     ``switch_times`` lists the 1-based steps at which each new regime
     begins (length regimes - 1); None spaces the regimes evenly.
     ``bandlimit`` is the fraction of the spectrum that carries the signal;
-    ``drift`` adds a random-walk component to each cluster driver, making
-    the series non-stationary the way slow real-world signals are. Every
+    ``drift`` (finite, >= 0) scales a random-walk component added to each
+    cluster driver, making the series non-stationary the way slow
+    real-world signals are; ``seed`` must be >= 0. Every
     regime has ``CLUSTERS`` clusters, so a spec needs at least that many
     nodes.
     """
@@ -77,6 +78,10 @@ class SyntheticSpec:
             )
         if not 0.0 < self.bandlimit <= 1.0:
             raise ValueError("bandlimit must lie in (0, 1]")
+        if not 0.0 <= self.drift < math.inf:  # NaN fails too
+            raise ValueError(f"drift must be finite and >= 0, got {self.drift}")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.switch_times is not None:
             st = tuple(int(t) for t in self.switch_times)
             if len(st) != self.regimes - 1:

@@ -11,16 +11,20 @@ original graph, whose own edges are never pruned.
 One array pass, :func:`expand_prune_merge`, does all of this on dense
 (N, N) matrices and masks. ``hop_expand``, ``prune``, ``merge`` and
 ``build_topology_slice`` are tuple and :class:`TopologySlice` views of the
-same stages, for inspection. Each call builds one step's topology; which
-step that is stays with the caller, so the latent scores come in as one
-(N, N) matrix and a slice carries no time stamp.
+same stages over that array core, for inspection. Both merged views come
+from one builder, which lists the latent edges in (hop, pair) order after
+the original ones and leaves every edge check to :class:`StaticGraph`.
+Each call builds one step's topology; which step that is stays with the
+caller, so the latent scores come in as one (N, N) matrix and a slice
+carries no time stamp.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -178,25 +182,6 @@ def _expand(
     return order, magnitude
 
 
-def _merge(
-    adjacency: np.ndarray,
-    base: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    hop: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merged adjacency and provenance (1 original, p latent from order p)."""
-    merged = adjacency.copy()
-    provenance = base.astype(int)
-    if rows.size:
-        merged[rows, cols] = weights
-        merged[cols, rows] = weights
-        provenance[rows, cols] = hop
-        provenance[cols, rows] = hop
-    return merged, provenance
-
-
 def expand_prune_merge(
     base: np.ndarray,
     adjacency: np.ndarray,
@@ -238,10 +223,12 @@ def expand_prune_merge(
         raise ValueError("latent candidate scores must be >= 0")
     keep = prune_spec.survives(latent)
     kept_rows, kept_cols = rows[keep], cols[keep]
-    merged, provenance = _merge(
-        adjacency, base, kept_rows, kept_cols, order[kept_rows, kept_cols], latent[keep]
-    )
+    merged = adjacency.copy()
+    provenance = base.astype(int)  # 1 original, p latent from order p
     if kept_rows.size:
+        merged[kept_rows, kept_cols] = merged[kept_cols, kept_rows] = latent[keep]
+        hop = order[kept_rows, kept_cols]
+        provenance[kept_rows, kept_cols] = provenance[kept_cols, kept_rows] = hop
         laplacian = adjacency_laplacian(merged)
     # else the merged adjacency is the input, and so is its Laplacian
     return LatentTopology(
@@ -290,18 +277,15 @@ def prune(candidates: HopCandidateSet, spec: PruneSpec) -> HopCandidateSet:
     )
 
 
-def _as_slice(g_t: StaticGraph, merged: np.ndarray, provenance: np.ndarray) -> TopologySlice:
-    """Original edges first, then latent edges in ascending (hop, pair) order."""
-    rows, cols = np.nonzero(np.triu(provenance > 1))
-    order = np.argsort(provenance[rows, cols], kind="stable")
-    rows, cols = rows[order], cols[order]
-    latent = tuple(zip(rows.tolist(), cols.tolist()))
-    graph = StaticGraph(
-        g_t.node_count,
-        g_t.edges + latent,
-        g_t.weights + tuple(merged[rows, cols].tolist()),
-    )
-    tags = ("original",) * g_t.edge_count + tuple(f"hop{p}" for p in provenance[rows, cols])
+def _slice(g_t: StaticGraph, latent: Iterable[tuple[int, Sequence, float]]) -> TopologySlice:
+    """``g_t``'s edges, then the latent ``(hop, pair, weight)`` edges in
+    ascending (hop, pair) order. :class:`StaticGraph` checks every pair."""
+    latent = list(latent)
+    with contextlib.suppress(TypeError):  # indices that do not compare fail StaticGraph
+        latent.sort(key=lambda edge: (edge[0], sorted(edge[1])))
+    hops, pairs, weights = zip(*latent) if latent else ((), (), ())
+    graph = StaticGraph(g_t.node_count, g_t.edges + pairs, g_t.weights + weights)
+    tags = ("original",) * g_t.edge_count + tuple(f"hop{p}" for p in hops)
     return TopologySlice(graph=graph, provenance=tags)
 
 
@@ -309,30 +293,15 @@ def merge(g_t: StaticGraph, pruned: Sequence[HopCandidateSet]) -> TopologySlice:
     """Union of the current graph with surviving latent edges.
 
     Original edges keep their weights. Latent edges take their score and
-    follow the original edges in ascending (hop, pair) order. A pair
-    appearing twice across inputs signals an upstream bug and raises.
+    follow the original edges in ascending (hop, pair) order. A pair that
+    is not an edge :class:`StaticGraph` accepts, or that appears twice
+    across inputs or among the original edges, raises ``ValueError``.
     """
-    n = g_t.node_count
-    base = g_t.edge_mask()
-    seen = base.copy()
-    rows, cols, hop, weights = [], [], [], []
-    for cand in pruned:
-        for pair, score in zip(cand.pairs, cand.scores):
-            i, j = sorted(int(v) for v in pair)
-            if i == j or not (0 <= i and j < n):
-                raise ValueError(f"latent pair {pair!r} is a self-loop or outside 0..{n - 1}")
-            if seen[i, j]:
-                raise ValueError(f"duplicate edge {pair} across merge inputs")
-            seen[i, j] = True
-            rows.append(i)
-            cols.append(j)
-            hop.append(cand.hop)
-            weights.append(score)
-    merged, provenance = _merge(
-        g_t.adjacency(), base, np.array(rows, dtype=int), np.array(cols, dtype=int),
-        np.array(hop, dtype=int), np.array(weights, dtype=float),
-    )
-    return _as_slice(g_t, merged, provenance)
+    return _slice(g_t, (
+        (cand.hop, pair, score)
+        for cand in pruned
+        for pair, score in zip(cand.pairs, cand.scores)
+    ))
 
 
 def build_topology_slice(
@@ -343,7 +312,11 @@ def build_topology_slice(
     scores: np.ndarray | None = None,
 ) -> TopologySlice:
     """Expand, prune, and merge a single step (see :func:`expand_prune_merge`)."""
-    g_t = g.with_weights(weights_t)
+    g_t = StaticGraph(g.node_count, g.edges, weights_t)
     topo = expand_prune_merge(g.edge_mask(), g_t.adjacency(), hops, prune_spec, scores)
-    return _as_slice(g_t, topo.adjacency, topo.hop)
-
+    rows, cols = np.nonzero(np.triu(topo.hop, 1) > 1)
+    return _slice(g_t, zip(
+        topo.hop[rows, cols].tolist(),
+        zip(rows.tolist(), cols.tolist()),
+        topo.adjacency[rows, cols].tolist(),
+    ))

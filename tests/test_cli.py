@@ -247,10 +247,21 @@ def test_config_with_a_byte_order_mark_resolves(tmp_path):
      {"algorithms": [{"algorithm": "gdlms", "diffusion_eps": math.nan}]}),
     ("bad algorithms[0]: diffusion_eps must be finite, got -inf",
      {"algorithms": [{"algorithm": "gsd", "diffusion_eps": -math.inf}]}),
+    ("bad dataset.synthetic: seed must be a non-negative integer",
+     {"dataset": {"synthetic": {"seed": -1}}}),
+    ("bad dataset.synthetic: drift must be finite and >= 0, got -1.0",
+     {"dataset": {"synthetic": {"drift": -1.0}}}),
+    ("bad algorithms[0].filter: coefficients must be finite, got (1.0, nan, 0.0)",
+     dmh(filter={"kind": "chebyshev", "order": 2, "coefficients": [1.0, math.nan, 0.0]})),
+    ("bad noise: |dB SNR| must be below 3082.547, got 4000.0",
+     {"noise": {"snr": 4000, "snr_in_db": True}}),
+    ("bad noise: |dB SNR| must be below 3082.547, got -4000.0",
+     {"noise": {"snr": -4000, "snr_in_db": True}}),
 ], ids=["hops-float", "hops-true", "window-float", "order-float", "eps-string", "step-no-kind",
         "nodes-float", "graph-number", "series-number", "train-float", "train-three-items",
         "train-one-step", "runs-float", "runs-true", "seed-string", "top-k-float", "snr-overflow",
-        "mu-nan", "mu-inf", "mu-max-inf", "eps-nan", "eps-minus-inf"])
+        "mu-nan", "mu-inf", "mu-max-inf", "eps-nan", "eps-minus-inf", "synthetic-seed-minus-1",
+        "drift-minus-1", "coefficient-nan", "db-snr-4000", "db-snr-minus-4000"])
 def test_mistyped_values_are_config_errors_naming_their_key(tmp_path, capsys, message, overrides):
     cfg = run_config(tmp_path, **overrides)
     assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
@@ -670,7 +681,8 @@ def test_run_with_series_csv_that_is_not_utf8_is_data_error(tmp_path, capsys):
     ["build-graph", "SERIES", "--top-k", "0"],
     ["build-graph", "SERIES", "--threshold", "2"],
     ["synth", "--regimes", "5", "--steps", "3"],
-], ids=["one-node", "too-many-edges", "top-k-0", "threshold-2", "empty-regime"])
+    ["synth", "--seed", "-1"],
+], ids=["one-node", "too-many-edges", "top-k-0", "threshold-2", "empty-regime", "seed-minus-1"])
 def test_bad_synth_and_build_graph_values_are_config_errors(tmp_path, capsys, argv):
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--steps", "30"]) == 0

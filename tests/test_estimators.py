@@ -529,7 +529,7 @@ def stepwise_reference(stream, g, cfg):
             corr = window_abs_correlation(rows)
             return multihop(np.where(base, corr, 0.0), corr)
         weights = sliding_abs_correlation(NodeSignalSeries(rows), cfg.window, g.edges)[-1]
-        return multihop(g.with_weights(weights).adjacency(), None)
+        return multihop(StaticGraph(n, g.edges, weights).adjacency(), None)
 
     if cfg.algorithm == "dynamic-multihop":
         static, static_counts = multihop(g.adjacency(), np.zeros((n, n)))

@@ -24,6 +24,8 @@ def test_filterspec_validation():
         FilterSpec(passband_fraction=1.5)
     with pytest.raises(ValueError):
         FilterSpec("chebyshev", order=3, coefficients=(1.0, 2.0))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        FilterSpec("chebyshev", order=2, coefficients=(1.0, float("nan"), 0.5))
 
 
 def test_all_pass_returns_input(rng):

@@ -463,4 +463,4 @@ def test_array_checks_match_the_per_edge_loop(n, pairs):
         assert g == expected
         assert all(type(v) is int for pair in g.edges for v in pair)
         assert np.array_equal(g.adjacency(), loop_adjacency(g))
-        assert np.array_equal(g.edge_mask(), loop_adjacency(g.with_weights([1.0] * len(pairs))) > 0)
+        assert np.array_equal(g.edge_mask(), loop_adjacency(StaticGraph(n, g.edges)) > 0)

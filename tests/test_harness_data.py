@@ -352,6 +352,51 @@ def test_weights_are_absolute_correlations(rng):
         assert w == pytest.approx(abs(corr[i, j]), abs=1e-12)
 
 
+def loop_initial_graph(values, spec):
+    """Edges and weights from the per-node loop the mask form replaced: each
+    node's top-k partners by a stable sort of its -|correlation| row, then
+    every pair above the threshold, gathered in a set of pairs."""
+    absc = data._abs_correlation_matrix(values)
+    n = values.shape[1]
+    chosen = set()
+    k = min(spec.top_k, n - 1)
+    for i in range(n):
+        order = np.argsort(-absc[i], kind="stable")
+        partners = [j for j in order if j != i][:k]
+        for j in partners:
+            chosen.add((min(i, j), max(i, j)))
+    above = np.argwhere(np.triu(absc, 1) > spec.abs_corr_threshold)
+    for i, j in above:
+        chosen.add((int(i), int(j)))
+    edges = tuple(sorted(chosen))
+    return edges, tuple(float(absc[i, j]) for i, j in edges)
+
+
+def tie_heavy_values(r):
+    """A short series rounded to 0.1, with flat columns and with columns
+    that copy or negate another, so many |correlations| tie exactly."""
+    t, n = int(r.integers(2, 10)), int(r.integers(2, 10))
+    values = np.round(r.standard_normal((t, n)), 1)
+    for col in range(n):
+        kind = r.integers(0, 4)
+        if kind == 1:  # flat
+            values[:, col] = np.round(r.standard_normal(), 1)
+        elif kind == 2:  # a copy of another column, or its negation
+            values[:, col] = r.choice([-1.0, 1.0]) * values[:, r.integers(0, n)]
+    return values
+
+
+def test_edge_set_and_weight_bits_match_the_per_node_loop():
+    r = np.random.default_rng(20241022)
+    for _ in range(600):
+        values = tie_heavy_values(r)
+        spec = GraphBuildSpec(int(r.integers(1, 6)), float(r.choice([0.0, 0.5, 0.95, 1.0])))
+        g = build_initial_graph(NodeSignalSeries(values), spec)
+        edges, weights = loop_initial_graph(values, spec)
+        assert g.edges == edges
+        assert np.array_equal(np.array(g.weights).view(np.int64), np.array(weights).view(np.int64))
+
+
 def test_graph_build_needs_two_nodes(rng):
     with pytest.raises(ValueError):
         build_initial_graph(NodeSignalSeries(rng.standard_normal((10, 1))), GraphBuildSpec())

@@ -18,6 +18,18 @@ def test_spec_validation():
         NoiseMaskSpec(snr=math.inf, snr_in_db=True)
 
 
+@pytest.mark.parametrize("db", [4000.0, -4000.0, math.nan])
+def test_db_snr_whose_ratio_or_noise_scale_is_not_finite_rejected(db):
+    with pytest.raises(ValueError, match="dB SNR"):
+        NoiseMaskSpec(snr=db, snr_in_db=True)
+
+
+@pytest.mark.parametrize("db", [3000.0, -3000.0])
+def test_db_snr_within_the_float_range_accepted(db):
+    ratio = NoiseMaskSpec(snr=db, snr_in_db=True).linear_snr
+    assert math.isfinite(ratio) and math.isfinite(1.0 / ratio)
+
+
 def test_db_conversion():
     assert NoiseMaskSpec(snr=10.0, snr_in_db=True).linear_snr == pytest.approx(10.0)
     assert NoiseMaskSpec(snr=0.0, snr_in_db=True).linear_snr == pytest.approx(1.0)

@@ -104,7 +104,7 @@ def test_hop_expand_matches_the_boolean_index_loop(seed, n, hops, connected, zer
     r = np.random.default_rng(seed)
     g = random_graph(r, n, connected=connected)
     if zero_weights:
-        g = g.with_weights(np.where(r.random(g.edge_count) < 0.3, 0.0, g.weights))
+        g = StaticGraph(n, g.edges, np.where(r.random(g.edge_count) < 0.3, 0.0, g.weights))
     lap = build_laplacian(g)
     operator = spectral_normalize(lap)
     if operator is None:  # no weighted edge: the zero operator
@@ -272,6 +272,36 @@ def test_merge_rejects_duplicates():
         merge(g, [cand])
 
 
+@pytest.mark.parametrize("candidates, message", [
+    ([HopCandidateSet(2, ((0, 2.7),), (0.5,))], "edge (0, 2.7) has a non-integer node index"),
+    ([HopCandidateSet(2, ((0, "a"),), (0.5,))], "edge (0, 'a') has a non-integer node index"),
+    ([HopCandidateSet(2, ((2, 2),), (0.5,))], "self-loop at node 2"),
+    ([HopCandidateSet(2, ((0, 3),), (0.5,))], "edge (0, 3) references a node outside 0..2"),
+    ([HopCandidateSet(2, ((0, 2),), (0.5,)), HopCandidateSet(3, ((2, 0),), (0.4,))],
+     "duplicate edge (0, 2)"),
+], ids=["non-integer", "string", "self-loop", "outside", "repeated"])
+def test_merge_raises_the_static_graph_message(candidates, message):
+    g = StaticGraph(3, ((0, 1), (1, 2)))
+    pairs, scores = zip(*[(p, s) for c in candidates for p, s in zip(c.pairs, c.scores)])
+    with pytest.raises(ValueError) as direct:
+        StaticGraph(3, g.edges + pairs, g.weights + scores)
+    with pytest.raises(ValueError) as merged:
+        merge(g, candidates)
+    assert str(merged.value) == str(direct.value) == message
+
+
+def test_merge_orders_reversed_pairs_by_hop_then_pair():
+    # as given, (1, 2) would sort before (3, 0) and (1, 3) before (4, 0)
+    g = StaticGraph(5, ((1, 0),))
+    out = merge(g, [
+        HopCandidateSet(3, ((1, 3), (4, 0)), (0.1, 0.2)),
+        HopCandidateSet(2, ((3, 0), (1, 2)), (0.3, 0.4)),
+    ])
+    assert out.graph.edges == ((0, 1), (0, 3), (1, 2), (0, 4), (1, 3))
+    assert out.graph.weights == (1.0, 0.3, 0.4, 0.2, 0.1)
+    assert out.provenance == ("original", "hop2", "hop2", "hop3", "hop3")
+
+
 def test_merge_two_steps_recomputation_oracle(rng):
     # recompute expand+prune independently for two weight rows and check
     # the merged edge sets differ exactly as the recomputation says
@@ -280,7 +310,7 @@ def test_merge_two_steps_recomputation_oracle(rng):
     rows = rng.uniform(0.0, 1.0, size=(2, 38))
     merged_sets = []
     for t in range(2):
-        g_t = g.with_weights(rows[t])
+        g_t = StaticGraph(g.node_count, g.edges, rows[t])
         norm = spectral_normalize(build_laplacian(g_t))
         pruned = [prune(c, spec) for c in hop_expand(norm, g, 3)]
         direct = merge(g_t, pruned)
@@ -296,7 +326,7 @@ def test_merge_two_steps_recomputation_oracle(rng):
 def tuple_chain_reference(g, weights, hops, spec, score_matrix):
     """Expand, prune and merge with per-pair Python loops over a set of taken pairs."""
     n = g.node_count
-    merged = g.with_weights(weights).adjacency()
+    merged = StaticGraph(n, g.edges, weights).adjacency()
     lap = np.diag(merged.sum(axis=1)) - merged
     lam_max = float(np.linalg.eigvalsh(lap)[-1])
     edge_count = g.edge_count
@@ -333,7 +363,7 @@ def test_array_core_matches_slice_view_and_loop_reference(
         score_matrix = np.maximum(score_matrix, score_matrix.T)
 
         topo = expand_prune_merge(
-            g.edge_mask(), g.with_weights(weights).adjacency(), hops, spec, score_matrix
+            g.edge_mask(), StaticGraph(n, g.edges, weights).adjacency(), hops, spec, score_matrix
         )
         view = build_topology_slice(g, weights, hops, spec, scores=score_matrix)
         assert np.array_equal(topo.adjacency, view.graph.adjacency())
@@ -350,7 +380,7 @@ def test_array_core_matches_slice_view_and_loop_reference(
         assert view.graph.edge_count == edge_count
         if hops == 1 or zero_weights:
             assert topo.candidates == topo.survivors == 0
-            assert np.array_equal(topo.adjacency, g.with_weights(weights).adjacency())
+            assert np.array_equal(topo.adjacency, StaticGraph(n, g.edges, weights).adjacency())
         else:
             assert topo.survivors > 0
 

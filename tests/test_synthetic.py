@@ -62,6 +62,21 @@ def test_more_regimes_than_steps_rejected():
     assert all(b > a for a, b in regime_segments(SyntheticSpec(regimes=3, steps=3)))
 
 
+@pytest.mark.parametrize("knobs, message", [
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"drift": -1.0}, "drift must be finite and >= 0"),
+    ({"drift": math.nan}, "drift must be finite and >= 0"),
+    ({"drift": math.inf}, "drift must be finite and >= 0"),
+])
+def test_negative_seed_and_bad_drift_rejected(knobs, message):
+    with pytest.raises(ValueError, match=message):
+        SyntheticSpec(**knobs)
+
+
+def test_zero_drift_accepted():
+    assert SyntheticSpec(drift=0.0).drift == 0.0
+
+
 def test_segments_cover_everything():
     spec = SyntheticSpec(regimes=3, steps=90)
     seg = regime_segments(spec)
