@@ -17,7 +17,6 @@ from .estimators import (
     StepSizeRule,
     adaptive_mu,
     diffusion_operator,
-    error_nonlinearity,
     run_estimation,
     stability_bound,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "build_topology_slice",
     "diffusion_operator",
     "eigendecompose",
-    "error_nonlinearity",
     "fit_lowpass_coefficients",
     "graph_from_csv",
     "graph_to_csv",

@@ -60,7 +60,6 @@ __all__ = [
     "EstimatorConfig",
     "EstimationTrace",
     "adaptive_mu",
-    "error_nonlinearity",
     "diffusion_operator",
     "run_estimation",
     "stability_bound",
@@ -88,13 +87,6 @@ LABEL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 # estimates whose magnitude passes this can never recover and would soon
 # overflow norm computations; flag divergence here instead of waiting for inf
 DIVERGENCE_GUARD = 1e100
-
-
-def _glmp_exponent(p: float | None) -> float:
-    """The glmp exponent ``p`` as a float; it must be given and lie in (1, 2]."""
-    if p is None or not 1.0 < p <= 2.0:
-        raise ValueError("glmp exponent must lie in (1, 2]")
-    return float(p)
 
 
 @dataclass(frozen=True)
@@ -236,8 +228,9 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if self.algorithm == "glmp":
-            _glmp_exponent(self.p_exponent)
+        p = self.p_exponent
+        if self.algorithm == "glmp" and (p is None or not 1.0 < p <= 2.0):
+            raise ValueError(f"glmp exponent must lie in (1, 2], got {p}")
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
         if self.diffusion_eps is not None and not math.isfinite(self.diffusion_eps):
@@ -278,16 +271,15 @@ class EstimationTrace:
         return self.estimates.shape[-2]
 
 
-def _shaping(
-    algorithm: str, p_exponent: float | None
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
+def _shaping(cfg: EstimatorConfig) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
     """The algorithm's element-wise residual shaping ``(e, out) -> out``,
-    or None for the identity of the least-squares members. ``out`` must
-    not overlap ``e``."""
-    if algorithm in _SIGN:
+    or None for the identity of the least-squares members. The sign
+    members keep only the sign (sign(0) = 0); glmp takes sign(e)|e|^(p-1)
+    with the config's checked exponent p. ``out`` must not overlap ``e``."""
+    if cfg.algorithm in _SIGN:
         return lambda e, out: np.sign(e, out=out)
-    if algorithm == "glmp":
-        power = _glmp_exponent(p_exponent) - 1.0
+    if cfg.algorithm == "glmp":
+        power = float(cfg.p_exponent) - 1.0
 
         def signed_power(e: np.ndarray, out: np.ndarray) -> np.ndarray:
             np.abs(e, out=out)
@@ -296,23 +288,6 @@ def _shaping(
 
         return signed_power
     return None
-
-
-def error_nonlinearity(e: np.ndarray, algorithm: str, p_exponent: float | None = None) -> np.ndarray:
-    """Element-wise residual shaping for each algorithm family.
-
-    Least-squares members pass the residual through; the p-norm member uses
-    sign(e)|e|^(p-1), with ``p_exponent`` as p (required, in (1, 2]); sign
-    members keep only the sign (sign(0) = 0).
-    """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    e = np.asarray(e, dtype=float)
-    shape = _shaping(algorithm, p_exponent)
-    if shape is None:
-        return e
-    shaped = shape(e, np.empty_like(e))
-    return shaped[()] if shaped.ndim == 0 else shaped  # a scalar for a scalar, as ufuncs give
 
 
 def diffusion_operator(
@@ -525,11 +500,10 @@ def run_estimation(
     ``cfg.weights_source == "ground-truth"``.
 
     A step computes only what it reads. What no step changes is resolved
-    once per call: the residual shaping of ``error_nonlinearity`` (none for
-    the least-squares members), and a fixed rule's step size, one float
-    for every run. Only the residual-adaptive rule takes each step's
-    residual norms, each with the bits of ``np.linalg.norm``, and sizes each
-    run's step from them.
+    once per call: the residual shaping (none for the least-squares
+    members), and a fixed rule's step size, one float for every run. Only
+    the residual-adaptive rule takes each step's residual norms, each with
+    the bits of ``np.linalg.norm``, and sizes each run's step from them.
 
     The loop owns its buffers: each call allocates one (R, N) residual, one
     shaped residual (none for the least-squares members, which shape
@@ -566,7 +540,7 @@ def run_estimation(
     # one binding serves every step without usable history, in every run
     fixed_apply = _bind(cfg, fixed[0])
 
-    shape = _shaping(algo, cfg.p_exponent)
+    shape = _shaping(cfg)
     adaptive = cfg.step.kind == "residual-adaptive"
     # every step writes its row, so the trace starts uninitialised
     estimates = np.empty((runs, t_total, n))

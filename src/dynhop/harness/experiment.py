@@ -133,8 +133,6 @@ def run_experiment(
     series, graph, splits = _resolve_dataset(dataset, graph_build)
     rows = splits.rows(split)
     truth = series.values[rows]
-    if truth.shape[0] < 1:
-        raise ValueError(f"{split} split is empty")
     truth_series = NodeSignalSeries(truth, labels=series.labels)
     train_var = series.values[splits.rows("train")].var(axis=0, ddof=1)
 

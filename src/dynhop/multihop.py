@@ -9,11 +9,13 @@ strictly exceeds a threshold; merging stacks the survivors on top of the
 original graph, whose own edges are never pruned.
 
 One array pass, :func:`expand_prune_merge`, does all of this on dense
-(N, N) matrices and masks. ``hop_expand``, ``prune``, ``merge`` and
-``build_topology_slice`` are tuple and :class:`TopologySlice` views of the
-same stages over that array core, for inspection. Both merged views come
-from one builder, which lists the latent edges in (hop, pair) order after
-the original ones and leaves every edge check to :class:`StaticGraph`.
+(N, N) matrices and masks and returns a :class:`LatentTopology`: the merged
+step's Laplacian and its surviving latent edges as arrays. ``hop_expand``,
+``prune``, ``merge`` and ``build_topology_slice`` are tuple and
+:class:`TopologySlice` views of the same stages over that array core, for
+inspection. Both merged views come from one function, which lists the
+latent edges in (hop, pair) order after the original ones and leaves every
+edge check to :class:`StaticGraph`.
 Each call builds one step's topology; which step that is stays with the
 caller, so the latent scores come in as one (N, N) matrix and a slice
 carries no time stamp.
@@ -111,21 +113,26 @@ class TopologySlice:
 
 @dataclass(frozen=True)
 class LatentTopology:
-    """One merged step as dense symmetric (N, N) arrays.
+    """One merged step: its Laplacian and its surviving latent edges.
 
-    ``adjacency`` holds the original edges at their step weights plus the
-    surviving latent edges at their latent weights, and ``laplacian`` is its
-    ``adjacency_laplacian``. ``hop`` is the provenance by hop order: 1 on an
-    original edge, p on a latent edge first reachable at order p, 0 where
-    there is no edge. ``candidates`` and ``survivors`` count latent pairs
-    before and after pruning.
+    ``laplacian`` is the ``adjacency_laplacian`` of the original edges at
+    their step weights plus the surviving latent edges at their weights, so
+    off its diagonal it is the merged adjacency negated. The S survivors are
+    listed in row-major pair order: ``pairs`` is (S, 2) with i < j in each
+    row, ``orders`` holds the hop order at which each pair first qualified
+    and ``weights`` its prune score. ``candidates`` counts the latent pairs
+    before pruning.
     """
 
-    adjacency: np.ndarray
-    hop: np.ndarray
     laplacian: np.ndarray
     candidates: int
-    survivors: int
+    pairs: np.ndarray
+    orders: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def survivors(self) -> int:
+        return len(self.pairs)
 
 
 def spectral_normalize(laplacian: np.ndarray) -> np.ndarray | None:
@@ -222,17 +229,18 @@ def expand_prune_merge(
     if correlation and not np.all(latent >= 0):  # NaN fails too
         raise ValueError("latent candidate scores must be >= 0")
     keep = prune_spec.survives(latent)
-    kept_rows, kept_cols = rows[keep], cols[keep]
-    merged = adjacency.copy()
-    provenance = base.astype(int)  # 1 original, p latent from order p
+    kept_rows, kept_cols, weights = rows[keep], cols[keep], latent[keep]
     if kept_rows.size:
-        merged[kept_rows, kept_cols] = merged[kept_cols, kept_rows] = latent[keep]
-        hop = order[kept_rows, kept_cols]
-        provenance[kept_rows, kept_cols] = provenance[kept_cols, kept_rows] = hop
+        merged = adjacency.copy()
+        merged[kept_rows, kept_cols] = merged[kept_cols, kept_rows] = weights
         laplacian = adjacency_laplacian(merged)
     # else the merged adjacency is the input, and so is its Laplacian
     return LatentTopology(
-        merged, provenance, laplacian, candidates=rows.size, survivors=kept_rows.size
+        laplacian,
+        candidates=rows.size,
+        pairs=np.array((kept_rows, kept_cols)).T,  # a cheaper call than np.stack
+        orders=order[kept_rows, kept_cols],
+        weights=weights,
     )
 
 
@@ -314,9 +322,4 @@ def build_topology_slice(
     """Expand, prune, and merge a single step (see :func:`expand_prune_merge`)."""
     g_t = StaticGraph(g.node_count, g.edges, weights_t)
     topo = expand_prune_merge(g.edge_mask(), g_t.adjacency(), hops, prune_spec, scores)
-    rows, cols = np.nonzero(np.triu(topo.hop, 1) > 1)
-    return _slice(g_t, zip(
-        topo.hop[rows, cols].tolist(),
-        zip(rows.tolist(), cols.tolist()),
-        topo.adjacency[rows, cols].tolist(),
-    ))
+    return _slice(g_t, zip(topo.orders.tolist(), topo.pairs.tolist(), topo.weights.tolist()))

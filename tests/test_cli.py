@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
+import dynhop
 from dynhop import EstimatorConfig, FilterSpec, PruneSpec, StepSizeRule, WindowSpec
 from dynhop.harness import (DatasetSpec, GraphBuildSpec, NoiseMaskSpec, SplitSpec,
                             SyntheticSpec)
@@ -93,6 +98,48 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     cfg["path"].write_text(cfg["path"].read_text().replace('"snr": 3.0', '"snr": 1' + "0" * 5000))
     assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_run_writes_the_same_bytes_under_different_hash_seeds(tmp_path):
+    # two interpreters with different string hashing run the CLI module
+    # end to end, through its __main__ line; every report file must match
+    cfg = run_config(tmp_path)
+    src = str(Path(dynhop.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out-{hash_seed}"
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
+        done = subprocess.run(
+            [sys.executable, "-m", "dynhop.harness.cli", "run", "--config", str(cfg["path"]),
+             "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) and "manifest.json" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_unreadable_config_and_non_object_top_level_are_config_errors(tmp_path):
+    for unreadable in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(ConfigError, match=f"cannot read config {unreadable}: "):
+            load_config(unreadable)
+    for text in ("[1, 2]", '"run"', "null"):
+        path = tmp_path / "top.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{path}: top level must be a JSON object"):
+            load_config(path)
+
+
+def test_empty_algorithm_list_is_config_error(tmp_path, capsys):
+    cfg = run_config(tmp_path, algorithms=[])
+    with pytest.raises(ConfigError, match="algorithms must be a non-empty list"):
+        resolve_config(load_config(cfg["path"]))
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "algorithms must be a non-empty list" in capsys.readouterr().err
 
 
 def test_window_stride_other_than_one_is_config_error(tmp_path, capsys):
@@ -682,7 +729,10 @@ def test_run_with_series_csv_that_is_not_utf8_is_data_error(tmp_path, capsys):
     ["build-graph", "SERIES", "--threshold", "2"],
     ["synth", "--regimes", "5", "--steps", "3"],
     ["synth", "--seed", "-1"],
-], ids=["one-node", "too-many-edges", "top-k-0", "threshold-2", "empty-regime", "seed-minus-1"])
+    ["build-graph", "SERIES", "--train-end", "1"],
+    ["build-graph", "SERIES", "--train-end", "31"],
+], ids=["one-node", "too-many-edges", "top-k-0", "threshold-2", "empty-regime", "seed-minus-1",
+        "train-end-1", "train-end-past-the-series"])
 def test_bad_synth_and_build_graph_values_are_config_errors(tmp_path, capsys, argv):
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--steps", "30"]) == 0

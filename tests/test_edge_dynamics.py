@@ -43,6 +43,16 @@ def test_series_rejects_non_finite():
         NodeSignalSeries(np.array([[0.0, np.nan]]))
 
 
+@pytest.mark.parametrize("values, labels, message", [
+    (np.zeros(3), None, r"values must be 2-D \(T, N\), got shape \(3,\)"),
+    (np.zeros((2, 2, 2)), None, r"values must be 2-D \(T, N\), got shape \(2, 2, 2\)"),
+    (np.zeros((4, 3)), ("a", "b"), "2 labels for 3 nodes"),
+], ids=["1-d", "3-d", "label-count"])
+def test_series_rejects_bad_shape_and_label_count(values, labels, message):
+    with pytest.raises(ValueError, match=message):
+        NodeSignalSeries(values, labels)
+
+
 def test_exact_copy_scores_one(rng):
     base = rng.standard_normal(30)
     series = NodeSignalSeries(np.column_stack([base, base]))

@@ -20,7 +20,6 @@ from dynhop import (
     adaptive_mu,
     build_laplacian,
     diffusion_operator,
-    error_nonlinearity,
     run_estimation,
     stability_bound,
 )
@@ -56,6 +55,9 @@ def test_step_rule_validation():
         StepSizeRule.adaptive(1.0, 0.5)
     with pytest.raises(ValueError):
         StepSizeRule("schedule", mu=1.0)
+    for mu_min, mu_max in ((None, 3.5), (0.8, None)):
+        with pytest.raises(ValueError, match="adaptive rule needs mu_min and mu_max"):
+            StepSizeRule.adaptive(mu_min, mu_max)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             StepSizeRule.fixed(bad)
@@ -96,44 +98,40 @@ def test_adaptive_mu_monotone(r1, r2):
 
 # -- error nonlinearity -----------------------------------------------------------
 
+def shape_residual(algo, e, **config):
+    """``e`` through the residual shaping of ``EstimatorConfig(algo, **config)``."""
+    shape = estimators._shaping(EstimatorConfig(algo, **config))
+    return e if shape is None else shape(e, np.empty_like(e))
+
+
 def test_nonlinearity_zero_for_all_algorithms():
     e = np.zeros(4)
-    for algo in ("glms", "gdlms", "glmp", "gsign", "gsd", "dynamic-multihop"):
-        assert np.array_equal(error_nonlinearity(e, algo, 1.5), np.zeros(4))
+    for algo in ALGORITHMS:
+        assert np.array_equal(shape_residual(algo, e), np.zeros(4))
 
 
 def test_sign_nonlinearity():
-    out = error_nonlinearity(np.array([-3.0, 0.0, 2.0]), "gsign")
-    assert np.array_equal(out, [-1.0, 0.0, 1.0])
+    for algo in ("gsign", "gsd"):
+        assert np.array_equal(shape_residual(algo, np.array([-3.0, 0.0, 2.0])), [-1.0, 0.0, 1.0])
 
 
 def test_pnorm_nonlinearity():
-    assert error_nonlinearity(np.array([4.0]), "glmp", 1.5)[0] == pytest.approx(2.0, abs=1e-15)
-    out = error_nonlinearity(np.array([-4.0]), "glmp", 1.5)
-    assert out[0] == pytest.approx(-2.0, abs=1e-15)
+    # the config's default exponent 1.5: sign(e) |e|^0.5
+    assert EstimatorConfig("glmp").p_exponent == 1.5
+    assert np.array_equal(shape_residual("glmp", np.array([4.0, -4.0, 0.0])), [2.0, -2.0, 0.0])
+    assert np.array_equal(shape_residual("glmp", np.array([-4.0, 9.0]), p_exponent=2.0), [-4.0, 9.0])
 
 
-def test_shaping_a_scalar_returns_a_scalar():
-    for algo, want in (("gsign", -1.0), ("gsd", -1.0), ("glmp", -2.0)):
-        shaped = error_nonlinearity(-4.0, algo, 1.5)
-        assert type(shaped) is np.float64 and shaped == want
-
-
-def test_identity_nonlinearity(rng):
-    e = rng.standard_normal(5)
-    assert np.array_equal(error_nonlinearity(e, "glms"), e)
-    assert np.array_equal(error_nonlinearity(e, "gdlms"), e)
+def test_identity_nonlinearity():
+    for algo in ("dynamic-multihop", "glms", "gdlms", "sgm-then-glms", "glms-then-sgm"):
+        assert estimators._shaping(EstimatorConfig(algo)) is None
 
 
 def test_pnorm_exponent_validated():
-    with pytest.raises(ValueError):
-        error_nonlinearity(np.ones(2), "glmp", 2.5)
-
-
-def test_pnorm_exponent_has_no_default_outside_the_config():
-    with pytest.raises(ValueError, match=r"glmp exponent must lie in \(1, 2\]"):
-        error_nonlinearity(np.ones(2), "glmp")
-    assert EstimatorConfig("glmp").p_exponent == 1.5
+    for p in (2.5, 1.0, 0.5, math.nan, math.inf, None):
+        with pytest.raises(ValueError, match=r"glmp exponent must lie in \(1, 2\]"):
+            EstimatorConfig("glmp", p_exponent=p)
+        EstimatorConfig("glms", p_exponent=p)  # read by glmp alone
 
 
 # -- diffusion operator ------------------------------------------------------------
@@ -309,8 +307,17 @@ def test_ground_truth_weight_source(rng):
                           weights_source="ground-truth")
     with pytest.raises(ValueError, match="ground-truth"):
         run_estimation(stream, g, cfg)
+    with pytest.raises(ValueError, match="ground_truth shape must match the stream"):
+        run_estimation(stream, g, cfg, ground_truth=NodeSignalSeries(rows[:-1]))
     trace = run_estimation(stream, g, cfg, ground_truth=NodeSignalSeries(rows))
     assert trace.steps == 30
+
+
+def test_zero_step_stream_rejected(rng):
+    g = random_graph(rng, 6)
+    stream = ObservationStream(np.zeros((0, 6)), np.zeros((0, 6), dtype=bool))
+    with pytest.raises(ValueError, match="stream must contain at least one step"):
+        run_estimation(stream, g, EstimatorConfig("glms"))
 
 
 def test_config_validation():
@@ -320,6 +327,8 @@ def test_config_validation():
         EstimatorConfig("glmp", p_exponent=2.5)
     with pytest.raises(ValueError):
         EstimatorConfig("glms", hops=0)
+    with pytest.raises(ValueError, match="unknown weights_source 'truth'"):
+        EstimatorConfig("dynamic-multihop", weights_source="truth")
     with pytest.raises(TypeError, match="latent_weight"):
         EstimatorConfig("dynamic-multihop", latent_weight="score")
 
@@ -508,9 +517,11 @@ def test_base_edge_rule_scores_only_the_base_edges(rng, monkeypatch):
 def stepwise_reference(stream, g, cfg):
     """The trace of one (T, N) stream from a per-step loop over the public
     pieces: NodeSignalSeries -> sliding_abs_correlation or
-    window_abs_correlation -> expand_prune_merge -> adjacency_laplacian ->
-    bind_filter (diffusion_operator for gdlms and gsd), then the masked
-    update. The static baselines bind their graph once."""
+    window_abs_correlation -> expand_prune_merge (its survivors written into
+    the step's adjacency) -> adjacency_laplacian -> bind_filter
+    (diffusion_operator for gdlms and gsd), then the masked update, whose
+    sign or signed-power shaping is written out here. The static baselines
+    bind their graph once."""
     obs, mask = stream.observations, stream.mask
     steps, n = obs.shape
     w = cfg.window.window
@@ -518,7 +529,10 @@ def stepwise_reference(stream, g, cfg):
 
     def multihop(adjacency, scores):
         topo = expand_prune_merge(base, adjacency, cfg.hops, cfg.prune, scores)
-        return topo.adjacency, (g.edge_count + topo.survivors, topo.candidates, topo.survivors)
+        merged = adjacency.copy()
+        i, j = topo.pairs.T
+        merged[i, j] = merged[j, i] = topo.weights
+        return merged, (g.edge_count + topo.survivors, topo.candidates, topo.survivors)
 
     def topology(rows):
         if cfg.algorithm != "dynamic-multihop":  # an sgm ordering
@@ -550,7 +564,12 @@ def stepwise_reference(stream, g, cfg):
     for t in range(steps):
         residual = np.where(mask[t], obs[t] - x, 0.0)
         mu = adaptive_mu(np.linalg.norm(residual), cfg.step)
-        shaped = error_nonlinearity(residual, cfg.algorithm, cfg.p_exponent)
+        if cfg.algorithm in ("gsign", "gsd"):
+            shaped = np.sign(residual)
+        elif cfg.algorithm == "glmp":
+            shaped = np.sign(residual) * np.abs(residual) ** (cfg.p_exponent - 1.0)
+        else:
+            shaped = residual
         rows = estimates[t - w : t]
         if rebinds and t >= w and np.all(np.isfinite(rows)):
             adjacency, counts[:, t] = topology(rows)
@@ -877,6 +896,17 @@ def test_stability_bound_empty_mask_is_infinite(rng):
 def test_stability_bound_rejects_probabilities_outside_unit_interval(rng, policy, named):
     g = random_graph(rng, 6)
     with pytest.raises(ValueError, match=rf"mask policy probability {named} is outside \[0, 1\]"):
+        stability_bound(g, FilterSpec(passband_fraction=1.0), policy)
+
+
+@pytest.mark.parametrize("policy, message", [
+    ("expected", "unknown mask policy 'expected'"),
+    (np.ones(5), r"mask policy shape \(5,\) does not match 6 nodes"),
+    (np.ones((6, 1)), r"mask policy shape \(6, 1\) does not match 6 nodes"),
+], ids=["unknown-name", "short-array", "column-array"])
+def test_stability_bound_rejects_unknown_policy_and_mis_shaped_mask(rng, policy, message):
+    g = random_graph(rng, 6)
+    with pytest.raises(ValueError, match=message):
         stability_bound(g, FilterSpec(passband_fraction=1.0), policy)
 
 

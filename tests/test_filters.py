@@ -22,6 +22,8 @@ def test_filterspec_validation():
         FilterSpec(passband_fraction=0.0)
     with pytest.raises(ValueError):
         FilterSpec(passband_fraction=1.5)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        FilterSpec("chebyshev", order=0)
     with pytest.raises(ValueError):
         FilterSpec("chebyshev", order=3, coefficients=(1.0, 2.0))
     with pytest.raises(ValueError, match="coefficients must be finite"):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -39,6 +40,11 @@ def test_rejects_negative_weight():
 def test_rejects_out_of_range_node():
     with pytest.raises(ValueError):
         StaticGraph(2, ((0, 2),))
+
+
+def test_rejects_an_empty_node_set():
+    with pytest.raises(ValueError, match="node_count must be >= 1"):
+        StaticGraph(0, ())
 
 
 def test_edges_canonicalized_lower_first():
@@ -196,6 +202,13 @@ def test_eigendecompose_rejects_asymmetric():
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("m", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))],
+                         ids=["2x3", "vector", "3-d"])
+def test_eigendecompose_rejects_a_non_square_matrix(m):
+    with pytest.raises(ValueError, match=rf"expected a square matrix, got shape {re.escape(str(m.shape))}"):
+        eigendecompose(m)
+
+
 def test_spectral_decomposition_views_its_arrays_and_checks_their_order():
     v, u = np.array([1.0, 1.0, 3.0]), np.eye(3)
     d = graphs.SpectralDecomposition(v, u)
@@ -208,6 +221,11 @@ def test_spectral_decomposition_views_its_arrays_and_checks_their_order():
     for values in ([1.0, np.nan], [np.nan, 1.0], [np.nan]):
         with pytest.raises(np.linalg.LinAlgError, match="not NaN"):
             graphs.SpectralDecomposition(np.array(values), np.eye(len(values)))
+    # n eigenvalues need an n-by-n eigenvector matrix
+    for values, vectors in (([1.0, 2.0], np.eye(3)), ([1.0, 2.0], np.ones((2, 3))),
+                            ([[1.0, 2.0]], np.eye(2)), ([1.0, 2.0], np.ones(2))):
+        with pytest.raises(ValueError, match="need n eigenvalues and an n-by-n eigenvector matrix"):
+            graphs.SpectralDecomposition(np.array(values), vectors)
 
 
 def test_zero_eigenvalue_multiplicity_matches_components(rng):
@@ -319,8 +337,12 @@ def test_csv_bad_cells_name_their_line_and_column(tmp_path, row, message):
     ("src,dst,weight\n0,1,1.0\n1,0,0.5\n", "duplicate edge (0, 1)"),
     ("# node_count=2\nsrc,dst,weight\n0,3,1.0\n",
      "edge (0, 3) references a node outside 0..1"),
+    # the preamble reader reaches the end of the file before a header
+    ("", "expected header src,dst,weight"),
+    ("\n\n", "expected header src,dst,weight"),
+    ("# node_count=3\n", "expected header src,dst,weight"),
 ], ids=["node-count-abc", "node-count-1e3", "node-count-0", "self-loop", "duplicate",
-        "outside-node-count"])
+        "outside-node-count", "empty", "blank-lines-only", "node-count-only"])
 def test_csv_graph_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "g.csv"
     path.write_text(text)
@@ -347,6 +369,45 @@ def test_csv_edge_list_is_parsed_in_one_loadtxt_pass(tmp_path, rng):
         return
     assert fast == g
     assert np.array(fast.weights).tobytes() == np.array(g.weights).tobytes()
+
+
+def test_numpy_that_reads_floats_as_integers_gets_the_row_reader(tmp_path, monkeypatch, rng):
+    # NumPy releases that parse an integer cell through float (with a
+    # DeprecationWarning) are stood in for by a patched np.loadtxt; the cached
+    # probe is cleared so that it sees the patch, and again afterwards
+    g = random_graph(rng, 30, 60)
+    path = tmp_path / "g.csv"
+    graph_to_csv(g, path)
+    fast = graphs._graph_loadtxt(path)
+    real = np.loadtxt
+
+    def lenient_loadtxt(rows, *args, dtype=float, **kwargs):
+        if np.dtype(dtype).kind not in "iu":
+            return real(rows, *args, dtype=dtype, **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return real(rows, *args, dtype=float, **kwargs).astype(dtype)
+
+    def no_loadtxt_pass(*args, **kwargs):
+        raise AssertionError("the loadtxt pass ran on a NumPy that is not strict")
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    monkeypatch.setattr(graphs, "loadtxt_rows", no_loadtxt_pass)
+    parses_integers_strictly.cache_clear()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            assert parses_integers_strictly() is False  # "1.0" read as 1
+        parses_integers_strictly.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert parses_integers_strictly() is False  # the warning, raised
+        slow = graph_from_csv(path)
+    finally:
+        parses_integers_strictly.cache_clear()
+    for want in (g,) if fast is None else (g, fast):
+        assert (slow.node_count, slow.edges) == (want.node_count, want.edges)
+        assert np.array(slow.weights).tobytes() == np.array(want.weights).tobytes()
 
 
 def graph_outcome(read, path):

@@ -1,4 +1,5 @@
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -255,12 +256,17 @@ def test_splits_must_be_ordered():
         SplitSpec((1, 40), (30, 60), (61, 100))
     with pytest.raises(ValueError):
         SplitSpec((1, 40), (41, 60), (55, 100))
+    for train in ((0, 40), (10, 5)):
+        with pytest.raises(ValueError, match=re.escape(f"bad train range {train}")):
+            SplitSpec(train, (41, 60), (61, 100))
 
 
 def test_splits_open_test_end_resolution():
     splits = SplitSpec((1, 40), (41, 60), (61, None)).resolve(196)
     assert splits.test == (61, 196)
     assert splits.rows("test") == slice(60, 196)
+    with pytest.raises(ValueError, match=r"resolve\(\) the spec before slicing an open test range"):
+        SplitSpec((1, 40), (41, 60), (61, None)).rows("test")
     with pytest.raises(ValueError):
         SplitSpec((1, 40), (41, 60), (61, 300)).resolve(200)
 
@@ -274,6 +280,13 @@ def test_split_rows_are_zero_based_half_open():
 # -- normalization ----------------------------------------------------------------
 
 SPLITS = SplitSpec((1, 10), (11, 12), (13, 20))
+
+
+def test_normalize_rejects_an_empty_train_slice():
+    # the train range lies past the end of a 6-step series
+    with pytest.raises(ValueError, match="train split is empty"):
+        normalize_by_train_mean(NodeSignalSeries(np.ones((6, 2))),
+                                SplitSpec((8, 10), (11, 12), (13, 20)))
 
 
 def test_normalize_constant_node_becomes_one():
@@ -400,6 +413,11 @@ def test_edge_set_and_weight_bits_match_the_per_node_loop():
 def test_graph_build_needs_two_nodes(rng):
     with pytest.raises(ValueError):
         build_initial_graph(NodeSignalSeries(rng.standard_normal((10, 1))), GraphBuildSpec())
+
+
+def test_graph_build_needs_two_samples(rng):
+    with pytest.raises(ValueError, match="need at least 2 samples to correlate"):
+        build_initial_graph(NodeSignalSeries(rng.standard_normal((1, 4))), GraphBuildSpec())
 
 
 def test_graph_build_spec_validation():

@@ -16,6 +16,16 @@ def test_spec_validation():
         NoiseMaskSpec(snr=3.0, seed=-1)
     with pytest.raises(ValueError):
         NoiseMaskSpec(snr=math.inf, snr_in_db=True)
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        NoiseMaskSpec(snr=3.0, runs=0)
+
+
+@pytest.mark.parametrize("variance", [np.ones(2), np.ones((3, 1)), np.float64(1.0)],
+                         ids=["short", "column", "scalar"])
+def test_signal_variance_must_have_one_entry_per_node(variance):
+    series = NodeSignalSeries(np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="signal_variance shape .* does not match 3 nodes"):
+        simulate_observations(series, NoiseMaskSpec(snr=3.0), 0, signal_variance=variance)
 
 
 @pytest.mark.parametrize("db", [4000.0, -4000.0, math.nan])

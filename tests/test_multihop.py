@@ -7,6 +7,7 @@ from dynhop import (
     HopCandidateSet,
     PruneSpec,
     StaticGraph,
+    TopologySlice,
     build_laplacian,
     build_topology_slice,
     hop_expand,
@@ -169,7 +170,7 @@ def test_hops_beyond_the_diameter_change_nothing(g, connected, spec):
     for hops in range(max(diameter, 1), diameter + 4):
         topo = expand_prune_merge(base, adjacency, hops, spec, scores)
         assert (topo.candidates, topo.survivors) == (first.candidates, first.survivors)
-        for field in ("adjacency", "hop", "laplacian"):
+        for field in ("laplacian", "pairs", "orders", "weights"):
             assert np.array_equal(getattr(topo, field), getattr(first, field)), (hops, field)
         if operator is not None:
             got, want = _expand(operator, base, hops), expand_loop_reference(operator, base, hops)
@@ -187,6 +188,14 @@ def test_hop_expand_requires_positive_hops():
     g = StaticGraph(3, ((0, 1), (1, 2)))
     with pytest.raises(ValueError):
         hop_expand(normalized(g), g, 0)
+    with pytest.raises(ValueError, match="hops must be >= 1"):
+        expand_prune_merge(g.edge_mask(), g.adjacency(), 0, PruneSpec(0.1))
+
+
+def test_hop_expand_rejects_an_operator_of_another_size():
+    g = StaticGraph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=r"operator shape \(4, 4\) does not match 3 nodes"):
+        hop_expand(np.eye(4), g, 2)
 
 
 def test_candidate_scores_are_power_magnitudes():
@@ -208,6 +217,32 @@ def test_spectral_normalize_unit_top_eigenvalue(rng):
 
 
 # -- pruning ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("threshold, metric, message", [
+    (-0.1, "weight-magnitude", "threshold must be finite and >= 0"),
+    (np.nan, "weight-magnitude", "threshold must be finite and >= 0"),
+    (np.inf, "correlation", "threshold must be finite and >= 0"),
+    (0.1, "cosine", "unknown metric 'cosine'"),
+], ids=["negative", "nan", "inf", "unknown-metric"])
+def test_prune_spec_rejects_bad_threshold_and_unknown_metric(threshold, metric, message):
+    with pytest.raises(ValueError, match=message):
+        PruneSpec(threshold, metric)
+
+
+@pytest.mark.parametrize("hop, pairs, scores, message", [
+    (1, ((0, 2),), (0.5,), "hop order starts at 2"),
+    (2, ((0, 2), (1, 3)), (0.5,), "pairs and scores must have equal length"),
+    (2, ((0, 2),), (-0.5,), "scores must be >= 0"),
+], ids=["hop-1", "length-mismatch", "negative-score"])
+def test_candidate_set_checks(hop, pairs, scores, message):
+    with pytest.raises(ValueError, match=message):
+        HopCandidateSet(hop=hop, pairs=pairs, scores=scores)
+
+
+def test_topology_slice_needs_one_tag_per_edge():
+    g = StaticGraph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="one provenance tag per edge required"):
+        TopologySlice(graph=g, provenance=("original",))
 
 def _cands(scores, hop=2):
     pairs = tuple((0, k + 1) for k in range(len(scores)))
@@ -323,6 +358,13 @@ def test_merge_two_steps_recomputation_oracle(rng):
 
 # -- the array core ----------------------------------------------------------------
 
+def merged_adjacency(topo):
+    """The merged step's adjacency, read off its Laplacian: -L off the diagonal."""
+    a = -topo.laplacian
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
 def tuple_chain_reference(g, weights, hops, spec, score_matrix):
     """Expand, prune and merge with per-pair Python loops over a set of taken pairs."""
     n = g.node_count
@@ -366,21 +408,28 @@ def test_array_core_matches_slice_view_and_loop_reference(
             g.edge_mask(), StaticGraph(n, g.edges, weights).adjacency(), hops, spec, score_matrix
         )
         view = build_topology_slice(g, weights, hops, spec, scores=score_matrix)
-        assert np.array_equal(topo.adjacency, view.graph.adjacency())
+        assert np.array_equal(merged_adjacency(topo), view.graph.adjacency())
         assert g.edge_count + topo.survivors == view.graph.edge_count
-        assert np.count_nonzero(np.triu(topo.hop)) == view.graph.edge_count
-        tags = {pair: tag for pair, tag in zip(view.graph.edges, view.provenance)}
-        for (i, j), tag in tags.items():
-            assert topo.hop[i, j] == topo.hop[j, i] == (1 if tag == "original" else int(tag[3:]))
+        # the survivors, row-major with i < j, are the view's latent edges
+        pairs = [tuple(p) for p in topo.pairs.tolist()]
+        assert pairs == sorted(pairs) and all(i < j for i, j in pairs)
+        assert topo.pairs.shape == (topo.survivors, 2)
+        latent = sorted(
+            (pair, tag, w)
+            for pair, tag, w in zip(view.graph.edges, view.provenance, view.graph.weights)
+            if tag != "original"
+        )
+        tags = [f"hop{p}" for p in topo.orders.tolist()]
+        assert latent == list(zip(pairs, tags, topo.weights.tolist()))
 
         merged, edge_count = tuple_chain_reference(g, weights, hops, spec, score_matrix)
-        assert np.array_equal(topo.adjacency, merged)
+        assert np.array_equal(merged_adjacency(topo), merged)
         # the Laplacian of the merged step, with or without survivors
-        assert np.array_equal(topo.laplacian, adjacency_laplacian(topo.adjacency))
+        assert np.array_equal(topo.laplacian, adjacency_laplacian(merged))
         assert view.graph.edge_count == edge_count
         if hops == 1 or zero_weights:
             assert topo.candidates == topo.survivors == 0
-            assert np.array_equal(topo.adjacency, StaticGraph(n, g.edges, weights).adjacency())
+            assert np.array_equal(merged, StaticGraph(n, g.edges, weights).adjacency())
         else:
             assert topo.survivors > 0
 
@@ -390,14 +439,16 @@ def test_array_core_reads_only_the_candidates_scores(rng):
     # diagonal, the lower triangle, pairs out of reach) are never read
     g = random_graph(rng, 10, 12)
     spec = PruneSpec(0.1, "correlation")
-    reach = expand_prune_merge(g.edge_mask(), g.adjacency(), 3, PruneSpec(0.0)).hop > 1
+    i, j = expand_prune_merge(g.edge_mask(), g.adjacency(), 3, PruneSpec(0.0)).pairs.T
+    reach = np.zeros((10, 10), dtype=bool)
+    reach[i, j] = reach[j, i] = True
     candidates = np.triu(reach)
     assert candidates.any() and not reach.all()
     scores = np.where(rng.random((10, 10)) < 0.5, np.nan, -1.0)
     scores[candidates] = 0.5
     topo = expand_prune_merge(g.edge_mask(), g.adjacency(), 3, spec, scores)
     assert topo.survivors == topo.candidates == np.count_nonzero(candidates)
-    assert np.array_equal(topo.adjacency, np.where(reach, 0.5, g.adjacency()))
+    assert np.array_equal(merged_adjacency(topo), np.where(reach, 0.5, g.adjacency()))
 
 
 @pytest.mark.parametrize("scores, message", [

@@ -73,6 +73,26 @@ def test_negative_seed_and_bad_drift_rejected(knobs, message):
         SyntheticSpec(**knobs)
 
 
+@pytest.mark.parametrize("knobs, message", [
+    ({"steps": 0}, "steps must be >= 1"),
+    ({"regimes": 0}, "regimes must be >= 1"),
+    ({"bandlimit": 0.0}, r"bandlimit must lie in \(0, 1\]"),
+    ({"bandlimit": 1.5}, r"bandlimit must lie in \(0, 1\]"),
+], ids=["steps-0", "regimes-0", "bandlimit-0", "bandlimit-1.5"])
+def test_sizes_and_bandlimit_out_of_range_rejected(knobs, message):
+    with pytest.raises(ValueError, match=message):
+        SyntheticSpec(**knobs)
+
+
+def test_one_step_first_regime_gives_unit_weights():
+    # one row has no correlation to measure, so every edge weighs 1
+    spec = SyntheticSpec(steps=20, regimes=2, switch_times=(2,))
+    assert regime_segments(spec)[0] == (0, 1)
+    g, series = make_synthetic_dataset(spec)
+    assert g.weights == (1.0,) * g.edge_count
+    assert series.values.shape == (20, spec.nodes)
+
+
 def test_zero_drift_accepted():
     assert SyntheticSpec(drift=0.0).drift == 0.0
 
