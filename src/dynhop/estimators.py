@@ -3,29 +3,14 @@
 All algorithms share one update skeleton: the masked residual of the newest
 observation is (optionally) passed through an element-wise non-linearity,
 shaped by a graph operator, scaled by a step size, and added to the running
-estimate. They differ in the operator and non-linearity:
-
-  dynamic-multihop   spectral filter re-bound every step to the merged
-                     multi-hop topology inferred from the estimate history
-  glms               spectral filter bound once to the static graph
-  gdlms              one-step diffusion (I - eps L) on the static graph
-  glmp               static spectral filter, signed-power error term
-  gsign              static spectral filter, sign error term
-  gsd                diffusion operator, sign error term
-  sgm-then-glms      correlation-thresholded topology refreshed before each
-                     update
-  glms-then-sgm      update first, then refresh the topology for the next
-                     step
+estimate. ``ALGORITHMS`` names each algorithm's topology, operator and
+non-linearity.
 
 Every bind of a filter goes through ``bind_filter`` with the configured
 ``FilterSpec``, whatever the graph size: kind "ideal-band-limited"
 eigendecomposes every Laplacian it binds to, and kind "chebyshev" is the
 polynomial route (pass fixed ``coefficients`` to keep one response across
-topologies). gdlms and gsd bind ``diffusion_operator`` instead.
-
-Both sgm orderings build the topology of step t from the estimate history up
-to step t - 1, so here they are the same estimator and their traces are
-bit-identical; the paper's distinction between them is not reproduced.
+topologies). The diffusion members bind ``diffusion_operator`` instead.
 
 Divergence (non-finite values, or magnitudes beyond an overflow guard) is
 flagged in the trace; the run keeps going so the blow-up stays visible in
@@ -37,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,20 +51,31 @@ __all__ = [
     "stability_bound",
 ]
 
-ALGORITHMS = (
-    "dynamic-multihop",
-    "glms",
-    "gdlms",
-    "glmp",
-    "gsign",
-    "gsd",
-    "sgm-then-glms",
-    "glms-then-sgm",
-)
+Algorithm = namedtuple("Algorithm", "topology operator shaping")
 
-_SPATIAL = frozenset({"gdlms", "gsd"})
-_SIGN = frozenset({"gsign", "gsd"})
-_SGM = frozenset({"sgm-then-glms", "glms-then-sgm"})
+# Each name is one point of three axes of the one masked update:
+#   topology  "static" (the given graph); "multihop" (the static graph plus
+#             the latent multi-hop edges inferred from the estimate history,
+#             re-bound every step); "threshold" (the pairs whose windowed
+#             |correlation| passes the prune threshold, every step).
+#   operator  "filter" (the configured spectral filter) or "diffusion" (one
+#             step of I - eps L, ``diffusion_operator``).
+#   shaping   of the residual e: None (identity), "signed-power"
+#             (sign(e)|e|^(p-1), p the ``p_exponent``) or "sign".
+# sgm-then-glms refreshes its topology before each update and glms-then-sgm
+# after it, for the next step. Both read the history up to step t - 1, so
+# here they are one estimator with bit-identical traces; the paper's
+# distinction between them is not reproduced.
+ALGORITHMS = {
+    "dynamic-multihop": Algorithm("multihop", "filter", None),
+    "glms": Algorithm("static", "filter", None),
+    "gdlms": Algorithm("static", "diffusion", None),
+    "glmp": Algorithm("static", "filter", "signed-power"),
+    "gsign": Algorithm("static", "filter", "sign"),
+    "gsd": Algorithm("static", "diffusion", "sign"),
+    "sgm-then-glms": Algorithm("threshold", "filter", None),
+    "glms-then-sgm": Algorithm("threshold", "filter", None),
+}
 
 # labels name report files, so they may not carry path separators or start a
 # dot file
@@ -227,9 +224,12 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+            raise ValueError(
+                f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}"
+            )
         p = self.p_exponent
-        if self.algorithm == "glmp" and (p is None or not 1.0 < p <= 2.0):
+        signed_power = ALGORITHMS[self.algorithm].shaping == "signed-power"
+        if signed_power and (p is None or not 1.0 < p <= 2.0):
             raise ValueError(f"glmp exponent must lie in (1, 2], got {p}")
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
@@ -273,12 +273,13 @@ class EstimationTrace:
 
 def _shaping(cfg: EstimatorConfig) -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
     """The algorithm's element-wise residual shaping ``(e, out) -> out``,
-    or None for the identity of the least-squares members. The sign
-    members keep only the sign (sign(0) = 0); glmp takes sign(e)|e|^(p-1)
-    with the config's checked exponent p. ``out`` must not overlap ``e``."""
-    if cfg.algorithm in _SIGN:
+    or None for the identity of the least-squares members. "sign" keeps
+    only the sign (sign(0) = 0); "signed-power" takes sign(e)|e|^(p-1) with
+    the config's checked exponent p. ``out`` must not overlap ``e``."""
+    shaping = ALGORITHMS[cfg.algorithm].shaping
+    if shaping == "sign":
         return lambda e, out: np.sign(e, out=out)
-    if cfg.algorithm == "glmp":
+    if shaping == "signed-power":
         power = float(cfg.p_exponent) - 1.0
 
         def signed_power(e: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -377,7 +378,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def _bind(cfg: EstimatorConfig, laplacian: np.ndarray) -> Callable[..., np.ndarray]:
     """The algorithm's operator bound to one Laplacian: diffusion or its filter."""
-    if cfg.algorithm in _SPATIAL:
+    if ALGORITHMS[cfg.algorithm].operator == "diffusion":
         return diffusion_operator(laplacian, cfg.diffusion_eps)
     return bind_filter(laplacian, cfg.filter)
 
@@ -394,9 +395,7 @@ def _topology_rule(
 
     ``rebuild`` is None when history never changes the topology: for the
     static baselines, and for dynamic-multihop with ``refresh_weights=False``.
-    sgm-then-glms refreshes its topology before each update and
-    glms-then-sgm after it, for the next step; both read the history up to
-    the previous step, so one rule serves both.
+    One rule serves both sgm orderings (see ``ALGORITHMS``).
 
     Every rule scores its window once, through the one (N, N) window kernel
     of ``edge_dynamics``. sgm and dynamic-multihop with the "correlation"
@@ -408,7 +407,8 @@ def _topology_rule(
     the same matrix, so the weights have the bits of the correlation rule's.
     """
     weights = g.adjacency()
-    if cfg.algorithm == "dynamic-multihop":
+    topology = ALGORITHMS[cfg.algorithm].topology
+    if topology == "multihop":
         base = g.edge_mask()
 
         def multihop(adjacency: np.ndarray, scores: np.ndarray | None) -> Topology:
@@ -441,7 +441,7 @@ def _topology_rule(
 
         return fixed, refreshed
     static = (adjacency_laplacian(weights), g.edge_count, 0, 0)
-    if cfg.algorithm not in _SGM:
+    if topology == "static":
         return static, None
 
     def correlation_thresholded(rows: np.ndarray) -> Topology:
@@ -533,7 +533,6 @@ def run_estimation(
     observations = stream.observations if stacked else stream.observations[None]
     mask = stream.mask if stacked else stream.mask[None]
     runs = observations.shape[0]
-    algo = cfg.algorithm
     window = cfg.window.window
 
     fixed, rebuild = _topology_rule(g, cfg)
@@ -595,7 +594,7 @@ def run_estimation(
         x_hat += filtered
         estimate[...] = x_hat
 
-    if algo == "dynamic-multihop" and np.any(
+    if ALGORITHMS[cfg.algorithm].topology == "multihop" and np.any(
         latent_candidates.any(axis=1) & ~latent_survivors.any(axis=1)
     ):
         warnings.warn(_no_survivor_message(cfg), stacklevel=2)

@@ -136,9 +136,9 @@ def normalize_by_train_mean(series: NodeSignalSeries, splits: SplitSpec) -> Node
     Nodes whose training mean is (numerically) zero pass through unscaled
     with a logged warning; dividing by it would be meaningless.
     """
+    if splits.train[1] > series.steps:
+        raise ValueError(f"train range {splits.train} ends past the {series.steps}-step series")
     train = series.values[splits.rows("train")]
-    if train.shape[0] == 0:
-        raise ValueError("train split is empty")
     means = train.mean(axis=0)
     scale_floor = 1e-12 * np.maximum(1.0, np.abs(train).max(axis=0))
     degenerate = np.abs(means) <= scale_floor

@@ -13,8 +13,7 @@ import numpy as np
 from .. import __version__
 from .._loadtxt import numeric_table
 from ..edge_dynamics import NodeSignalSeries
-from ..estimators import (_SGM, ALGORITHMS, LABEL, EstimatorConfig, ObservationStream,
-                          run_estimation)
+from ..estimators import ALGORITHMS, LABEL, EstimatorConfig, ObservationStream, run_estimation
 from ..graphs import StaticGraph, graph_from_csv
 from .data import (
     DataError,
@@ -261,7 +260,7 @@ def brain_preset() -> dict:
     ]
     for name in [a for a in ALGORITHMS if a != "dynamic-multihop"]:
         entry = {"algorithm": name, "filter": filt, "step": dict(fixed), "window": window}
-        if name in _SGM:
+        if ALGORITHMS[name].topology == "threshold":
             entry["prune"] = {"threshold": 0.8, "metric": "weight-magnitude"}
         algos.append(entry)
     return {

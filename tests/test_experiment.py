@@ -222,6 +222,12 @@ def test_brain_preset_protocol_values():
     names = [a["algorithm"] for a in cfg["algorithms"]]
     assert set(names) == {"dynamic-multihop", "glms", "gdlms", "glmp", "gsign", "gsd",
                           "sgm-then-glms", "glms-then-sgm"}
+    # these entries go into manifest.json: only the sgm orderings carry a
+    # prune, and no static baseline does
+    pruned = {a["algorithm"]: a["prune"] for a in cfg["algorithms"]
+              if "prune" in a and a["algorithm"] != "dynamic-multihop"}
+    assert pruned == {name: {"threshold": 0.8, "metric": "weight-magnitude"}
+                      for name in ("sgm-then-glms", "glms-then-sgm")}
 
 
 def test_stock_preset_protocol_values():

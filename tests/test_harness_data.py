@@ -283,10 +283,12 @@ SPLITS = SplitSpec((1, 10), (11, 12), (13, 20))
 
 
 def test_normalize_rejects_an_empty_train_slice():
-    # the train range lies past the end of a 6-step series
-    with pytest.raises(ValueError, match="train split is empty"):
-        normalize_by_train_mean(NodeSignalSeries(np.ones((6, 2))),
-                                SplitSpec((8, 10), (11, 12), (13, 20)))
+    # the train range lies past the end of a 6-step series, or ends past it
+    for train in ((8, 10), (1, 10)):
+        with pytest.raises(ValueError,
+                           match=rf"train range \({train[0]}, 10\) ends past the 6-step series"):
+            normalize_by_train_mean(NodeSignalSeries(np.ones((6, 2))),
+                                    SplitSpec(train, (11, 12), (13, 20)))
 
 
 def test_normalize_constant_node_becomes_one():
