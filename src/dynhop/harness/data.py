@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .._loadtxt import FINITE, csv_file, loadtxt_rows, numeric_table
-from ..edge_dynamics import NodeSignalSeries
+from ..edge_dynamics import NodeSignalSeries, window_abs_correlation
 from ..graphs import StaticGraph
 
 logger = logging.getLogger(__name__)
@@ -165,25 +165,17 @@ class GraphBuildSpec:
             raise ValueError("abs_corr_threshold must lie in [0, 1]")
 
 
-def _abs_correlation_matrix(values: np.ndarray) -> np.ndarray:
-    centered = values - values.mean(axis=0)
-    cov = centered.T @ centered
-    spread = np.sqrt(np.diag(cov))
-    denom = np.outer(spread, spread)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(denom > 0, cov / np.where(denom > 0, denom, 1.0), 0.0)
-    np.fill_diagonal(corr, 0.0)
-    return np.clip(np.abs(corr), 0.0, 1.0)
-
-
 def build_initial_graph(series: NodeSignalSeries, spec: GraphBuildSpec) -> StaticGraph:
     """Sparse static graph from training-window correlations.
 
-    Edge set is the union of each node's top-k partners by |correlation| and
-    all pairs whose |correlation| strictly exceeds the threshold. Weights are
-    the |correlation| values. top_k is clipped to n-1 on small graphs, so two
-    nodes always yield their single possible edge. Among partners of equal
-    |correlation| the lower node index ranks first.
+    The training rows are scored as one window by ``window_abs_correlation``,
+    the kernel that scores every window; a node that is exactly constant
+    there scores 0 with every partner. Edge set is the union of each node's
+    top-k partners by |correlation| and all pairs whose |correlation|
+    strictly exceeds the threshold. Weights are the |correlation| values.
+    top_k is clipped to n-1 on small graphs, so two nodes always yield their
+    single possible edge. Among partners of equal |correlation| the lower
+    node index ranks first.
     """
     values = series.values
     t_len, n = values.shape
@@ -191,7 +183,7 @@ def build_initial_graph(series: NodeSignalSeries, spec: GraphBuildSpec) -> Stati
         raise ValueError("need at least 2 nodes to build a graph")
     if t_len < 2:
         raise ValueError("need at least 2 samples to correlate")
-    absc = _abs_correlation_matrix(values)
+    absc = window_abs_correlation(values)
 
     k = min(spec.top_k, n - 1)
     rank_key = -absc

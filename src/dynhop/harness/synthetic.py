@@ -5,8 +5,9 @@ clusters (a fresh partition per regime), and synthesizes band-limited node
 signals whose energy concentrates on the slow eigenvectors of the
 cluster-boosted Laplacian. Members of a cluster therefore move together
 while clusters stay mutually decorrelated; when the regime switches, the
-partition changes and so does the whole correlation pattern. That is exactly
-the situation where latent multi-hop edges appear and disappear over time.
+partition changes and so does the whole correlation pattern. Every regime
+re-weights the same edge set, so the series holds no latent pair outside
+the graph for a multi-hop rule to find (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..edge_dynamics import NodeSignalSeries
+from ..edge_dynamics import NodeSignalSeries, window_abs_correlation
 from ..graphs import StaticGraph, build_laplacian
-from .data import _abs_correlation_matrix
 
 __all__ = [
     "SyntheticSpec",
@@ -199,8 +199,11 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[StaticGraph, NodeSignal
     """Build the (graph, ground-truth series) pair for a spec.
 
     The returned graph carries |correlation| weights measured on the first
-    regime's rows, mirroring how a static graph would be fitted on a
-    training window. Output is bit-reproducible for a fixed spec.
+    regime's rows as one window by ``window_abs_correlation``, the kernel
+    that scores every window, mirroring how a static graph is fitted on a
+    training window; a node that is exactly constant there weighs 0. With a
+    one-step first regime every weight is 1. Output is bit-reproducible for
+    a fixed spec.
     """
     rng = np.random.default_rng(spec.seed)
     edges, partitions = _structure(rng, spec)
@@ -213,7 +216,7 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> tuple[StaticGraph, NodeSignal
 
     first_len = segments[0][1] - segments[0][0]
     if first_len >= 2:
-        absc = _abs_correlation_matrix(values[: first_len])
+        absc = window_abs_correlation(values[:first_len])
         weights = tuple(float(absc[i, j]) for i, j in edges)
     else:
         weights = tuple(1.0 for _ in edges)

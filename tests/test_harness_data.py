@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynhop.edge_dynamics import NodeSignalSeries
+from dynhop.edge_dynamics import NodeSignalSeries, window_abs_correlation
 from dynhop.graphs import graph_from_csv
 from dynhop.harness import data
 from dynhop.harness import (
@@ -357,6 +357,14 @@ def test_edge_set_matches_brute_force_oracle(rng):
     values = rng.standard_normal((40, 24))
     g = build_initial_graph(NodeSignalSeries(values), GraphBuildSpec(3, 0.95))
     assert set(g.edges) == brute_force_edge_set(values, 3, 0.95)
+    # an exactly constant node scores 0 with every partner, so its one
+    # partner is the lowest index, not whichever rounding noise ranks first
+    v = np.random.default_rng(0).standard_normal((3, 4))
+    v[:, 3] = 0.1
+    g = build_initial_graph(NodeSignalSeries(v), GraphBuildSpec(1, 0.95))
+    assert set(g.edges) == brute_force_edge_set(v, 1, 0.95)
+    flat = [(edge, w) for edge, w in zip(g.edges, g.weights) if 3 in edge]
+    assert flat == [((0, 3), 0.0)]
 
 
 def test_weights_are_absolute_correlations(rng):
@@ -371,7 +379,7 @@ def loop_initial_graph(values, spec):
     """Edges and weights from the per-node loop the mask form replaced: each
     node's top-k partners by a stable sort of its -|correlation| row, then
     every pair above the threshold, gathered in a set of pairs."""
-    absc = data._abs_correlation_matrix(values)
+    absc = window_abs_correlation(values)
     n = values.shape[1]
     chosen = set()
     k = min(spec.top_k, n - 1)

@@ -16,7 +16,7 @@ from dynhop import (
     run_estimation,
     sliding_abs_correlation,
 )
-from dynhop.edge_dynamics import NodeSignalSeries
+from dynhop.edge_dynamics import NodeSignalSeries, window_abs_correlation
 from dynhop.harness import (
     NoiseMaskSpec,
     SyntheticSpec,
@@ -186,3 +186,6 @@ def test_graph_weights_reflect_first_regime_correlations():
         num = centered[:, i] @ centered[:, j]
         den = np.linalg.norm(centered[:, i]) * np.linalg.norm(centered[:, j])
         assert w == pytest.approx(abs(num / den), abs=1e-12)
+    # the weights are the bits of the kernel that scores every window
+    kernel = window_abs_correlation(first_rows)
+    assert g.weights == tuple(float(kernel[i, j]) for i, j in g.edges)
