@@ -1,15 +1,15 @@
-"""Reading the rows of the comma-separated files the package reads.
+"""Reading the comma-separated files the package reads.
 
 ``harness.data.ingest_csv`` (series), ``graphs.graph_from_csv`` (edge lists)
-and ``harness.experiment.read_reports`` (curves) open their files with
-:func:`csv_file` and read them with one row reader, :func:`numbered_rows`,
-and one cell parser, :func:`cell_value`, so a bad row or cell reads the same
-in every kind of file. Series and curves, a header over rows of numbers,
-both go through :func:`numeric_table`. The series and edge-list readers
-first try one ``np.loadtxt`` pass (:func:`loadtxt_rows`) over the rows after
-the header and read the file row by row only where that pass refuses it.
-Both parsers round each number with ``PyOS_string_to_double``, so every
-value the loadtxt pass accepts has the bits the row reader would give it.
+and ``harness.experiment.read_reports`` (curves) open each file once, with
+:func:`csv_file`, read its header and take the lines after it as one list.
+That list is parsed in one ``np.loadtxt`` pass (:func:`loadtxt_pass`), and
+only where the pass refuses it is the same list read with one row reader,
+:func:`numbered_rows`, and one cell parser, :func:`cell_value`, so a bad row
+or cell reads the same in every kind of file. Series and curves, a header
+over rows of numbers, both go through :func:`numeric_table`. Both parsers
+round each number with ``PyOS_string_to_double``, so every value the loadtxt
+pass accepts has the bits the row reader would give it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from functools import cache
-from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -43,14 +42,13 @@ def csv_file(path: str | Path) -> Iterator[TextIO]:
 
 
 def numbered_rows(
-    fh: TextIO, path: str | Path, width: int | None = None, lines_read: int = 0
+    reader, path: str | Path, width: int | None = None, lines_read: int = 0
 ) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank rows left in ``fh``, as ``csv`` reads them, each with the
-    1-based file line it starts on (``lines_read`` lines precede ``fh``'s
-    position; a quoted cell may span lines). A row whose cell count differs
+    """The non-blank rows left in ``reader``, a ``csv.reader``, each with the
+    1-based file line it starts on (``lines_read`` lines precede the reader's
+    first line; a quoted cell may span lines). A row whose cell count differs
     from ``width``, by default the first row's, raises ``ValueError``:
     ``"<path>: line L has K cells, expected W"``."""
-    reader = csv.reader(fh)
     line = lines_read + 1
     for row in reader:
         if row:
@@ -79,32 +77,9 @@ def cell_value(path: str | Path, line: int, column: str, cell: str, parse: type 
     raise ValueError(f"{path}: line {line}, column {column!r}: {cell!r} is not {kind}")
 
 
-def numeric_table(
-    path: str | Path, width: int | None = None, accept: tuple | None = None
-) -> tuple[list[str], list[float]]:
-    """The header, its cells stripped, and the row-major values of a CSV
-    whose first non-blank row names the columns and whose later rows hold
-    one number per column, each passing ``accept``. An empty file or one
-    without data rows raises ``ValueError``, as do the row reader and the
-    cell parser."""
-    with csv_file(path) as fh:
-        rows = numbered_rows(fh, path, width)
-        _, header = next(rows, (1, None))
-        if header is None:
-            raise ValueError(f"{path}: file is empty")
-        header = [cell.strip() for cell in header]
-        values = [
-            cell_value(path, line, name, cell, accept=accept)
-            for line, row in rows
-            for name, cell in zip(header, row)
-        ]
-    if not values:
-        raise ValueError(f"{path}: header only, no data rows")
-    return header, values
-
-
-def loadtxt_rows(fh: TextIO, dtype, ndmin: int) -> np.ndarray | None:
-    """The rows left in ``fh``, or None where ``np.loadtxt`` refuses them.
+def loadtxt_pass(lines: list[str], dtype, ndmin: int) -> np.ndarray | None:
+    """``lines`` parsed in one ``np.loadtxt`` pass, or None where it refuses
+    them.
 
     No quote or comment character is set, so a quoted cell or a ``#`` is a
     bad value here. Blank lines are skipped, as ``csv`` skips them. Refused
@@ -114,15 +89,42 @@ def loadtxt_rows(fh: TextIO, dtype, ndmin: int) -> np.ndarray | None:
     """
     # loadtxt warns instead of raising when no row is left; a warning filter
     # would reset the once-per-location registry of every other warning
-    first = next((line for line in fh if line.rstrip("\r\n")), None)
-    if first is None:
+    if not any(line.rstrip("\r\n") for line in lines):
         return None
     try:
-        return np.loadtxt(
-            chain((first,), fh), dtype=dtype, delimiter=",", comments=None, ndmin=ndmin
-        )
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
     except ValueError:
         return None
+
+
+def numeric_table(
+    path: str | Path, width: int | None = None, finite: bool = False
+) -> tuple[list[str], np.ndarray]:
+    """The header, its cells stripped, and the (rows, columns) values of a
+    CSV whose first non-blank row names the columns and whose later rows hold
+    one number per column, finite if ``finite`` is set. An empty file or one
+    without data rows raises ``ValueError``, as do the row reader and the
+    cell parser, for the first ragged row or bad cell in file order."""
+    with csv_file(path) as fh:
+        reader = csv.reader(fh)
+        _, header = next(numbered_rows(reader, path, width), (1, None))
+        if header is None:
+            raise ValueError(f"{path}: file is empty")
+        header = [cell.strip() for cell in header]
+        lines = fh.readlines()
+        values = loadtxt_pass(lines, float, ndmin=2)
+        if (values is None or values.shape[1] != len(header)
+                or finite and not np.isfinite(values).all()):
+            accept = FINITE if finite else None
+            rows = numbered_rows(csv.reader(lines), path, len(header), reader.line_num)
+            values = np.array([
+                cell_value(path, line, name, cell, accept=accept)
+                for line, row in rows
+                for name, cell in zip(header, row)
+            ]).reshape(-1, len(header))
+    if not len(values):
+        raise ValueError(f"{path}: header only, no data rows")
+    return header, values
 
 
 @cache

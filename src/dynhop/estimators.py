@@ -57,7 +57,9 @@ Algorithm = namedtuple("Algorithm", "topology operator shaping")
 #   topology  "static" (the given graph); "multihop" (the static graph plus
 #             the latent multi-hop edges inferred from the estimate history,
 #             re-bound every step); "threshold" (the pairs whose windowed
-#             |correlation| passes the prune threshold, every step).
+#             |correlation| passes the prune threshold, every step; it reads
+#             no prune metric, so "weight-magnitude" thresholds |correlation|
+#             too).
 #   operator  "filter" (the configured spectral filter) or "diffusion" (one
 #             step of I - eps L, ``diffusion_operator``).
 #   shaping   of the residual e: None (identity), "signed-power"

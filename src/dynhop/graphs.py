@@ -18,7 +18,7 @@ from typing import TextIO
 
 import numpy as np
 
-from ._loadtxt import cell_value, csv_file, loadtxt_rows, numbered_rows, parses_integers_strictly
+from ._loadtxt import cell_value, csv_file, loadtxt_pass, numbered_rows, parses_integers_strictly
 
 __all__ = [
     "StaticGraph",
@@ -209,22 +209,6 @@ def graph_to_csv(g: StaticGraph, path: str | Path) -> None:
             writer.writerow([i, j, repr(float(w))])
 
 
-def graph_from_csv(path: str | Path) -> StaticGraph:
-    """Read a :func:`graph_to_csv` edge list.
-
-    The node count is the ``# node_count=`` line if there is one, else one
-    more than the highest node. Blank lines are skipped and a UTF-8 byte
-    order mark is dropped. The edge rows are parsed in one ``np.loadtxt``
-    pass; a file that pass refuses is read again with the package's CSV row
-    reader (``dynhop._loadtxt``), which names the first row without exactly
-    3 cells by its 1-based file line, and the first bad cell (an index that
-    is not an integer, a weight that is not a finite number >= 0) by its
-    line and column. Every ``ValueError`` it raises starts with ``path``.
-    """
-    graph = _graph_loadtxt(path)
-    return _graph_rows(path) if graph is None else graph
-
-
 _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", float)])
 _WEIGHT = (lambda w: 0.0 <= w < math.inf, "finite and >= 0")  # NaN fails too
 
@@ -267,33 +251,35 @@ def _read_preamble(fh: TextIO, path: str | Path) -> tuple[int | None, int]:
     return node_count, lines - 1 + reader.line_num
 
 
-def _graph_loadtxt(path: str | Path) -> StaticGraph | None:
-    """The graph from one ``np.loadtxt`` pass over the edge rows, or None
-    where that pass refuses them or they do not make a valid graph (the row
-    reader then raises the message of the first bad row)."""
-    if not parses_integers_strictly():
-        return None
-    with csv_file(path) as fh:
-        node_count, _ = _read_preamble(fh, path)
-        rows = loadtxt_rows(fh, _EDGE_ROW, ndmin=1)
-    if rows is None:
-        return None
-    edges = np.column_stack((rows["src"], rows["dst"]))
-    if node_count is None:
-        node_count = 1 + int(edges.max())  # loadtxt_rows returns at least one row
-    try:
-        return StaticGraph(node_count, edges, rows["weight"])
-    except ValueError:
-        return None
+def graph_from_csv(path: str | Path) -> StaticGraph:
+    """Read a :func:`graph_to_csv` edge list.
 
-
-def _graph_rows(path: str | Path) -> StaticGraph:
-    """The graph read with the row reader, in file order."""
-    edges: list[tuple[int, int]] = []
-    weights: list[float] = []
+    The node count is the ``# node_count=`` line if there is one, else one
+    more than the highest node. Blank lines are skipped and a UTF-8 byte
+    order mark is dropped. The file is opened and read once: the lines after
+    the header are parsed in one ``np.loadtxt`` pass, and go to the
+    package's CSV row reader (``dynhop._loadtxt``) only where that pass
+    refuses them or they do not make a valid graph. The row reader names the
+    first row without exactly 3 cells by its 1-based file line, and the
+    first bad cell (an index that is not an integer, a weight that is not a
+    finite number >= 0) by its line and column. Every ``ValueError`` it
+    raises starts with ``path``.
+    """
     with csv_file(path) as fh:
-        node_count, lines = _read_preamble(fh, path)
-        for line, (i, j, w) in numbered_rows(fh, path, len(_CSV_HEADER), lines):
+        node_count, lines_read = _read_preamble(fh, path)
+        lines = fh.readlines()
+        # a NumPy that reads "1.0" as an integer accepts what the row reader refuses
+        rows = loadtxt_pass(lines, _EDGE_ROW, ndmin=1) if parses_integers_strictly() else None
+        if rows is not None:
+            pairs = np.column_stack((rows["src"], rows["dst"]))  # at least one row
+            count = 1 + int(pairs.max()) if node_count is None else node_count
+            try:
+                return StaticGraph(count, pairs, rows["weight"])
+            except ValueError:
+                pass  # the row reader raises the message of the first bad row
+        edges: list[tuple[int, int]] = []
+        weights: list[float] = []
+        for line, (i, j, w) in numbered_rows(csv.reader(lines), path, len(_CSV_HEADER), lines_read):
             edges.append((cell_value(path, line, "src", i, int),
                           cell_value(path, line, "dst", j, int)))
             weights.append(cell_value(path, line, "weight", w, accept=_WEIGHT))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .._loadtxt import FINITE, csv_file, loadtxt_rows, numeric_table
+from .._loadtxt import numeric_table
 from ..edge_dynamics import NodeSignalSeries, window_abs_correlation
 from ..graphs import StaticGraph
 
@@ -34,38 +34,21 @@ class DataError(Exception):
 def ingest_csv(path: str | Path) -> NodeSignalSeries:
     """Read a rectangular numeric CSV: header of node labels, one row per step.
 
-    Blank lines are skipped and a UTF-8 byte order mark is dropped. The data
-    rows are parsed in one ``np.loadtxt`` pass; a file that pass refuses is
-    read again with the package's CSV row reader (``dynhop._loadtxt``), with
-    the same values where both accept. Every error is a ``DataError`` whose
+    Blank lines are skipped and a UTF-8 byte order mark is dropped. The file
+    is opened and read once (``dynhop._loadtxt.numeric_table``): the data
+    rows are parsed in one ``np.loadtxt`` pass, and the same lines go to the
+    package's CSV row reader only where that pass refuses them, with the
+    same values where both accept. Every error is a ``DataError`` whose
     message starts with ``path``: a file that is empty, has no data rows or
     is not UTF-8, the 1-based file line of the first row without one cell
     per label, or the line and column of the first cell that is not a
     finite number.
     """
     try:
-        series = _ingest_loadtxt(path)
-        return _ingest_rows(path) if series is None else series
+        header, values = numeric_table(path, finite=True)
+        return NodeSignalSeries(values, labels=tuple(header))
     except ValueError as err:  # its message names the file
         raise DataError(str(err)) from None
-
-
-def _ingest_loadtxt(path: str | Path) -> NodeSignalSeries | None:
-    """The series in one ``np.loadtxt`` pass over the data rows, or None where
-    that pass refuses the file or finds a value that is not finite."""
-    with csv_file(path) as fh:
-        header = next(filter(None, csv.reader(fh)), None)
-        values = None if header is None else loadtxt_rows(fh, float, ndmin=2)
-    if values is None or values.shape[1] != len(header) or not np.isfinite(values).all():
-        return None
-    return NodeSignalSeries(values, labels=tuple(cell.strip() for cell in header))
-
-
-def _ingest_rows(path: str | Path) -> NodeSignalSeries:
-    """The series read with the row reader, in file order; raises the
-    ``ValueError`` of the first empty, ragged or bad row."""
-    header, values = numeric_table(path, accept=FINITE)
-    return NodeSignalSeries(np.array(values).reshape(-1, len(header)), labels=tuple(header))
 
 
 def series_to_csv(series: NodeSignalSeries, path: str | Path) -> None:

@@ -125,7 +125,8 @@ def run_experiment(
     Aggregation reduces runs in index order; the result is deterministic for
     a fixed (dataset, noise, config) triple. Labels name the report files,
     so two algorithms with one label are rejected before any work, as is
-    an unknown split name.
+    an unknown split name. An SNR whose noise scale reaches the estimators'
+    divergence guard raises ``DataError`` before any estimation.
     """
     _check_unique_labels(algorithms)
     _check_split(split)
@@ -135,12 +136,17 @@ def run_experiment(
     truth_series = NodeSignalSeries(truth, labels=series.labels)
     train_var = series.values[splits.rows("train")].var(axis=0, ddof=1)
 
-    stream = ObservationStream.stack(
-        [
+    try:
+        runs = [
             simulate_observations(truth_series, noise, r, signal_variance=train_var)
             for r in range(noise.runs)
         ]
-    )
+    except ValueError as err:  # a noise scale past the divergence guard
+        unit = " dB" if noise.snr_in_db else ""
+        raise DataError(
+            f"noise.snr {noise.snr}{unit} leaves no run that can converge: {err}"
+        ) from None
+    stream = ObservationStream.stack(runs)
     n = graph.node_count
     results = []
     for cfg in algorithms:
@@ -175,7 +181,7 @@ def _write_curve(path: Path, times: np.ndarray, column: str, values: np.ndarray)
 def _read_curve(path: Path) -> list[float]:
     """Value column of a written ``t,<value>`` curve CSV; raises the
     ``ValueError`` of the first ragged row or cell that is not a number."""
-    return numeric_table(path, width=2)[1][1::2]
+    return numeric_table(path, width=2)[1][:, 1].tolist()
 
 
 def write_reports(report: MetricsReport, out_dir: str | Path, config: dict | None = None) -> list[Path]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..edge_dynamics import NodeSignalSeries
-from ..estimators import ObservationStream
+from ..estimators import DIVERGENCE_GUARD, ObservationStream
 
 __all__ = ["NoiseMaskSpec", "simulate_observations"]
 
@@ -65,7 +65,9 @@ def simulate_observations(
     Per-node noise variance is signal variance / SNR; pass the training-split
     variance via ``signal_variance`` to match the usual protocol (defaults to
     the variance of the given series). Masks and noise are drawn from a
-    generator seeded by (seed, run_index).
+    generator seeded by (seed, run_index). A node whose noise scale is not
+    finite or reaches ``DIVERGENCE_GUARD`` raises ``ValueError``: every run
+    would start past the guard, so none could converge.
     """
     values = series.values
     t_len, n = values.shape
@@ -75,9 +77,16 @@ def simulate_observations(
     if var.shape != (n,):
         raise ValueError(f"signal_variance shape {var.shape} does not match {n} nodes")
 
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+        noise_std = np.sqrt(var / spec.linear_snr)
+    if not noise_std.max() < DIVERGENCE_GUARD:  # NaN fails too
+        node = int(np.argmax(noise_std))
+        raise ValueError(
+            f"SNR {spec.linear_snr:.3g} gives node {node} a noise std of "
+            f"{noise_std[node]:.3g}, not below the divergence guard {DIVERGENCE_GUARD:.0e}"
+        )
     rng = np.random.default_rng([spec.seed, int(run_index)])
     mask = rng.random((t_len, n)) >= spec.missing_fraction
-    noise_std = np.sqrt(var / spec.linear_snr)
     noise = rng.standard_normal((t_len, n)) * noise_std
     # the stream zeroes the unobserved entries
     return ObservationStream(values + noise, mask)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,24 @@ def union_find_components(n: int, edges) -> int:
         if ri != rj:
             parent[ri] = rj
     return len({find(i) for i in range(n)})
+
+
+class RowReaderRan(Exception):
+    """Raised by a stand-in cell parser: the file reached the row reader."""
+
+
+def csv_path_outcomes(module, outcome):
+    """``outcome()``, a read of one CSV file, with the row reader alone
+    (``module``'s loadtxt pass refusing every file), and with the loadtxt
+    pass alone (None where the file would reach ``module``'s row reader)."""
+    with mock.patch.object(module, "loadtxt_pass", return_value=None):
+        rows = outcome()
+    with mock.patch.object(module, "cell_value", side_effect=RowReaderRan):
+        try:
+            fast = outcome()
+        except RowReaderRan:
+            fast = None
+    return rows, fast
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import dynhop
 from dynhop import EstimatorConfig, FilterSpec, PruneSpec, StepSizeRule, WindowSpec
 from dynhop.harness import (DatasetSpec, GraphBuildSpec, NoiseMaskSpec, SplitSpec,
                             SyntheticSpec)
-from dynhop.harness import cli
+from dynhop.harness import cli, experiment
 from dynhop.harness.cli import main
 from dynhop.harness.config import (ConfigError, ResolvedConfig, _reader, _schema, deep_merge,
                                    load_config, resolve_config)
@@ -509,6 +509,21 @@ def test_run_exit_code_all_diverged(tmp_path, capsys):
     assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(out)]) == 4
     assert "diverged" in capsys.readouterr().err
     assert (out / "manifest.json").exists()  # reports still written
+
+
+def test_run_with_noise_past_the_divergence_guard_is_data_error_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimation started")
+
+    monkeypatch.setattr(experiment, "run_estimation", refuse)
+    cfg = run_config(tmp_path, noise={"snr": -3000, "snr_in_db": True})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: noise.snr -3000.0 dB leaves no run that can converge: ")
+    assert "not below the divergence guard" in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_run_requires_out_dir(tmp_path, capsys):

@@ -27,7 +27,7 @@ from dynhop import estimators
 from dynhop.edge_dynamics import NodeSignalSeries, sliding_abs_correlation, window_abs_correlation
 from dynhop.filters import bind_filter
 from dynhop.graphs import adjacency_laplacian
-from dynhop.multihop import expand_prune_merge
+from dynhop.multihop import PRUNE_METRICS, expand_prune_merge
 from conftest import random_graph
 
 RULE = StepSizeRule.adaptive(0.8, 3.5)
@@ -409,6 +409,24 @@ def test_steps_without_history_apply_the_static_operator(rng):
         trace = run_estimation(stream, g, EstimatorConfig(algo, window=WindowSpec(8)))
         assert np.array_equal(trace.estimates[:, :8], glms.estimates[:, :8])
         assert not np.array_equal(trace.estimates[:, 8], glms.estimates[:, 8])
+
+
+def test_sgm_threshold_ignores_the_prune_metric(rng):
+    # the sgm rule keeps the pairs whose windowed |correlation| passes
+    # prune.threshold under either metric name, so the presets' sgm rows,
+    # which name "weight-magnitude", trace the "correlation" rule bit for bit
+    g = random_graph(rng, 10)
+    runs = rng.standard_normal((2, 30, 10))
+    stream = ObservationStream(runs, rng.random(runs.shape) < 0.8)
+    for algo in ("sgm-then-glms", "glms-then-sgm"):
+        want, got = (
+            run_estimation(stream, g, EstimatorConfig(algo, prune=PruneSpec(0.3, metric),
+                                                      window=WindowSpec(8)))
+            for metric in PRUNE_METRICS
+        )
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+        assert np.array_equal(got.edge_counts, want.edge_counts)
+        assert not np.all(want.edge_counts == g.edge_count)  # the threshold rule ran
 
 
 def test_ideal_filter_binds_as_configured_at_any_size(rng, monkeypatch):

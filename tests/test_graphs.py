@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dynhop import (
     graph_to_csv,
     incidence,
 )
-from conftest import random_graph, union_find_components
+from conftest import csv_path_outcomes, random_graph, union_find_components
 
 
 # -- StaticGraph invariants --------------------------------------------------
@@ -278,8 +279,9 @@ def test_csv_read_drops_utf8_byte_order_mark(tmp_path):
 def test_csv_blank_lines_before_the_header_are_skipped(tmp_path, text, node_count, line):
     path = tmp_path / "g.csv"
     path.write_bytes(text.encode())
-    for read in (graph_from_csv, graphs._graph_rows):
-        g = read(path)
+    with mock.patch.object(graphs, "loadtxt_pass", return_value=None):  # the row reader
+        rows = graph_from_csv(path)
+    for g in (graph_from_csv(path), rows):
         assert (g.node_count, g.edges, g.weights) == (node_count, ((0, 1),), (1.0,))
     # rows after the header keep their file line numbers
     path.write_bytes(text.encode() + b"1,2,x\n")
@@ -363,7 +365,7 @@ def test_csv_edge_list_is_parsed_in_one_loadtxt_pass(tmp_path, rng):
     g = random_graph(rng, 30, 60)
     path = tmp_path / "g.csv"
     graph_to_csv(g, path)
-    fast = graphs._graph_loadtxt(path)
+    _, fast = csv_path_outcomes(graphs, lambda: graph_from_csv(path))
     if not parses_integers_strictly():  # this NumPy reads "1.0" as an integer
         assert fast is None
         return
@@ -378,7 +380,7 @@ def test_numpy_that_reads_floats_as_integers_gets_the_row_reader(tmp_path, monke
     g = random_graph(rng, 30, 60)
     path = tmp_path / "g.csv"
     graph_to_csv(g, path)
-    fast = graphs._graph_loadtxt(path)
+    _, fast = csv_path_outcomes(graphs, lambda: graph_from_csv(path))
     real = np.loadtxt
 
     def lenient_loadtxt(rows, *args, dtype=float, **kwargs):
@@ -392,7 +394,7 @@ def test_numpy_that_reads_floats_as_integers_gets_the_row_reader(tmp_path, monke
         raise AssertionError("the loadtxt pass ran on a NumPy that is not strict")
 
     monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
-    monkeypatch.setattr(graphs, "loadtxt_rows", no_loadtxt_pass)
+    monkeypatch.setattr(graphs, "loadtxt_pass", no_loadtxt_pass)
     parses_integers_strictly.cache_clear()
     try:
         with warnings.catch_warnings():
@@ -463,9 +465,8 @@ def test_loadtxt_pass_reads_edge_lists_like_the_row_reader(tmp_path_factory, cas
     path.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        expected = graph_outcome(graphs._graph_rows, path)
+        expected, fast = csv_path_outcomes(graphs, lambda: graph_outcome(graph_from_csv, path))
         assert graph_outcome(graph_from_csv, path) == expected
-        fast = graph_outcome(graphs._graph_loadtxt, path)
     assert fast is None or fast == expected
 
 

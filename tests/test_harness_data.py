@@ -1,15 +1,18 @@
+import builtins
+import json
 import logging
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynhop import _loadtxt
 from dynhop.edge_dynamics import NodeSignalSeries, window_abs_correlation
 from dynhop.graphs import graph_from_csv
-from dynhop.harness import data
 from dynhop.harness import (
     DataError,
     GraphBuildSpec,
@@ -19,7 +22,10 @@ from dynhop.harness import (
     normalize_by_train_mean,
     series_to_csv,
 )
-from dynhop.harness.experiment import read_reports
+from dynhop.harness.cli import main
+from dynhop.harness.experiment import read_reports, write_reports
+from dynhop.harness.metrics import AlgorithmMetrics, MetricsReport
+from conftest import csv_path_outcomes
 
 
 def write(tmp_path, text, name="series.csv"):
@@ -114,6 +120,45 @@ def test_series_graph_and_curve_files_name_a_bad_row_and_cell_alike(tmp_path, ki
     assert str(err.value).startswith(f"{path}: field larger than field limit")
 
 
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_series_graph_and_curve_files_are_opened_once(tmp_path, monkeypatch, kind):
+    read, name, head, lead = FILE_KINDS[kind]
+    path = tmp_path / name
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file) == path)
+        return real_open(file, *args, **kwargs)
+
+    # a plain row, which the loadtxt pass reads, and a quoted cell, which it
+    # refuses and the row reader reads from the same lines
+    for row in ("3", '"3"'):
+        path.write_text(f"{head}{lead},{row}\n")
+        monkeypatch.setattr(builtins, "open", counting_open)
+        read(path)
+        monkeypatch.setattr(builtins, "open", real_open)
+        assert opened.count(True) == 1, row
+        opened.clear()
+
+
+def test_non_finite_curves_round_trip_through_both_paths_and_report(tmp_path, capsys):
+    # a diverged run's MSE curve holds inf and nan
+    mse = np.array([0.1 + 0.2, np.inf, np.nan, 1e300])
+    degree = np.array([2.0, 2.5, 3.0, 3.0])
+    report = MetricsReport(times=np.arange(61, 65), algorithms=(
+        AlgorithmMetrics("glms", mse, degree, runs=2, diverged_runs=1),))
+    write_reports(report, tmp_path)
+    rows, fast = csv_path_outcomes(_loadtxt, lambda: read_reports(tmp_path)[1]["glms"])
+    for curves in (rows, fast, read_reports(tmp_path)[1]["glms"]):
+        assert np.array(curves["mse"]).tobytes() == mse.tobytes()
+        assert np.array(curves["degree"]).tobytes() == degree.tobytes()
+    assert main(["report", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())["algorithms"]["glms"]
+    assert summary["mean_degree"] == 2.625
+    assert (summary["runs"], summary["diverged_runs"]) == (2, 1)
+
+
 def test_ingest_skips_blank_lines_and_counts_file_lines(tmp_path):
     series = ingest_csv(write(tmp_path, "a,b\n1,2\n3,4\n\n"))
     assert series.labels == ("a", "b")
@@ -125,6 +170,11 @@ def test_ingest_skips_blank_lines_and_counts_file_lines(tmp_path):
     # a quoted cell spanning two lines moves every later row down one line
     with pytest.raises(DataError, match=r"line 4, column 'b'"):
         ingest_csv(write(tmp_path, 'a,b\n"1\n",2\n3,oops\n'))
+    # and so do blank lines before the header, and a label spanning two lines
+    with pytest.raises(DataError, match=r"line 5, column 'b'"):
+        ingest_csv(write(tmp_path, "\n\na,b\n1,2\n3,oops\n"))
+    with pytest.raises(DataError, match=r"line 4, column 'b'"):
+        ingest_csv(write(tmp_path, '"a\nx",b\n1,2\n3,oops\n'))
     with pytest.raises(DataError, match="no data rows"):
         ingest_csv(write(tmp_path, "a,b\n\n\n"))
 
@@ -243,9 +293,8 @@ def test_loadtxt_pass_reads_series_like_the_row_reader(tmp_path_factory, case):
     path.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        expected = series_outcome(data._ingest_rows, path)
+        expected, fast = csv_path_outcomes(_loadtxt, lambda: series_outcome(ingest_csv, path))
         assert series_outcome(ingest_csv, path) == expected
-        fast = series_outcome(data._ingest_loadtxt, path)
     assert fast == expected if plain else fast is None or fast == expected
 
 

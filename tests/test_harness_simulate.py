@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,21 @@ def test_db_snr_whose_ratio_or_noise_scale_is_not_finite_rejected(db):
 def test_db_snr_within_the_float_range_accepted(db):
     ratio = NoiseMaskSpec(snr=db, snr_in_db=True).linear_snr
     assert math.isfinite(ratio) and math.isfinite(1.0 / ratio)
+
+
+@pytest.mark.parametrize("db, message", [
+    (-3000.0, "gives node 2 a noise std of 3e+150"),
+    (-3082.0, "gives node 1 a noise std of inf"),  # node 1's variance / SNR overflows
+], ids=["std-1e150", "std-inf"])
+def test_noise_scale_past_the_divergence_guard_rejected(db, message):
+    series = NodeSignalSeries(np.zeros((5, 3)))
+    variance = np.array([1.0, 4.0, 9.0])
+    guard = re.escape(f"{message}, not below the divergence guard 1e+100")
+    with pytest.raises(ValueError, match=guard):
+        simulate_observations(series, NoiseMaskSpec(snr=db, snr_in_db=True), 0, variance)
+    # a noise std of 3e99 stays below the guard
+    spec = NoiseMaskSpec(snr=-1980.0, snr_in_db=True)
+    assert simulate_observations(series, spec, 0, variance).observations.shape == (5, 3)
 
 
 def test_db_conversion():
