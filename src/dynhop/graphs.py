@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import index
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -210,28 +209,20 @@ def graph_to_csv(g: StaticGraph, path: str | Path) -> None:
 
 
 _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", float)])
-_WEIGHT = (lambda w: 0.0 <= w < math.inf, "finite and >= 0")  # NaN fails too
+# one weight or a column of them; NaN fails too
+_WEIGHT = (lambda w: (0.0 <= w) & (w < math.inf), "finite and >= 0")
 
 
-def _next_line(fh: TextIO) -> tuple[str, int]:
-    """The next line of ``fh`` that is not blank ("" at the end), and the
-    number of lines read up to and including it."""
-    read = 0
-    for line in iter(fh.readline, ""):
-        read += 1
-        if line.rstrip("\r\n"):
-            return line, read
-    return "", read
-
-
-def _read_preamble(fh: TextIO, path: str | Path) -> tuple[int | None, int]:
-    """Read the optional ``# node_count=`` line and the header row, blank
-    lines before either skipped; return the node count given there and the
-    number of file lines read."""
+def _read_preamble(reader, path: str | Path) -> int | None:
+    """Read the optional ``# node_count=`` row (another ``#`` row is skipped)
+    and the header row with the package's row reader, ``reader`` being a
+    ``csv.reader`` at the start of the file; return the node count given
+    there. Blank lines before either are skipped."""
     node_count: int | None = None
-    line, lines = _next_line(fh)
-    if line.startswith("#"):
-        key, _, value = line.lstrip("# ").partition("=")
+    line, row = next(numbered_rows(reader, path), (1, None))
+    if row and row[0].startswith("#"):
+        # the comment's own text, commas and all
+        key, _, value = ",".join(row).lstrip("# ").partition("=")
         if key.strip() == "node_count":
             try:
                 node_count = int(value)
@@ -239,53 +230,46 @@ def _read_preamble(fh: TextIO, path: str | Path) -> tuple[int | None, int]:
                 node_count = 0  # fails the check below
             if node_count < 1:
                 raise ValueError(
-                    f"{path}: line {lines}: node_count {value.strip()!r} is not an integer >= 1"
+                    f"{path}: line {line}: node_count {value.strip()!r} is not an integer >= 1"
                 )
-        line, read = _next_line(fh)
-        lines += read
-    # a quoted header cell may run on into the following lines
-    reader = csv.reader(chain((line,), fh))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != _CSV_HEADER:
+        _, row = next(numbered_rows(reader, path), (1, None))
+    if row is None or [h.strip() for h in row] != _CSV_HEADER:
         raise ValueError(f"{path}: expected header {','.join(_CSV_HEADER)}")
-    return node_count, lines - 1 + reader.line_num
+    return node_count
 
 
 def graph_from_csv(path: str | Path) -> StaticGraph:
     """Read a :func:`graph_to_csv` edge list.
 
     The node count is the ``# node_count=`` line if there is one, else one
-    more than the highest node. Blank lines are skipped and a UTF-8 byte
-    order mark is dropped. The file is opened and read once: the lines after
-    the header are parsed in one ``np.loadtxt`` pass, and go to the
-    package's CSV row reader (``dynhop._loadtxt``) only where that pass
-    refuses them or they do not make a valid graph. The row reader names the
-    first row without exactly 3 cells by its 1-based file line, and the
-    first bad cell (an index that is not an integer, a weight that is not a
-    finite number >= 0) by its line and column. Every ``ValueError`` it
-    raises starts with ``path``.
+    more than the highest node, at least 1. Blank lines are skipped and a
+    UTF-8 byte order mark is dropped. The file is read as
+    ``dynhop._loadtxt.numeric_table`` reads one: opened once, the lines
+    after the header parsed in one ``np.loadtxt`` pass, and read by the
+    package's CSV row reader only where that pass refuses them or gives a
+    weight that is not a finite number >= 0. The row reader names the first
+    row without exactly 3 cells by its 1-based file line, and the first bad
+    cell by its line and column. The graph is built once, and every
+    ``ValueError`` raised starts with ``path``.
     """
     with csv_file(path) as fh:
-        node_count, lines_read = _read_preamble(fh, path)
+        reader = csv.reader(fh)
+        node_count = _read_preamble(reader, path)
         lines = fh.readlines()
         # a NumPy that reads "1.0" as an integer accepts what the row reader refuses
         rows = loadtxt_pass(lines, _EDGE_ROW, ndmin=1) if parses_integers_strictly() else None
-        if rows is not None:
-            pairs = np.column_stack((rows["src"], rows["dst"]))  # at least one row
-            count = 1 + int(pairs.max()) if node_count is None else node_count
-            try:
-                return StaticGraph(count, pairs, rows["weight"])
-            except ValueError:
-                pass  # the row reader raises the message of the first bad row
-        edges: list[tuple[int, int]] = []
-        weights: list[float] = []
-        for line, (i, j, w) in numbered_rows(csv.reader(lines), path, len(_CSV_HEADER), lines_read):
-            edges.append((cell_value(path, line, "src", i, int),
-                          cell_value(path, line, "dst", j, int)))
-            weights.append(cell_value(path, line, "weight", w, accept=_WEIGHT))
+        if rows is not None and _WEIGHT[0](rows["weight"]).all():
+            edges = np.column_stack((rows["src"], rows["dst"])).tolist()
+            weights = rows["weight"]
+        else:
+            edges, weights = [], []
+            for line, (i, j, w) in numbered_rows(csv.reader(lines), path, len(_CSV_HEADER), reader.line_num):
+                edges.append((cell_value(path, line, "src", i, int),
+                              cell_value(path, line, "dst", j, int)))
+                weights.append(cell_value(path, line, "weight", w, accept=_WEIGHT))
     if node_count is None:
-        node_count = 1 + max((max(i, j) for i, j in edges), default=0)
+        node_count = max(1, 1 + max(chain.from_iterable(edges), default=0))
     try:
-        return StaticGraph(node_count, tuple(edges), tuple(weights))
+        return StaticGraph(node_count, edges, weights)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -185,6 +186,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _mean(values: list[float]) -> float | None:
+    """The mean of ``values``, or None (JSON null) where it is not finite,
+    so that ``summary.json`` stays strict JSON."""
+    mean = sum(values) / len(values)
+    return mean if math.isfinite(mean) else None
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     manifest, curves = read_reports(args.out_dir)
     window = args.final_window
@@ -192,14 +200,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for label, found in curves.items():
         entry = dict(manifest["results"][label])
         if "mse" in found:
-            mse = found["mse"]
-            tail = mse[-window:]
-            entry["mean_mse"] = sum(mse) / len(mse)
-            entry["final_window_mean_mse"] = sum(tail) / len(tail)
+            entry["mean_mse"] = _mean(found["mse"])
+            entry["final_window_mean_mse"] = _mean(found["mse"][-window:])
         if "degree" in found:
-            deg = found["degree"]
-            entry["mean_degree"] = sum(deg) / len(deg)
-            entry["distinct_degree_values"] = len(set(deg))
+            entry["mean_degree"] = _mean(found["degree"])
+            entry["distinct_degree_values"] = len(set(found["degree"]))
         summary["algorithms"][label] = entry
     out_path = Path(args.out_dir) / "summary.json"
     out_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")

@@ -636,6 +636,22 @@ def test_report_summary(tmp_path):
             "mean_degree", "distinct_degree_values"} <= set(entry)
 
 
+def test_report_writes_non_finite_means_as_null(tmp_path):
+    # a diverged run's MSE curve; strict JSON has no NaN or Infinity
+    (tmp_path / "manifest.json").write_text(json.dumps({"results": {"glms": {"runs": 1}}}))
+    (tmp_path / "glms_mse.csv").write_text("t,mse\n1,0.5\n2,inf\n3,nan\n")
+    (tmp_path / "glms_degree.csv").write_text("t,avg_degree\n1,2.0\n2,3.0\n3,4.0\n")
+    assert main(["report", "--out-dir", str(tmp_path)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    text = (tmp_path / "summary.json").read_text()
+    entry = json.loads(text, parse_constant=refuse)["algorithms"]["glms"]
+    assert (entry["mean_mse"], entry["final_window_mean_mse"]) == (None, None)
+    assert entry["mean_degree"] == 3.0
+
+
 @pytest.mark.parametrize("window", ["-3", "0", "2.5"])
 def test_report_final_window_must_be_a_positive_integer(tmp_path, capsys, window):
     with pytest.raises(SystemExit) as exc:

@@ -339,18 +339,49 @@ def test_csv_bad_cells_name_their_line_and_column(tmp_path, row, message):
     ("src,dst,weight\n0,1,1.0\n1,0,0.5\n", "duplicate edge (0, 1)"),
     ("# node_count=2\nsrc,dst,weight\n0,3,1.0\n",
      "edge (0, 3) references a node outside 0..1"),
+    # the inferred node count is at least 1, so the edge is what is refused
+    ("src,dst,weight\n-1,-2,0.5\n", "edge (-1, -2) references a node outside 0..0"),
     # the preamble reader reaches the end of the file before a header
     ("", "expected header src,dst,weight"),
     ("\n\n", "expected header src,dst,weight"),
     ("# node_count=3\n", "expected header src,dst,weight"),
 ], ids=["node-count-abc", "node-count-1e3", "node-count-0", "self-loop", "duplicate",
-        "outside-node-count", "empty", "blank-lines-only", "node-count-only"])
+        "outside-node-count", "negative-nodes", "empty", "blank-lines-only", "node-count-only"])
 def test_csv_graph_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "g.csv"
     path.write_text(text)
     with pytest.raises(ValueError) as err:
         graph_from_csv(path)
     assert str(err.value) == f"{path}: {message}"
+    # the row reader alone raises the same, and so does the loadtxt pass alone
+    rows, fast = csv_path_outcomes(graphs, lambda: graph_outcome(graph_from_csv, path))
+    assert rows == (ValueError, str(err.value))
+    assert fast == rows or not parses_integers_strictly()
+
+
+@pytest.mark.parametrize("text", [
+    "# generated by hand\nsrc,dst,weight\n0,1,1.0\n",
+    'src,"dst\n",weight\n0,1,1.0\n',
+], ids=["other-comment", "header-cell-spans-lines"])
+def test_csv_preamble_reads_the_same_on_both_paths(tmp_path, text):
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    rows, fast = csv_path_outcomes(graphs, lambda: graph_outcome(graph_from_csv, path))
+    assert rows == (2, ((0, 1),), np.array([1.0]).tobytes())
+    assert fast == (rows if parses_integers_strictly() else None)
+    # a later bad row keeps its file line number
+    path.write_text(text + "1,2,x\n")
+    assert graph_outcome(graph_from_csv, path) == (
+        ValueError, f"{path}: line 4, column 'weight': 'x' is not numeric")
+
+
+def test_csv_graph_is_built_once(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_text("src,dst,weight\n0,1,1.0\n2,2,1.0\n")  # the loadtxt pass accepts it
+    with mock.patch.object(graphs, "StaticGraph", wraps=StaticGraph) as built:
+        with pytest.raises(ValueError, match="self-loop at node 2"):
+            graph_from_csv(path)
+    assert built.call_count == 1
 
 
 def test_csv_that_is_not_utf8_names_the_file(tmp_path):
