@@ -3,6 +3,8 @@
 ``harness.data.ingest_csv`` (series), ``graphs.graph_from_csv`` (edge lists)
 and ``harness.experiment.read_reports`` (curves) open each file once, with
 :func:`csv_file`, read its header and take the lines after it as one list.
+An edge list's optional ``#`` line before its header is read as raw text,
+never by ``csv``.
 That list is parsed in one ``np.loadtxt`` pass (:func:`loadtxt_pass`), and
 only where the pass refuses it is the same list read with one row reader,
 :func:`numbered_rows`, and one cell parser, :func:`cell_value`, so a bad row

@@ -213,49 +213,44 @@ _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", float)])
 _WEIGHT = (lambda w: (0.0 <= w) & (w < math.inf), "finite and >= 0")
 
 
-def _read_preamble(reader, path: str | Path) -> int | None:
-    """Read the optional ``# node_count=`` row (another ``#`` row is skipped)
-    and the header row with the package's row reader, ``reader`` being a
-    ``csv.reader`` at the start of the file; return the node count given
-    there. Blank lines before either are skipped."""
-    node_count: int | None = None
-    line, row = next(numbered_rows(reader, path), (1, None))
-    if row and row[0].startswith("#"):
-        # the comment's own text, commas and all
-        key, _, value = ",".join(row).lstrip("# ").partition("=")
-        if key.strip() == "node_count":
-            try:
-                node_count = int(value)
-            except ValueError:
-                node_count = 0  # fails the check below
-            if node_count < 1:
-                raise ValueError(
-                    f"{path}: line {line}: node_count {value.strip()!r} is not an integer >= 1"
-                )
-        _, row = next(numbered_rows(reader, path), (1, None))
-    if row is None or [h.strip() for h in row] != _CSV_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(_CSV_HEADER)}")
-    return node_count
-
-
 def graph_from_csv(path: str | Path) -> StaticGraph:
-    """Read a :func:`graph_to_csv` edge list.
+    """Read a :func:`graph_to_csv` edge list as it is written: one raw line,
+    a CSV header, CSV rows.
 
-    The node count is the ``# node_count=`` line if there is one, else one
-    more than the highest node, at least 1. Blank lines are skipped and a
-    UTF-8 byte order mark is dropped. The file is read as
-    ``dynhop._loadtxt.numeric_table`` reads one: opened once, the lines
-    after the header parsed in one ``np.loadtxt`` pass, and read by the
-    package's CSV row reader only where that pass refuses them or gives a
-    weight that is not a finite number >= 0. The row reader names the first
-    row without exactly 3 cells by its 1-based file line, and the first bad
-    cell by its line and column. The graph is built once, and every
-    ``ValueError`` raised starts with ``path``.
+    The first non-blank line, if its raw text starts with ``#``, is a
+    comment that csv never reads: ``# node_count=`` gives the node count,
+    another is skipped. Without it the node count is one more than the
+    highest node, at least 1. Blank lines are skipped and a UTF-8 byte order
+    mark is dropped. The file is opened once, the header read by the
+    package's CSV row reader, the lines after it parsed in one
+    ``np.loadtxt`` pass, and read by the row reader only where that pass
+    refuses them or gives a weight that is not a finite number >= 0. The row
+    reader names the first row without exactly 3 cells by its 1-based file
+    line, and the first bad cell by its line and column. The graph is built
+    once, and every ``ValueError`` raised starts with ``path``.
     """
+    node_count: int | None = None
     with csv_file(path) as fh:
-        reader = csv.reader(fh)
-        node_count = _read_preamble(reader, path)
         lines = fh.readlines()
+        start = next((k for k, text in enumerate(lines) if text.rstrip("\r\n")), len(lines))
+        if start < len(lines) and lines[start].startswith("#"):
+            key, _, value = lines[start].lstrip("# ").partition("=")
+            if key.strip() == "node_count":
+                try:
+                    node_count = int(value)
+                except ValueError:
+                    node_count = 0  # fails the check below
+                if node_count < 1:
+                    raise ValueError(
+                        f"{path}: line {start + 1}: node_count {value.strip()!r} is not an integer >= 1"
+                    )
+            start += 1
+        reader = csv.reader(lines[start:])
+        numbered = numbered_rows(reader, path, lines_read=start)
+        header = next(numbered, None)
+        if header is None or [cell.strip() for cell in header[1]] != _CSV_HEADER:
+            raise ValueError(f"{path}: expected header {','.join(_CSV_HEADER)}")
+        lines = lines[start + reader.line_num:]  # after the header
         # a NumPy that reads "1.0" as an integer accepts what the row reader refuses
         rows = loadtxt_pass(lines, _EDGE_ROW, ndmin=1) if parses_integers_strictly() else None
         if rows is not None and _WEIGHT[0](rows["weight"]).all():
@@ -263,7 +258,7 @@ def graph_from_csv(path: str | Path) -> StaticGraph:
             weights = rows["weight"]
         else:
             edges, weights = [], []
-            for line, (i, j, w) in numbered_rows(csv.reader(lines), path, len(_CSV_HEADER), reader.line_num):
+            for line, (i, j, w) in numbered:
                 edges.append((cell_value(path, line, "src", i, int),
                               cell_value(path, line, "dst", j, int)))
                 weights.append(cell_value(path, line, "weight", w, accept=_WEIGHT))

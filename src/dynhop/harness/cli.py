@@ -246,12 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="interpret --snr (and the config snr) in decibels")
     run.add_argument("--missing-frac", type=float, default=None)
     run.add_argument("--runs", type=int, default=None)
-    run.add_argument("--hops", type=int, default=None)
-    run.add_argument("--tau", type=float, default=None)
-    run.add_argument("--window", type=int, default=None)
-    run.add_argument("--mu", type=float, default=None)
-    run.add_argument("--mu-min", type=float, default=None)
-    run.add_argument("--mu-max", type=float, default=None)
+    run.add_argument("--hops", type=int, default=None, help="set hops in every algorithm entry")
+    run.add_argument("--tau", type=float, default=None,
+                     help="set prune.threshold in every algorithm entry")
+    run.add_argument("--window", type=int, default=None,
+                     help="set window.window in every algorithm entry")
+    run.add_argument("--mu", type=float, default=None,
+                     help="replace every fixed step; residual-adaptive steps are left alone")
+    run.add_argument("--mu-min", type=float, default=None,
+                     help="set mu_min of every residual-adaptive step; fixed steps are left alone")
+    run.add_argument("--mu-max", type=float, default=None,
+                     help="set mu_max of every residual-adaptive step; fixed steps are left alone")
     run.add_argument("--algo", action="append", default=None,
                      help="replace the algorithm list (repeatable)")
     run.set_defaults(func=_cmd_run)

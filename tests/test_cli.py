@@ -472,6 +472,20 @@ def test_run_flags_write_what_the_same_config_file_writes(tmp_path):
         assert (flagged / name).read_bytes() == (direct / name).read_bytes()
 
 
+def test_run_seed_missing_frac_and_mu_flags(tmp_path):
+    cfg = run_config(tmp_path)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg["path"]), "--out-dir", str(out), "--runs", "1",
+                 "--seed", "11", "--missing-frac", "0.2", "--mu", "0.7"])
+    assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["noise"]["seed"], config["noise"]["missing_fraction"]) == (11, 0.2)
+    dmh, glms = config["algorithms"]
+    assert glms["step"] == {"kind": "fixed", "mu": 0.7}
+    # --mu leaves a residual-adaptive step alone
+    assert dmh["step"] == {"kind": "residual-adaptive", "mu_min": 0.8, "mu_max": 3.5}
+
+
 def test_run_without_config_or_preset_is_config_error(tmp_path, capsys):
     assert main(["run", "--out-dir", str(tmp_path / "o")]) == 2
     assert "run needs --config and/or --preset" in capsys.readouterr().err

@@ -932,6 +932,8 @@ def test_stability_bound_matches_spectral_oracle(rng):
     g = random_graph(rng, 24, 38)
     spec = FilterSpec(passband_fraction=0.4)
     bound = stability_bound(g, spec, "full")
+    # a Laplacian array is the same subject, bit for bit
+    assert stability_bound(build_laplacian(g), spec, "full") == bound
     lam, u = np.linalg.eigh(build_laplacian(g))
     h = (lam <= 0.4 * lam[-1]).astype(float)
     shaped = u * h

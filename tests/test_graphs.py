@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynhop import graphs
@@ -345,8 +345,11 @@ def test_csv_bad_cells_name_their_line_and_column(tmp_path, row, message):
     ("", "expected header src,dst,weight"),
     ("\n\n", "expected header src,dst,weight"),
     ("# node_count=3\n", "expected header src,dst,weight"),
+    # a comment is a raw line starting with "#"; this quoted cell is a header
+    ('"# node_count=3"\nsrc,dst,weight\n0,1,1.0\n', "expected header src,dst,weight"),
 ], ids=["node-count-abc", "node-count-1e3", "node-count-0", "self-loop", "duplicate",
-        "outside-node-count", "negative-nodes", "empty", "blank-lines-only", "node-count-only"])
+        "outside-node-count", "negative-nodes", "empty", "blank-lines-only", "node-count-only",
+        "quoted-node-count"])
 def test_csv_graph_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "g.csv"
     path.write_text(text)
@@ -362,7 +365,8 @@ def test_csv_graph_errors_name_the_file(tmp_path, text, message):
 @pytest.mark.parametrize("text", [
     "# generated by hand\nsrc,dst,weight\n0,1,1.0\n",
     'src,"dst\n",weight\n0,1,1.0\n',
-], ids=["other-comment", "header-cell-spans-lines"])
+    '# made by tool,"v1\nsrc,dst,weight\n0,1,1\n',
+], ids=["other-comment", "header-cell-spans-lines", "comment-with-quote"])
 def test_csv_preamble_reads_the_same_on_both_paths(tmp_path, text):
     path = tmp_path / "g.csv"
     path.write_text(text)
@@ -373,6 +377,24 @@ def test_csv_preamble_reads_the_same_on_both_paths(tmp_path, text):
     path.write_text(text + "1,2,x\n")
     assert graph_outcome(graph_from_csv, path) == (
         ValueError, f"{path}: line 4, column 'weight': 'x' is not numeric")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(comment=st.text(st.one_of(st.sampled_from('",# ='), st.characters(
+    exclude_categories=("Cs",), exclude_characters="\r\n")), max_size=20))
+def test_csv_comment_line_is_raw_text(tmp_path_factory, comment):
+    """Any one line after "#" but a node_count key leaves the graph as it is
+    without that line, on both paths."""
+    key = f"#{comment}".lstrip("# ").partition("=")[0]
+    assume(key.strip() != "node_count")
+    body = "src,dst,weight\n0,1,0.5\n1,2,1.0\n\n2,4,0.25\n"
+    folder = tmp_path_factory.mktemp("comment")
+    plain, commented = folder / "plain.csv", folder / "commented.csv"
+    plain.write_text(body, encoding="utf-8")
+    commented.write_text(f"#{comment}\n{body}", encoding="utf-8")
+    expected = csv_path_outcomes(graphs, lambda: graph_outcome(graph_from_csv, plain))
+    assert expected[0] == (5, ((0, 1), (1, 2), (2, 4)), np.array([0.5, 1.0, 0.25]).tobytes())
+    assert csv_path_outcomes(graphs, lambda: graph_outcome(graph_from_csv, commented)) == expected
 
 
 def test_csv_graph_is_built_once(tmp_path):
