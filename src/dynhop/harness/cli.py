@@ -3,7 +3,13 @@
 Subcommands: ``synth`` emits a synthetic dataset, ``build-graph`` derives a
 static graph from a series, ``run`` executes a configured experiment,
 ``report`` merges written reports into a summary JSON. A flag left out
-passes nothing, so the spec's own default applies.
+passes nothing, so the spec's own default applies; a bad ``synth`` or
+``build-graph`` value reads ``bad synth: ...`` like a bad config section.
+
+Each ``run`` flag that writes one config key is a row (flag, type, key path)
+of ``NOISE_FLAGS`` or ``ENTRY_FLAGS``, which the parser, its help and
+``_apply_overrides`` read; a flag never repairs a section that is not a JSON
+object. The step flags stay explicit: their target depends on the step kind.
 
 Exit codes: 0 success, 2 configuration error (an output directory that is
 a file included), 3 data error (any ``OSError`` included), 4 every single
@@ -21,7 +27,7 @@ from pathlib import Path
 
 from ..edge_dynamics import NodeSignalSeries
 from ..graphs import graph_to_csv
-from .config import ConfigError, deep_merge, load_config, resolve_config
+from .config import ConfigError, _build, deep_merge, load_config, resolve_config
 from .data import DataError, GraphBuildSpec, build_initial_graph, ingest_csv, series_to_csv
 from .experiment import PRESETS, read_reports, run_experiment, write_reports
 from .synthetic import SyntheticSpec, make_synthetic_dataset
@@ -64,11 +70,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     # a bare --switch-times spaces the regimes evenly, as leaving it out does
     if kwargs.get("switch_times") == []:
         del kwargs["switch_times"]
-    try:
-        spec = SyntheticSpec(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"synth: {err}") from None
-    graph, series = make_synthetic_dataset(spec)
+    graph, series = make_synthetic_dataset(_build(SyntheticSpec, kwargs, "synth"))
     out.mkdir(parents=True, exist_ok=True)
     series_to_csv(series, out / "series.csv")
     graph_to_csv(graph, out / "graph.csv")
@@ -85,10 +87,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
         if not 2 <= args.train_end <= series.steps:
             raise ConfigError(f"--train-end must lie in 2..{series.steps}")
         series = NodeSignalSeries(series.values[: args.train_end], labels=series.labels)
-    try:
-        spec = GraphBuildSpec(**_given(args, GraphBuildSpec))
-    except ValueError as err:
-        raise ConfigError(f"build-graph: {err}") from None
+    spec = _build(GraphBuildSpec, _given(args, GraphBuildSpec), "build-graph")
     graph = build_initial_graph(series, spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph_to_csv(graph, args.out)
@@ -96,59 +95,66 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _object(section) -> dict | None:
-    """A copy of a config section to override, or None when it is not a JSON
-    object: such a section is left as it is, for ``resolve_config`` to reject."""
-    if section is None:
-        return {}
-    return dict(section) if isinstance(section, dict) else None
+# one row per `run` flag that writes one config key: (flag, type, key path),
+# from the top of the config for NOISE_FLAGS and from each algorithm entry for ENTRY_FLAGS
+NOISE_FLAGS = (
+    ("--seed", int, "noise.seed"),
+    ("--snr", float, "noise.snr"),
+    ("--missing-frac", float, "noise.missing_fraction"),
+    ("--runs", int, "noise.runs"),
+)
+ENTRY_FLAGS = (
+    ("--hops", int, "hops"),
+    ("--tau", float, "prune.threshold"),
+    ("--window", int, "window.window"),
+)
+
+
+def _put(section: dict, path: str, value) -> dict:
+    """A copy of ``section`` with ``value`` at the dotted key ``path``. Every section
+    on the path is copied, or created when missing; one that is not a JSON object
+    is left as it is, for ``resolve_config`` to reject: a flag never repairs it."""
+    key, _, rest = path.partition(".")
+    if not rest:
+        return {**section, key: value}
+    inner = {} if section.get(key) is None else section[key]
+    if not isinstance(inner, dict):
+        return section
+    return {**section, key: _put(inner, rest, value)}
+
+
+def _put_flags(section: dict, table, args: argparse.Namespace) -> dict:
+    """``section`` with the value of each ``table`` flag that was given."""
+    for _, _, path in table:
+        if getattr(args, path) is not None:
+            section = _put(section, path, getattr(args, path))
+    return section
 
 
 def _override_algorithm(entry: dict, args: argparse.Namespace) -> dict:
-    entry = dict(entry)
-    if args.hops is not None:
-        entry["hops"] = args.hops
-    prune = _object(entry.get("prune"))
-    if args.tau is not None and prune is not None:
-        entry["prune"] = {**prune, "threshold": args.tau}
-    window = _object(entry.get("window"))
-    if args.window is not None and window is not None:
-        entry["window"] = {**window, "window": args.window}
-    step = _object(entry.get("step"))
-    if step is None:
-        return entry
-    kind = step.get("kind", "fixed")
+    entry = _put_flags(entry, ENTRY_FLAGS, args)
+    # the step flags' target depends on the step's kind
+    step = {} if entry.get("step") is None else entry["step"]
+    kind = step.get("kind", "fixed") if isinstance(step, dict) else None
     if kind == "fixed" and args.mu is not None:
-        step = {"kind": "fixed", "mu": args.mu}
+        entry = _put(entry, "step", {"kind": "fixed", "mu": args.mu})
     if kind == "residual-adaptive":
-        bounds = {"mu_min": args.mu_min, "mu_max": args.mu_max}
-        step.update({key: mu for key, mu in bounds.items() if mu is not None})
-    if step:
-        entry["step"] = step
+        for key in ("mu_min", "mu_max"):
+            if getattr(args, key) is not None:
+                entry = _put(entry, f"step.{key}", getattr(args, key))
     return entry
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    raw = dict(raw)
-    noise = _object(raw.get("noise"))
-    if noise is not None:
-        for flag, key in [("seed", "seed"), ("snr", "snr"), ("missing_frac", "missing_fraction"),
-                          ("runs", "runs")]:
-            value = getattr(args, flag)
-            if value is not None:
-                noise[key] = value
-        if args.snr_db:
-            noise["snr_in_db"] = True
-        raw["noise"] = noise
-
+    raw = _put_flags(dict(raw), NOISE_FLAGS, args)  # a copy: the lines below write into it
+    if args.snr_db:
+        raw = _put(raw, "noise.snr_in_db", True)
     if args.algo:
         raw["algorithms"] = [{"algorithm": name} for name in args.algo]
-    algorithms = raw.get("algorithms")
-    if isinstance(algorithms, list):
+    if isinstance(raw.get("algorithms"), list):
         raw["algorithms"] = [
-            _override_algorithm(a, args) if isinstance(a, dict) else a for a in algorithms
+            _override_algorithm(a, args) if isinstance(a, dict) else a for a in raw["algorithms"]
         ]
-
     if args.out_dir is not None:
         raw["out_dir"] = args.out_dir
     return raw
@@ -240,17 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", default=None)
     run.add_argument("--preset", choices=sorted(PRESETS), default=None)
     run.add_argument("--out-dir", default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--snr", type=float, default=None)
+    # a table flag's value lands at args.<key path>
+    for table, where in ((NOISE_FLAGS, ""), (ENTRY_FLAGS, " in every algorithm entry")):
+        for flag, type_, path in table:
+            run.add_argument(flag, type=type_, dest=path, metavar=type_.__name__.upper(),
+                             help=f"set {path}{where}")
     run.add_argument("--snr-db", action="store_true",
-                     help="interpret --snr (and the config snr) in decibels")
-    run.add_argument("--missing-frac", type=float, default=None)
-    run.add_argument("--runs", type=int, default=None)
-    run.add_argument("--hops", type=int, default=None, help="set hops in every algorithm entry")
-    run.add_argument("--tau", type=float, default=None,
-                     help="set prune.threshold in every algorithm entry")
-    run.add_argument("--window", type=int, default=None,
-                     help="set window.window in every algorithm entry")
+                     help="set noise.snr_in_db: read --snr (and the config snr) in decibels")
     run.add_argument("--mu", type=float, default=None,
                      help="replace every fixed step; residual-adaptive steps are left alone")
     run.add_argument("--mu-min", type=float, default=None,

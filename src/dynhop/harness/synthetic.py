@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..edge_dynamics import NodeSignalSeries, window_abs_correlation
+from ..filters import ideal_response
 from ..graphs import StaticGraph, build_laplacian
 
 __all__ = [
@@ -182,8 +183,7 @@ def _regime_signal(
     weights = [COUPLING if assign[i] == assign[j] else BACKGROUND for i, j in edges]
     lap = build_laplacian(StaticGraph(spec.nodes, edges, weights))
     lam, u = np.linalg.eigh(lap)
-    lam_max = float(lam[-1])
-    band = u[:, lam <= spec.bandlimit * lam_max]
+    band = u[:, ideal_response(lam, spec.bandlimit) > 0]
     projector = band @ band.T
     drivers = _ar1(rng, length, CLUSTERS, TEMPORAL_SMOOTHING)
     if spec.drift > 0:

@@ -195,27 +195,44 @@ def dmh(**section) -> dict:
 OBJECT = "must be a JSON object"
 
 
-@pytest.mark.parametrize("message, overrides", [
-    (f"algorithms[0].prune {OBJECT}", dmh(prune=0.2)),
-    (f"algorithms[0].window {OBJECT}", dmh(window=10)),
-    (f"algorithms[0].step {OBJECT}", dmh(step=0.5)),
-    (f"algorithms[0].filter {OBJECT}", dmh(filter="ideal")),
+@pytest.mark.parametrize("message, overrides, flags", [
+    (f"algorithms[0].prune {OBJECT}", dmh(prune=0.2), []),
+    (f"algorithms[0].window {OBJECT}", dmh(window=10), []),
+    (f"algorithms[0].step {OBJECT}", dmh(step=0.5), []),
+    (f"algorithms[0].filter {OBJECT}", dmh(filter="ideal"), []),
     ("algorithms[0].filter.coefficients[0] must be a number, got 'x'",
-     dmh(filter={"kind": "chebyshev", "coefficients": ["x", 1, 2]})),
+     dmh(filter={"kind": "chebyshev", "coefficients": ["x", 1, 2]}), []),
     ("algorithms[0].filter.coefficients must be a list, got 5",
-     dmh(filter={"kind": "chebyshev", "coefficients": 5})),
-    (f"noise {OBJECT}", {"noise": [1]}),
-    (f"dataset.splits {OBJECT}", {"dataset": {"splits": 5}}),
-    (f"algorithms[0] {OBJECT}", {"algorithms": ["glms"]}),
+     dmh(filter={"kind": "chebyshev", "coefficients": 5}), []),
+    (f"noise {OBJECT}", {"noise": [1]}, []),
+    (f"dataset.splits {OBJECT}", {"dataset": {"splits": 5}}, []),
+    (f"algorithms[0] {OBJECT}", {"algorithms": ["glms"]}, []),
     ("dataset.synthetic.switch_times[0] must be an integer, got 'a'",
-     {"dataset": {"synthetic": {"switch_times": ["a"]}}}),
+     {"dataset": {"synthetic": {"switch_times": ["a"]}}}, []),
+    # a flag that writes into a section never repairs it
+    (f"algorithms[0].prune {OBJECT}", dmh(prune=0.2), ["--tau", "0.1"]),
+    (f"algorithms[0].window {OBJECT}", dmh(window=10), ["--window", "6"]),
+    (f"algorithms[0].step {OBJECT}", dmh(step=0.5), ["--mu", "0.5"]),
+    (f"algorithms[0].step {OBJECT}", dmh(step=0.5), ["--mu-min", "0.1"]),
+    (f"noise {OBJECT}", {"noise": [1]}, ["--seed", "3"]),
 ], ids=["prune", "window", "step", "filter-string", "coefficient-string", "coefficients-number",
-        "noise-list", "splits-number", "algorithm-string", "switch-time-string"])
-def test_malformed_sections_are_config_errors(tmp_path, capsys, message, overrides):
+        "noise-list", "splits-number", "algorithm-string", "switch-time-string",
+        "prune-with-tau", "window-with-window", "step-with-mu", "step-with-mu-min",
+        "noise-list-with-seed"])
+def test_malformed_sections_are_config_errors(tmp_path, capsys, message, overrides, flags):
     cfg = run_config(tmp_path, **overrides)
-    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
+    argv = ["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]
+    assert main(argv + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+def test_config_without_noise_is_config_error_naming_the_section(tmp_path, capsys):
+    cfg = run_config(tmp_path)
+    del cfg["raw"]["noise"]
+    cfg["path"].write_text(json.dumps(cfg["raw"]))
+    assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "missing required key 'noise' in config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("label", ["../escaped", "a/b", "..", "", ".hidden", "x y", 7])
@@ -484,6 +501,15 @@ def test_run_seed_missing_frac_and_mu_flags(tmp_path):
     assert glms["step"] == {"kind": "fixed", "mu": 0.7}
     # --mu leaves a residual-adaptive step alone
     assert dmh["step"] == {"kind": "residual-adaptive", "mu_min": 0.8, "mu_max": 3.5}
+
+
+def test_run_help_names_each_table_flags_key_path(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    for flag, type_, path in cli.NOISE_FLAGS + cli.ENTRY_FLAGS:
+        assert f"{flag} {type_.__name__.upper()} set {path}" in text
 
 
 def test_run_without_config_or_preset_is_config_error(tmp_path, capsys):
