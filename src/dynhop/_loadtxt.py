@@ -1,4 +1,10 @@
-"""Reading the comma-separated files the package reads.
+"""The comma-separated files the package reads and writes.
+
+A bad data file raises a :class:`DataError` whose message starts with the
+file's path, so no caller translates a reader's error. The harness's own
+checks of the values read (too few nodes, a split past the series) raise it
+too, without a path.
+:func:`write_rows` writes every CSV in the dialect the readers read.
 
 ``harness.data.ingest_csv`` (series), ``graphs.graph_from_csv`` (edge lists)
 and ``harness.experiment.read_reports`` (curves) open each file once, with
@@ -31,16 +37,32 @@ import numpy as np
 FINITE = (math.isfinite, "finite")
 
 
+class DataError(ValueError):
+    """Problem with an input data file or the data read from it. A
+    ``ValueError``, so code that catches ``ValueError`` catches it too."""
+
+
+def write_rows(path: str | Path, header, rows, comment: str | None = None) -> None:
+    """``header`` and ``rows`` written to ``path`` as UTF-8 CSV in ``csv``'s
+    dialect, after one raw ``# comment`` line if ``comment`` is given."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @contextmanager
 def csv_file(path: str | Path) -> Iterator[TextIO]:
     """``path`` open for reading as UTF-8, a byte order mark dropped. Text
     that is not UTF-8, or that ``csv`` refuses (a cell past its field size
-    limit), raises a ``ValueError`` naming the file."""
+    limit), raises a :class:`DataError` naming the file."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except (UnicodeDecodeError, csv.Error) as err:
-        raise ValueError(f"{path}: {err}") from None
+        raise DataError(f"{path}: {err}") from None
 
 
 def numbered_rows(
@@ -49,14 +71,14 @@ def numbered_rows(
     """The non-blank rows left in ``reader``, a ``csv.reader``, each with the
     1-based file line it starts on (``lines_read`` lines precede the reader's
     first line; a quoted cell may span lines). A row whose cell count differs
-    from ``width``, by default the first row's, raises ``ValueError``:
+    from ``width``, by default the first row's, raises :class:`DataError`:
     ``"<path>: line L has K cells, expected W"``."""
     line = lines_read + 1
     for row in reader:
         if row:
             width = len(row) if width is None else width
             if len(row) != width:
-                raise ValueError(f"{path}: line {line} has {len(row)} cells, expected {width}")
+                raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
             yield line, row
         line = lines_read + reader.line_num + 1
 
@@ -65,7 +87,7 @@ def cell_value(path: str | Path, line: int, column: str, cell: str, parse: type 
                accept: tuple[Callable[[float], bool], str] | None = None):
     """``parse(cell)``, ``parse`` being ``int`` or ``float``. A cell that
     ``parse`` refuses, or whose value fails the ``(test, kind)`` pair
-    ``accept``, raises ``ValueError``:
+    ``accept``, raises :class:`DataError`:
     ``"<path>: line L, column 'C': 'x' is not <kind>"``, where the kind of a
     refused cell is "an integer" or "numeric"."""
     try:
@@ -76,7 +98,7 @@ def cell_value(path: str | Path, line: int, column: str, cell: str, parse: type 
         if accept is None or accept[0](value):
             return value
         kind = accept[1]
-    raise ValueError(f"{path}: line {line}, column {column!r}: {cell!r} is not {kind}")
+    raise DataError(f"{path}: line {line}, column {column!r}: {cell!r} is not {kind}")
 
 
 def loadtxt_pass(lines: list[str], dtype, ndmin: int) -> np.ndarray | None:
@@ -105,13 +127,13 @@ def numeric_table(
     """The header, its cells stripped, and the (rows, columns) values of a
     CSV whose first non-blank row names the columns and whose later rows hold
     one number per column, finite if ``finite`` is set. An empty file or one
-    without data rows raises ``ValueError``, as do the row reader and the
+    without data rows raises :class:`DataError`, as do the row reader and the
     cell parser, for the first ragged row or bad cell in file order."""
     with csv_file(path) as fh:
         reader = csv.reader(fh)
         _, header = next(numbered_rows(reader, path, width), (1, None))
         if header is None:
-            raise ValueError(f"{path}: file is empty")
+            raise DataError(f"{path}: file is empty")
         header = [cell.strip() for cell in header]
         lines = fh.readlines()
         values = loadtxt_pass(lines, float, ndmin=2)
@@ -125,7 +147,7 @@ def numeric_table(
                 for name, cell in zip(header, row)
             ]).reshape(-1, len(header))
     if not len(values):
-        raise ValueError(f"{path}: header only, no data rows")
+        raise DataError(f"{path}: header only, no data rows")
     return header, values
 
 

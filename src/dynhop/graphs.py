@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._loadtxt import cell_value, csv_file, loadtxt_pass, numbered_rows, parses_integers_strictly
+from ._loadtxt import (DataError, cell_value, csv_file, loadtxt_pass, numbered_rows,
+                       parses_integers_strictly, write_rows)
 
 __all__ = [
     "StaticGraph",
@@ -200,12 +201,8 @@ _CSV_HEADER = ["src", "dst", "weight"]
 def graph_to_csv(g: StaticGraph, path: str | Path) -> None:
     """Edge-list CSV (src, dst, weight). A leading comment records the node
     count so graphs with isolated trailing nodes round-trip losslessly."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# node_count={g.node_count}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for (i, j), w in zip(g.edges, g.weights):
-            writer.writerow([i, j, repr(float(w))])
+    rows = ([i, j, repr(float(w))] for (i, j), w in zip(g.edges, g.weights))
+    write_rows(path, _CSV_HEADER, rows, comment=f"node_count={g.node_count}")
 
 
 _EDGE_ROW = np.dtype([("src", np.int64), ("dst", np.int64), ("weight", float)])
@@ -227,7 +224,7 @@ def graph_from_csv(path: str | Path) -> StaticGraph:
     refuses them or gives a weight that is not a finite number >= 0. The row
     reader names the first row without exactly 3 cells by its 1-based file
     line, and the first bad cell by its line and column. The graph is built
-    once, and every ``ValueError`` raised starts with ``path``.
+    once, and every error raised is a ``DataError`` that starts with ``path``.
     """
     node_count: int | None = None
     with csv_file(path) as fh:
@@ -241,7 +238,7 @@ def graph_from_csv(path: str | Path) -> StaticGraph:
                 except ValueError:
                     node_count = 0  # fails the check below
                 if node_count < 1:
-                    raise ValueError(
+                    raise DataError(
                         f"{path}: line {start + 1}: node_count {value.strip()!r} is not an integer >= 1"
                     )
             start += 1
@@ -249,7 +246,7 @@ def graph_from_csv(path: str | Path) -> StaticGraph:
         numbered = numbered_rows(reader, path, lines_read=start)
         header = next(numbered, None)
         if header is None or [cell.strip() for cell in header[1]] != _CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(_CSV_HEADER)}")
+            raise DataError(f"{path}: expected header {','.join(_CSV_HEADER)}")
         lines = lines[start + reader.line_num:]  # after the header
         # a NumPy that reads "1.0" as an integer accepts what the row reader refuses
         rows = loadtxt_pass(lines, _EDGE_ROW, ndmin=1) if parses_integers_strictly() else None
@@ -267,4 +264,4 @@ def graph_from_csv(path: str | Path) -> StaticGraph:
     try:
         return StaticGraph(node_count, edges, weights)
     except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        raise DataError(f"{path}: {err}") from None

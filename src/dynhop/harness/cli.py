@@ -150,7 +150,14 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     if args.snr_db:
         raw = _put(raw, "noise.snr_in_db", True)
     if args.algo:
-        raw["algorithms"] = [{"algorithm": name} for name in args.algo]
+        # each name keeps the entry listed under that label, else runs bare
+        listed = raw["algorithms"] if isinstance(raw.get("algorithms"), list) else []
+        listed = [a for a in listed if isinstance(a, dict)]
+        raw["algorithms"] = [
+            next((a for a in listed if (a.get("label") or a.get("algorithm")) == name),
+                 {"algorithm": name})
+            for name in args.algo
+        ]
     if isinstance(raw.get("algorithms"), list):
         raw["algorithms"] = [
             _override_algorithm(a, args) if isinstance(a, dict) else a for a in raw["algorithms"]
@@ -259,8 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="set mu_min of every residual-adaptive step; fixed steps are left alone")
     run.add_argument("--mu-max", type=float, default=None,
                      help="set mu_max of every residual-adaptive step; fixed steps are left alone")
-    run.add_argument("--algo", action="append", default=None,
-                     help="replace the algorithm list (repeatable)")
+    run.add_argument("--algo", action="append", default=None, metavar="NAME",
+                     help="replace the algorithm list (repeatable): NAME keeps the entry "
+                          "listed under that label (label, else algorithm), else runs as a "
+                          "bare {\"algorithm\": NAME}")
     run.set_defaults(func=_cmd_run)
 
     rep = sub.add_parser("report", help="merge written reports into summary.json")

@@ -3,14 +3,13 @@ initial graph construction."""
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .._loadtxt import numeric_table
+from .._loadtxt import DataError, numeric_table, write_rows
 from ..edge_dynamics import NodeSignalSeries, window_abs_correlation
 from ..graphs import StaticGraph
 
@@ -27,10 +26,6 @@ __all__ = [
 ]
 
 
-class DataError(Exception):
-    """Problem with an input data file."""
-
-
 def ingest_csv(path: str | Path) -> NodeSignalSeries:
     """Read a rectangular numeric CSV: header of node labels, one row per step.
 
@@ -44,21 +39,14 @@ def ingest_csv(path: str | Path) -> NodeSignalSeries:
     per label, or the line and column of the first cell that is not a
     finite number.
     """
-    try:
-        header, values = numeric_table(path, finite=True)
-        return NodeSignalSeries(values, labels=tuple(header))
-    except ValueError as err:  # its message names the file
-        raise DataError(str(err)) from None
+    header, values = numeric_table(path, finite=True)
+    return NodeSignalSeries(values, labels=tuple(header))
 
 
 def series_to_csv(series: NodeSignalSeries, path: str | Path) -> None:
     """Write a series as UTF-8 CSV, the encoding :func:`ingest_csv` reads."""
     labels = series.labels or tuple(f"node{i}" for i in range(series.node_count))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(labels)
-        for row in series.values:
-            writer.writerow([repr(float(v)) for v in row])
+    write_rows(path, labels, ([repr(float(v)) for v in row] for row in series.values))
 
 
 def _check_split(name: str) -> None:
@@ -120,7 +108,7 @@ def normalize_by_train_mean(series: NodeSignalSeries, splits: SplitSpec) -> Node
     with a logged warning; dividing by it would be meaningless.
     """
     if splits.train[1] > series.steps:
-        raise ValueError(f"train range {splits.train} ends past the {series.steps}-step series")
+        raise DataError(f"train range {splits.train} ends past the {series.steps}-step series")
     train = series.values[splits.rows("train")]
     means = train.mean(axis=0)
     scale_floor = 1e-12 * np.maximum(1.0, np.abs(train).max(axis=0))
@@ -158,14 +146,14 @@ def build_initial_graph(series: NodeSignalSeries, spec: GraphBuildSpec) -> Stati
     strictly exceeds the threshold. Weights are the |correlation| values.
     top_k is clipped to n-1 on small graphs, so two nodes always yield their
     single possible edge. Among partners of equal |correlation| the lower
-    node index ranks first.
+    node index ranks first. Fewer than 2 nodes or 2 rows raise ``DataError``.
     """
     values = series.values
     t_len, n = values.shape
     if n < 2:
-        raise ValueError("need at least 2 nodes to build a graph")
+        raise DataError(f"need at least 2 nodes to build a graph, got {n}")
     if t_len < 2:
-        raise ValueError("need at least 2 samples to correlate")
+        raise DataError(f"need at least 2 samples to correlate, got {t_len}")
     absc = window_abs_correlation(values)
 
     k = min(spec.top_k, n - 1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import __version__
-from .._loadtxt import numeric_table
+from .._loadtxt import numeric_table, write_rows
 from ..edge_dynamics import NodeSignalSeries
 from ..estimators import ALGORITHMS, LABEL, EstimatorConfig, ObservationStream, run_estimation
 from ..graphs import StaticGraph, graph_from_csv
@@ -87,10 +86,7 @@ def _resolve_dataset(
     elif dataset.graph == "generator":
         graph = generator_graph
     else:
-        try:
-            graph = graph_from_csv(dataset.graph)
-        except ValueError as err:  # its message names the file
-            raise DataError(str(err)) from None
+        graph = graph_from_csv(dataset.graph)
         if graph.node_count != series.node_count:
             raise DataError(
                 f"graph CSV {dataset.graph} has {graph.node_count} nodes, "
@@ -165,23 +161,10 @@ def run_experiment(
 
 
 # the report layout: per label one ``t,<column>`` CSV per curve, named
-# ``<label>_<curve>.csv``, plus the manifest
+# ``<label>_<curve>.csv``, plus the manifest; each column names the
+# ``AlgorithmMetrics`` field it holds
 _CURVES = {"mse": "mse", "degree": "avg_degree"}
 _MANIFEST = "manifest.json"
-
-
-def _write_curve(path: Path, times: np.ndarray, column: str, values: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", column])
-        for t, v in zip(times, values):
-            writer.writerow([int(t), repr(float(v))])
-
-
-def _read_curve(path: Path) -> list[float]:
-    """Value column of a written ``t,<value>`` curve CSV; raises the
-    ``ValueError`` of the first ragged row or cell that is not a number."""
-    return numeric_table(path, width=2)[1][:, 1].tolist()
 
 
 def write_reports(report: MetricsReport, out_dir: str | Path, config: dict | None = None) -> list[Path]:
@@ -195,9 +178,10 @@ def write_reports(report: MetricsReport, out_dir: str | Path, config: dict | Non
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for algo in report.algorithms:
-        for curve, values in (("mse", algo.mse), ("degree", algo.avg_degree)):
+        for curve, column in _CURVES.items():
             path = out / f"{algo.label}_{curve}.csv"
-            _write_curve(path, report.times, _CURVES[curve], values)
+            rows = ([int(t), repr(float(v))] for t, v in zip(report.times, getattr(algo, column)))
+            write_rows(path, ["t", column], rows)
             written.append(path)
     manifest = {
         "version": __version__,
@@ -223,7 +207,7 @@ def read_reports(out_dir: str | Path) -> tuple[dict, dict[str, dict[str, list[fl
     if not manifest_path.exists():
         raise DataError(f"{manifest_path} not found; run an experiment first")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
     except ValueError as err:  # not UTF-8, or not JSON
         raise DataError(f"{manifest_path} is not valid JSON: {err}") from None
     if not isinstance(manifest, dict):
@@ -236,10 +220,10 @@ def read_reports(out_dir: str | Path) -> tuple[dict, dict[str, dict[str, list[fl
         if not LABEL.fullmatch(label):
             raise DataError(f"{manifest_path}: label {label!r} must match {LABEL.pattern}")
         paths = {curve: out / f"{label}_{curve}.csv" for curve in _CURVES}
-        try:
-            curves[label] = {c: _read_curve(p) for c, p in paths.items() if p.exists()}
-        except ValueError as err:  # its message names the file
-            raise DataError(str(err)) from None
+        # the value column of each ``t,<column>`` curve CSV written
+        curves[label] = {
+            c: numeric_table(p, width=2)[1][:, 1].tolist() for c, p in paths.items() if p.exists()
+        }
     return manifest, curves
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from typing import get_type_hints
 
@@ -664,6 +665,46 @@ def test_preset_plus_overrides(tmp_path):
     assert manifest["config"]["graph_build"]["top_k"] == 3
 
 
+def test_algo_flag_keeps_the_listed_entry_of_that_name(tmp_path):
+    # under a preset, --algo picks the protocol's entries, steps included;
+    # a name the list lacks runs bare
+    data = tmp_path / "data"
+    main(["synth", "--out-dir", str(data), "--steps", "80", "--nodes", "12", "--edges", "16"])
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({"dataset": {
+        "series_csv": str(data / "series.csv"),
+        "splits": {"train": [1, 30], "validation": [31, 40], "test": [41, 80]},
+    }}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the preset's prune keeps no latent edge here
+        code = main(["run", "--preset", "stock", "--config", str(path), "--out-dir", str(out),
+                     "--algo", "glms", "--algo", "dynamic-multihop", "--runs", "1"])
+    assert code == 0
+    listed = json.loads((out / "manifest.json").read_text())["config"]["algorithms"]
+    assert listed == [a for name in ("glms", "dynamic-multihop")
+                      for a in stock_preset()["algorithms"] if a["algorithm"] == name]
+    assert [a["step"] for a in listed] == [
+        {"kind": "fixed", "mu": 0.4},
+        {"kind": "residual-adaptive", "mu_min": 0.2, "mu_max": 0.6},
+    ]
+    # a label names an entry before its algorithm does
+    cfg = run_config(tmp_path, algorithms=[
+        {"algorithm": "glms", "label": "slow", "step": {"kind": "fixed", "mu": 0.1}},
+        {"algorithm": "glms", "step": {"kind": "fixed", "mu": 0.2}},
+        "not an entry",
+    ])
+    raw = load_config(cfg["path"])
+    args = cli.build_parser().parse_args(
+        ["run", "--algo", "slow", "--algo", "glms", "--algo", "gsign"])
+    assert cli._apply_overrides(raw, args)["algorithms"] == [
+        raw["algorithms"][0], raw["algorithms"][1], {"algorithm": "gsign"}]
+    # an algorithm list that is not a list is read as empty
+    raw["algorithms"] = {"algorithm": "glms"}
+    assert cli._apply_overrides(raw, args)["algorithms"] == [
+        {"algorithm": name} for name in ("slow", "glms", "gsign")]
+
+
 def test_report_summary(tmp_path):
     cfg = run_config(tmp_path)
     out = tmp_path / "reports"
@@ -748,6 +789,15 @@ def test_report_on_malformed_files_is_data_error(tmp_path, capsys, name, text):
     assert "data error" in err and name in err
 
 
+def test_report_reads_a_manifest_with_a_byte_order_mark(tmp_path):
+    manifest = json.dumps({"version": "x", "results": {"glms": {"runs": 1}}})
+    (tmp_path / "manifest.json").write_text(manifest, encoding="utf-8-sig")
+    (tmp_path / "glms_mse.csv").write_text("t,mse\n61,0.5\n")
+    assert main(["report", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["version"] == "x" and summary["algorithms"]["glms"]["mean_mse"] == 0.5
+
+
 @pytest.mark.parametrize("name", ["glms_mse.csv", "manifest.json"])
 def test_report_on_a_file_that_is_not_utf8_is_data_error_naming_it(tmp_path, capsys, name):
     (tmp_path / "manifest.json").write_text(json.dumps({"results": {"glms": {"runs": 1}}}))
@@ -791,6 +841,29 @@ def test_run_with_series_csv_that_is_not_utf8_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {series}: 'utf-8' codec can't decode byte 0xff")
     assert err.count(str(series)) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, steps, nodes, message", [
+    ("build-graph", 5, 1, "need at least 2 nodes to build a graph, got 1"),
+    ("build-graph", 1, 2, "need at least 2 samples to correlate, got 1"),
+    ("run", 80, 1, "need at least 2 nodes to build a graph, got 1"),
+], ids=["build-graph-one-node", "build-graph-one-row", "run-one-node"])
+def test_series_too_small_for_a_graph_is_data_error(tmp_path, capsys, command, steps, nodes,
+                                                    message):
+    series = tmp_path / "series.csv"
+    series.write_text(",".join(f"n{j}" for j in range(nodes)) + "\n" + "".join(
+        ",".join(str(1.0 + (t * (j + 2)) % 7) for j in range(nodes)) + "\n"
+        for t in range(steps)))
+    if command == "build-graph":
+        argv = ["build-graph", str(series), "--out", str(tmp_path / "g.csv")]
+    else:
+        cfg = run_config(tmp_path, dataset={
+            "synthetic": None, "graph": "build", "series_csv": str(series),
+            "splits": {"train": [1, 30], "validation": [31, 40], "test": [41, None]},
+        })
+        argv = ["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

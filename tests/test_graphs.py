@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynhop import graphs
-from dynhop._loadtxt import parses_integers_strictly
+from dynhop._loadtxt import DataError, parses_integers_strictly
 from dynhop import (
     StaticGraph,
     build_laplacian,
@@ -358,7 +358,7 @@ def test_csv_graph_errors_name_the_file(tmp_path, text, message):
     assert str(err.value) == f"{path}: {message}"
     # the row reader alone raises the same, and so does the loadtxt pass alone
     rows, fast = csv_path_outcomes(graphs, lambda: graph_outcome(graph_from_csv, path))
-    assert rows == (ValueError, str(err.value))
+    assert rows == (DataError, str(err.value))
     assert fast == rows or not parses_integers_strictly()
 
 
@@ -376,7 +376,7 @@ def test_csv_preamble_reads_the_same_on_both_paths(tmp_path, text):
     # a later bad row keeps its file line number
     path.write_text(text + "1,2,x\n")
     assert graph_outcome(graph_from_csv, path) == (
-        ValueError, f"{path}: line 4, column 'weight': 'x' is not numeric")
+        DataError, f"{path}: line 4, column 'weight': 'x' is not numeric")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
