@@ -16,11 +16,16 @@ from .estimators import (
     ObservationStream,
     StepSizeRule,
     adaptive_mu,
-    diffusion_operator,
     run_estimation,
     stability_bound,
 )
-from .filters import FilterSpec, apply_filter, bind_filter, fit_lowpass_coefficients
+from .filters import (
+    FilterSpec,
+    apply_filter,
+    bind_filter,
+    diffusion_operator,
+    fit_lowpass_coefficients,
+)
 from .graphs import (
     SpectralDecomposition,
     StaticGraph,

@@ -11,6 +11,9 @@ Every bind of a filter goes through ``bind_filter`` with the configured
 eigendecomposes every Laplacian it binds to, and kind "chebyshev" is the
 polynomial route (pass fixed ``coefficients`` to keep one response across
 topologies). The diffusion members bind ``diffusion_operator`` instead.
+Both binders, and the ``out=`` contract the loop relies on, live in
+:mod:`dynhop.filters`; ``_bind`` looks them up here, where the benchmark
+traces them.
 
 Divergence (non-finite values, or magnitudes beyond an overflow guard) is
 flagged in the trace; the run keeps going so the blow-up stays visible in
@@ -34,7 +37,7 @@ from .edge_dynamics import (
     sliding_abs_correlation,
     window_abs_correlation,
 )
-from .filters import FilterSpec, _matvec, bind_filter, filter_response
+from .filters import FilterSpec, bind_filter, diffusion_operator, filter_response
 from .graphs import StaticGraph, adjacency_laplacian, build_laplacian, eigendecompose
 from .multihop import PruneSpec, expand_prune_merge
 
@@ -46,7 +49,6 @@ __all__ = [
     "EstimatorConfig",
     "EstimationTrace",
     "adaptive_mu",
-    "diffusion_operator",
     "run_estimation",
     "stability_bound",
 ]
@@ -61,7 +63,7 @@ Algorithm = namedtuple("Algorithm", "topology operator shaping")
 #             no prune metric, so "weight-magnitude" thresholds |correlation|
 #             too).
 #   operator  "filter" (the configured spectral filter) or "diffusion" (one
-#             step of I - eps L, ``diffusion_operator``).
+#             step of I - eps L, ``filters.diffusion_operator``).
 #   shaping   of the residual e: None (identity), "signed-power"
 #             (sign(e)|e|^(p-1), p the ``p_exponent``) or "sign".
 # sgm-then-glms refreshes its topology before each update and glms-then-sgm
@@ -90,7 +92,9 @@ DIVERGENCE_GUARD = 1e100
 
 @dataclass(frozen=True)
 class StepSizeRule:
-    """Fixed step size, or one decaying exponentially with the residual norm."""
+    """Fixed step size, or one decaying exponentially with the residual norm;
+    a field the kind never reads (``mu_min`` and ``mu_max`` of "fixed",
+    ``mu`` of "residual-adaptive") is an error."""
 
     kind: str
     mu: float | None = None
@@ -99,9 +103,13 @@ class StepSizeRule:
 
     def __post_init__(self) -> None:
         if self.kind == "fixed":
+            if self.mu_min is not None or self.mu_max is not None:
+                raise ValueError("fixed rule reads no mu_min or mu_max")
             if self.mu is None or not 0 < self.mu < math.inf:
                 raise ValueError(f"fixed rule needs a finite mu > 0, got {self.mu}")
         elif self.kind == "residual-adaptive":
+            if self.mu is not None:
+                raise ValueError("adaptive rule reads no mu")
             if self.mu_min is None or self.mu_max is None:
                 raise ValueError("adaptive rule needs mu_min and mu_max")
             if not 0 < self.mu_min <= self.mu_max < math.inf:
@@ -291,42 +299,6 @@ def _shaping(cfg: EstimatorConfig) -> Callable[[np.ndarray, np.ndarray], np.ndar
 
         return signed_power
     return None
-
-
-def diffusion_operator(
-    laplacian: np.ndarray, eps: float | None = None
-) -> Callable[..., np.ndarray]:
-    """One-step spatial diffusion x -> x - eps * L x, on (..., N) signals.
-
-    ``eps`` defaults to 1 / lambda_max (0 for an edgeless graph). The
-    operator is non-expansive for 0 < eps < 2 / lambda_max; values outside
-    that range only warn, since exploratory use is legitimate.
-
-    Like a bound filter, the operator takes an optional ``out=`` array of the
-    signal's shape and returns it, with the bits of the allocating call. It
-    writes ``L x`` into ``out`` before it reads ``x`` again, so an ``out``
-    that overlaps ``x`` costs one copy of ``x``.
-    """
-    laplacian = np.asarray(laplacian, dtype=float)
-    lam_max = float(np.linalg.eigvalsh(laplacian)[-1])
-    if eps is None:
-        eps = 1.0 / lam_max if lam_max > 0 else 0.0
-    elif lam_max > 0 and not 0.0 < eps < 2.0 / lam_max:
-        warnings.warn(
-            f"diffusion step {eps} outside (0, {2.0 / lam_max:.6g}); operator may expand",
-            stacklevel=2,
-        )
-
-    def op(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty(np.shape(x))
-        elif np.may_share_memory(x, out):
-            x = x.copy()
-        _matvec(laplacian, x, out)
-        np.multiply(out, eps, out=out)
-        return np.subtract(x, out, out=out)
-
-    return op
 
 
 def stability_bound(

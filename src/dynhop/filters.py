@@ -1,15 +1,22 @@
-"""Band-limited spectral filters and their polynomial surrogates.
+"""The operators an online estimator applies to its residual: band-limited
+spectral filters, their polynomial surrogates, and one diffusion step.
 
-Two evaluation routes exist for the same target response. The exact route
-diagonalizes the Laplacian and zeroes eigen-components above the passband
-edge. The polynomial route evaluates ``sum_p c_p L^p x`` by repeated
-matrix-vector products, with coefficients least-squares fitted to the ideal
-response over a known spectrum; it never forms a matrix power explicitly.
+The exact route diagonalizes the Laplacian and zeroes eigen-components above
+the passband edge. The polynomial route evaluates ``sum_p c_p L^p x`` by
+repeated matrix-vector products, with coefficients least-squares fitted to
+the ideal response over a known spectrum. ``diffusion_operator`` binds
+``I - eps L``. Every bound operator is a kernel of this module with its
+matrix fixed: it maps (..., N) signals one by one, bit-identical to mapping
+each alone, and takes an optional ``out=`` array of the signal's shape,
+which it fills with the bits of the allocating call and returns. ``out``
+may overlap the signal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +31,7 @@ __all__ = [
     "filter_response",
     "apply_filter",
     "bind_filter",
+    "diffusion_operator",
 ]
 
 KINDS = ("ideal-band-limited", "chebyshev")
@@ -39,7 +47,8 @@ class FilterSpec:
     and 1.0 passes everything. kind "chebyshev"
     evaluates a degree-``order`` polynomial in the Laplacian; when
     ``coefficients`` is None they are fitted to the ideal response at
-    application time, else they must be ``order + 1`` finite numbers.
+    application time, else they must be ``order + 1`` finite numbers. The
+    ideal kind reads no coefficients and rejects them.
     """
 
     kind: str = "ideal-band-limited"
@@ -55,6 +64,8 @@ class FilterSpec:
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.coefficients is not None:
+            if self.kind != "chebyshev":
+                raise ValueError(f"kind {self.kind!r} reads no coefficients; 'chebyshev' does")
             coeffs = tuple(float(c) for c in self.coefficients)
             if len(coeffs) != self.order + 1:
                 raise ValueError(f"{len(coeffs)} coefficients for order {self.order}")
@@ -140,21 +151,26 @@ def _apply_polynomial(
     return np.add(acc, coefficients[-1] * _matvec(matrix, power), out=out)
 
 
-def _resolve_coefficients(
-    spec: FilterSpec, laplacian: np.ndarray | None, decomp: SpectralDecomposition | None
-) -> tuple[float, ...]:
-    """The spec's fixed coefficients, or a fit over the operator's spectrum."""
-    if spec.coefficients is not None:
-        return spec.coefficients
-    eigenvalues = decomp.eigenvalues if decomp is not None else np.linalg.eigvalsh(laplacian)
-    return fit_lowpass_coefficients(eigenvalues, spec.passband_fraction, spec.order)
+def _diffuse(
+    laplacian: np.ndarray, eps: float, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``x - eps * laplacian x``; ``out`` receives ``laplacian x`` before ``x``
+    is read again, so an ``out`` that overlaps ``x`` costs one copy of ``x``."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    elif np.may_share_memory(x, out):
+        x = x.copy()
+    _matvec(laplacian, x, out)
+    np.multiply(out, eps, out=out)
+    return np.subtract(x, out, out=out)
 
 
 def filter_response(decomp: SpectralDecomposition, spec: FilterSpec) -> np.ndarray:
     """Per-eigenvalue response h(lambda_i)."""
     if spec.kind == "ideal-band-limited":
         return ideal_response(decomp.eigenvalues, spec.passband_fraction)
-    coeffs = _resolve_coefficients(spec, None, decomp)
+    coeffs = spec.coefficients or fit_lowpass_coefficients(
+        decomp.eigenvalues, spec.passband_fraction, spec.order)
     return np.polynomial.polynomial.polyval(decomp.eigenvalues, np.asarray(coeffs))
 
 
@@ -181,28 +197,36 @@ def bind_filter(
 
     Binding does the expensive work once (eigendecomposition or coefficient
     fit), so per-step application inside online loops is a single dense
-    matvec or a short matvec chain per signal. A stack of signals is
-    filtered signal by signal, bit-identical to filtering each alone.
-
-    The callable takes an optional ``out=`` array of the signal's shape,
-    fills it with the bits the allocating call returns, and returns it; the
-    dense route then allocates nothing. ``out`` may overlap the signal on
-    both routes: the dense product copies an overlapping signal first, and
-    the polynomial route writes ``out`` only after its last read of it.
+    matvec or a short matvec chain per signal; the dense route allocates
+    nothing when given ``out=``.
     """
     if spec.kind == "chebyshev":
-        coeffs = _resolve_coefficients(spec, laplacian, decomp)
-
-        def apply_poly(vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            return _apply_polynomial(laplacian, coeffs, vec, out)
-
-        return apply_poly
+        coeffs = spec.coefficients or fit_lowpass_coefficients(
+            np.linalg.eigvalsh(laplacian) if decomp is None else decomp.eigenvalues,
+            spec.passband_fraction, spec.order)
+        return functools.partial(_apply_polynomial, laplacian, coeffs)
     if decomp is None:
         decomp = eigendecompose(laplacian)
     u = decomp.eigenvectors
-    dense = (u * filter_response(decomp, spec)) @ u.T  # U diag(h) U^T
+    return functools.partial(_matvec, (u * filter_response(decomp, spec)) @ u.T)  # U diag(h) U^T
 
-    def apply_dense(vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _matvec(dense, vec, out)
 
-    return apply_dense
+def diffusion_operator(
+    laplacian: np.ndarray, eps: float | None = None
+) -> Callable[..., np.ndarray]:
+    """Bind one-step spatial diffusion x -> x - eps * L x, on (..., N) signals.
+
+    ``eps`` defaults to 1 / lambda_max (0 for an edgeless graph). The
+    operator is non-expansive for 0 < eps < 2 / lambda_max; values outside
+    that range only warn, since exploratory use is legitimate.
+    """
+    laplacian = np.asarray(laplacian, dtype=float)
+    lam_max = float(np.linalg.eigvalsh(laplacian)[-1])
+    if eps is None:
+        eps = 1.0 / lam_max if lam_max > 0 else 0.0
+    elif lam_max > 0 and not 0.0 < eps < 2.0 / lam_max:
+        warnings.warn(
+            f"diffusion step {eps} outside (0, {2.0 / lam_max:.6g}); operator may expand",
+            stacklevel=2,
+        )
+    return functools.partial(_diffuse, laplacian, eps)

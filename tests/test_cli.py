@@ -216,10 +216,19 @@ OBJECT = "must be a JSON object"
     (f"algorithms[0].step {OBJECT}", dmh(step=0.5), ["--mu", "0.5"]),
     (f"algorithms[0].step {OBJECT}", dmh(step=0.5), ["--mu-min", "0.1"]),
     (f"noise {OBJECT}", {"noise": [1]}, ["--seed", "3"]),
+    # a field the section's kind never reads
+    ("bad algorithms[0].step: fixed rule reads no mu_min or mu_max",
+     {"algorithms": [{"algorithm": "glms", "step": {"kind": "fixed", "mu": 0.9, "mu_max": 3.0}}]},
+     []),
+    ("bad algorithms[0].step: adaptive rule reads no mu",
+     dmh(step={"kind": "residual-adaptive", "mu": 0.9, "mu_min": 0.8, "mu_max": 3.5}), []),
+    ("bad algorithms[0].filter: kind 'ideal-band-limited' reads no coefficients",
+     {"algorithms": [{"algorithm": "glms", "filter": {"coefficients": [1.0] * 13}}]}, []),
 ], ids=["prune", "window", "step", "filter-string", "coefficient-string", "coefficients-number",
         "noise-list", "splits-number", "algorithm-string", "switch-time-string",
         "prune-with-tau", "window-with-window", "step-with-mu", "step-with-mu-min",
-        "noise-list-with-seed"])
+        "noise-list-with-seed", "fixed-step-with-mu-max", "adaptive-step-with-mu",
+        "ideal-filter-with-coefficients"])
 def test_malformed_sections_are_config_errors(tmp_path, capsys, message, overrides, flags):
     cfg = run_config(tmp_path, **overrides)
     argv = ["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]

@@ -23,7 +23,7 @@ from dynhop import (
     run_estimation,
     stability_bound,
 )
-from dynhop import estimators
+from dynhop import estimators, filters
 from dynhop.edge_dynamics import NodeSignalSeries, sliding_abs_correlation, window_abs_correlation
 from dynhop.filters import bind_filter
 from dynhop.graphs import adjacency_laplacian
@@ -58,6 +58,11 @@ def test_step_rule_validation():
     for mu_min, mu_max in ((None, 3.5), (0.8, None)):
         with pytest.raises(ValueError, match="adaptive rule needs mu_min and mu_max"):
             StepSizeRule.adaptive(mu_min, mu_max)
+    # a field the kind never reads is an error, not silently dropped
+    with pytest.raises(ValueError, match="fixed rule reads no mu_min or mu_max"):
+        StepSizeRule("fixed", mu=0.9, mu_max=3.0)
+    with pytest.raises(ValueError, match="adaptive rule reads no mu"):
+        StepSizeRule("residual-adaptive", mu=0.9, mu_min=0.8, mu_max=3.5)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             StepSizeRule.fixed(bad)
@@ -175,6 +180,26 @@ def test_diffusion_default_eps_is_inverse_lambda_max(rng):
     assert np.array_equal(diffusion_operator(lap)(x), diffusion_operator(lap, 1.0 / lam_max)(x))
     # an edgeless graph has nothing to diffuse: the default step is 0
     assert np.array_equal(diffusion_operator(np.zeros((4, 4)))(x[:, :4]), x[:, :4])
+
+
+def test_diffusion_members_bind_through_the_estimators_namespace(rng, monkeypatch):
+    # the update loop binds the name it finds in dynhop.estimators, so a
+    # wrapper put there (as bench/layer_trace.py puts one) sees every bind
+    assert estimators.diffusion_operator is filters.diffusion_operator
+    binds = []
+
+    def counted(laplacian, eps=None):
+        binds.append(eps)
+        return filters.diffusion_operator(laplacian, eps)
+
+    monkeypatch.setattr(estimators, "diffusion_operator", counted)
+    g = random_graph(rng, 8, connected=True)
+    rows = rng.standard_normal((3, 20, 8))
+    stream = ObservationStream(rows, rng.random(rows.shape) < 0.7)
+    for algorithm in ("gdlms", "gsd"):
+        binds.clear()
+        run_estimation(stream, g, EstimatorConfig(algorithm, diffusion_eps=0.1))
+        assert binds == [0.1], algorithm
 
 
 # -- full runs ------------------------------------------------------------------------
