@@ -351,10 +351,21 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _bind(cfg: EstimatorConfig, laplacian: np.ndarray) -> Callable[..., np.ndarray]:
-    """The algorithm's operator bound to one Laplacian: diffusion or its filter."""
-    if ALGORITHMS[cfg.algorithm].operator == "diffusion":
+    """The algorithm's operator bound to one Laplacian: diffusion or its
+    filter. A diffusion step outside the stable range warns as ``<label>: ...``
+    at the caller of ``run_estimation``, which calls this."""
+    if ALGORITHMS[cfg.algorithm].operator == "filter":
+        return bind_filter(laplacian, cfg.filter)
+    if cfg.diffusion_eps is None:  # the default step 1 / lambda_max is stable
         return diffusion_operator(laplacian, cfg.diffusion_eps)
-    return bind_filter(laplacian, cfg.filter)
+    # catching resets Python's once-per-location warning registry, so only an
+    # explicit step, the one that can warn, is caught and re-issued
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        apply = diffusion_operator(laplacian, cfg.diffusion_eps)
+    for w in caught:
+        warnings.warn(f"{cfg.name}: {w.message}", w.category, stacklevel=3)
+    return apply
 
 
 # (Laplacian, edge count, latent candidates, latent survivors) of one step

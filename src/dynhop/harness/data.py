@@ -81,16 +81,16 @@ class SplitSpec:
             raise ValueError(f"test range {te} must follow validation {va}")
 
     def resolve(self, total_steps: int) -> "SplitSpec":
-        """Pin an open test end and check everything fits in the series."""
-        if self.test[0] > total_steps:
-            raise ValueError(
-                f"test range starts at step {self.test[0]} but series has {total_steps} steps"
+        """Pin an open test end; a test range past the series is a ``DataError``."""
+        start, end = self.test
+        end = total_steps if end is None else end
+        if max(start, end) > total_steps:
+            where = f"starts at step {start}" if start > total_steps else f"ends at {end}"
+            raise DataError(
+                f"dataset.splits test range {self.test} does not fit the {total_steps}-step "
+                f"series: test range {where} but series has {total_steps} steps"
             )
-        end = self.test[1] if self.test[1] is not None else total_steps
-        resolved = SplitSpec(self.train, self.validation, (self.test[0], end))
-        if end > total_steps:
-            raise ValueError(f"test range ends at {end} but series has {total_steps} steps")
-        return resolved
+        return SplitSpec(self.train, self.validation, (start, end))
 
     def rows(self, name: str) -> slice:
         """0-based half-open row slice for a named split."""

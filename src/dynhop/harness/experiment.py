@@ -69,13 +69,7 @@ def _resolve_dataset(
         generator_graph, series = make_synthetic_dataset(dataset.synthetic)
     else:
         series = ingest_csv(dataset.series_csv)
-    try:
-        splits = dataset.splits.resolve(series.steps)
-    except ValueError as err:
-        raise DataError(
-            f"dataset.splits test range {dataset.splits.test} does not fit the "
-            f"{series.steps}-step series: {err}"
-        ) from None
+    splits = dataset.splits.resolve(series.steps)
     if dataset.normalize:
         series = normalize_by_train_mean(series, splits)
     if dataset.graph == "build":
@@ -132,16 +126,10 @@ def run_experiment(
     truth_series = NodeSignalSeries(truth, labels=series.labels)
     train_var = series.values[splits.rows("train")].var(axis=0, ddof=1)
 
-    try:
-        runs = [
-            simulate_observations(truth_series, noise, r, signal_variance=train_var)
-            for r in range(noise.runs)
-        ]
-    except ValueError as err:  # a noise scale past the divergence guard
-        unit = " dB" if noise.snr_in_db else ""
-        raise DataError(
-            f"noise.snr {noise.snr}{unit} leaves no run that can converge: {err}"
-        ) from None
+    runs = [
+        simulate_observations(truth_series, noise, r, signal_variance=train_var)
+        for r in range(noise.runs)
+    ]
     stream = ObservationStream.stack(runs)
     n = graph.node_count
     results = []

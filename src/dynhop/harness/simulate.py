@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._loadtxt import DataError
 from ..edge_dynamics import NodeSignalSeries
 from ..estimators import DIVERGENCE_GUARD, ObservationStream
 
@@ -66,8 +67,9 @@ def simulate_observations(
     variance via ``signal_variance`` to match the usual protocol (defaults to
     the variance of the given series). Masks and noise are drawn from a
     generator seeded by (seed, run_index). A node whose noise scale is not
-    finite or reaches ``DIVERGENCE_GUARD`` raises ``ValueError``: every run
-    would start past the guard, so none could converge.
+    finite or reaches ``DIVERGENCE_GUARD`` raises ``DataError``, naming the
+    ``noise.snr`` that set it: every run would start past the guard, so
+    none could converge.
     """
     values = series.values
     t_len, n = values.shape
@@ -81,8 +83,10 @@ def simulate_observations(
         noise_std = np.sqrt(var / spec.linear_snr)
     if not noise_std.max() < DIVERGENCE_GUARD:  # NaN fails too
         node = int(np.argmax(noise_std))
-        raise ValueError(
-            f"SNR {spec.linear_snr:.3g} gives node {node} a noise std of "
+        unit = " dB" if spec.snr_in_db else ""
+        raise DataError(
+            f"noise.snr {spec.snr}{unit} leaves no run that can converge: SNR "
+            f"{spec.linear_snr:.3g} gives node {node} a noise std of "
             f"{noise_std[node]:.3g}, not below the divergence guard {DIVERGENCE_GUARD:.0e}"
         )
     rng = np.random.default_rng([spec.seed, int(run_index)])

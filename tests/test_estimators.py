@@ -202,6 +202,28 @@ def test_diffusion_members_bind_through_the_estimators_namespace(rng, monkeypatc
         assert binds == [0.1], algorithm
 
 
+@pytest.mark.parametrize("algorithm, eps, label", [
+    ("gdlms", 50.0, "wide"), ("gsd", 40.0, None),
+])
+def test_run_warns_of_a_diffusion_step_outside_the_range_naming_its_entry(
+        rng, algorithm, eps, label):
+    # the warning names the entry and points at run_estimation's caller; a
+    # direct diffusion_operator call keeps its own text
+    g = random_graph(rng, 8, connected=True)
+    bound = f"{2.0 / np.linalg.eigvalsh(build_laplacian(g))[-1]:.6g}"
+    text = f"diffusion step {eps} outside (0, {bound}); operator may expand"
+    rows = rng.standard_normal((2, 6, 8))
+    stream = ObservationStream(rows, np.ones(rows.shape, dtype=bool))
+    with pytest.warns(UserWarning) as caught:
+        run_estimation(stream, g, EstimatorConfig(algorithm, diffusion_eps=eps, label=label))
+    assert [str(w.message) for w in caught] == [f"{label or algorithm}: {text}"]
+    assert caught[0].filename == __file__
+    with pytest.warns(UserWarning) as caught:
+        diffusion_operator(build_laplacian(g), eps)
+    assert [str(w.message) for w in caught] == [text]
+    assert caught[0].filename == __file__
+
+
 # -- full runs ------------------------------------------------------------------------
 
 def constant_stream(truth, steps):
@@ -430,10 +452,17 @@ def test_steps_without_history_apply_the_static_operator(rng):
     runs = rng.standard_normal((3, 12, 10))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
     glms = run_estimation(stream, g, EstimatorConfig("glms", window=WindowSpec(8)))
+    twins = []
     for algo in ("sgm-then-glms", "glms-then-sgm"):
         trace = run_estimation(stream, g, EstimatorConfig(algo, window=WindowSpec(8)))
         assert np.array_equal(trace.estimates[:, :8], glms.estimates[:, :8])
         assert not np.array_equal(trace.estimates[:, 8], glms.estimates[:, 8])
+        twins.append(trace)
+    # both orderings read the history up to t - 1, so they are one estimator
+    # (ALGORITHMS); telling them apart must change this on purpose
+    first, second = twins
+    assert first.estimates.tobytes() == second.estimates.tobytes()
+    assert np.array_equal(first.edge_counts, second.edge_counts)
 
 
 def test_sgm_threshold_ignores_the_prune_metric(rng):

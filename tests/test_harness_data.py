@@ -316,8 +316,12 @@ def test_splits_open_test_end_resolution():
     assert splits.rows("test") == slice(60, 196)
     with pytest.raises(ValueError, match=r"resolve\(\) the spec before slicing an open test range"):
         SplitSpec((1, 40), (41, 60), (61, None)).rows("test")
-    with pytest.raises(ValueError):
-        SplitSpec((1, 40), (41, 60), (61, 300)).resolve(200)
+    # a test range past the series is a DataError with the text dynhop run prints
+    for test, cause in (((61, 300), "ends at 300"), ((201, None), "starts at step 201")):
+        message = (f"dataset.splits test range {test} does not fit the 200-step series: "
+                   f"test range {cause} but series has 200 steps")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            SplitSpec((1, 40), (41, 60), test).resolve(200)
 
 
 def test_split_rows_are_zero_based_half_open():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dynhop.edge_dynamics import NodeSignalSeries
-from dynhop.harness import NoiseMaskSpec, simulate_observations
+from dynhop.harness import DataError, NoiseMaskSpec, simulate_observations
 
 
 def test_spec_validation():
@@ -42,14 +42,17 @@ def test_db_snr_within_the_float_range_accepted(db):
 
 
 @pytest.mark.parametrize("db, message", [
-    (-3000.0, "gives node 2 a noise std of 3e+150"),
-    (-3082.0, "gives node 1 a noise std of inf"),  # node 1's variance / SNR overflows
+    (-3000.0, "SNR 1e-300 gives node 2 a noise std of 3e+150"),
+    # node 1's variance / SNR overflows
+    (-3082.0, "SNR 6.31e-309 gives node 1 a noise std of inf"),
 ], ids=["std-1e150", "std-inf"])
 def test_noise_scale_past_the_divergence_guard_rejected(db, message):
     series = NodeSignalSeries(np.zeros((5, 3)))
     variance = np.array([1.0, 4.0, 9.0])
-    guard = re.escape(f"{message}, not below the divergence guard 1e+100")
-    with pytest.raises(ValueError, match=guard):
+    # the DataError carries the whole text that dynhop run prints
+    text = (f"noise.snr {db} dB leaves no run that can converge: "
+            f"{message}, not below the divergence guard 1e+100")
+    with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
         simulate_observations(series, NoiseMaskSpec(snr=db, snr_in_db=True), 0, variance)
     # a noise std of 3e99 stays below the guard
     spec = NoiseMaskSpec(snr=-1980.0, snr_in_db=True)
