@@ -66,10 +66,9 @@ Algorithm = namedtuple("Algorithm", "topology operator shaping")
 #             step of I - eps L, ``filters.diffusion_operator``).
 #   shaping   of the residual e: None (identity), "signed-power"
 #             (sign(e)|e|^(p-1), p the ``p_exponent``) or "sign".
-# sgm-then-glms refreshes its topology before each update and glms-then-sgm
-# after it, for the next step. Both read the history up to step t - 1, so
-# here they are one estimator with bit-identical traces; the paper's
-# distinction between them is not reproduced.
+# No two names share a point. sgm-then-glms refreshes its topology from the
+# history up to step t - 1 before each update; refreshing after the update,
+# for the next step, reads the same history, so it is no second estimator.
 ALGORITHMS = {
     "dynamic-multihop": Algorithm("multihop", "filter", None),
     "glms": Algorithm("static", "filter", None),
@@ -78,7 +77,6 @@ ALGORITHMS = {
     "gsign": Algorithm("static", "filter", "sign"),
     "gsd": Algorithm("static", "diffusion", "sign"),
     "sgm-then-glms": Algorithm("threshold", "filter", None),
-    "glms-then-sgm": Algorithm("threshold", "filter", None),
 }
 
 # labels name report files, so they may not carry path separators or start a
@@ -88,6 +86,11 @@ LABEL = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 # estimates whose magnitude passes this can never recover and would soon
 # overflow norm computations; flag divergence here instead of waiting for inf
 DIVERGENCE_GUARD = 1e100
+
+
+def _check_label(label: str) -> None:
+    if not LABEL.fullmatch(label):
+        raise ValueError(f"label {label!r} must match {LABEL.pattern} (it names the report files)")
 
 
 @dataclass(frozen=True)
@@ -211,12 +214,15 @@ class EstimatorConfig:
     ``refresh_weights`` is read only by dynamic-multihop: False pins it to
     the static graph's weights, so its topology is built once per call
     (useful as a reduction check: hops=1 with static weights must reproduce
-    glms exactly). The sgm orderings always refresh. A surviving latent edge
+    glms exactly). sgm always refreshes. A surviving latent edge
     of dynamic-multihop is weighted by its ``prune`` score: its power
     magnitude, or with the "correlation" metric its endpoints' windowed
     |correlation|. ``weights_source`` selects whether windowed correlations
     are computed on the running estimates (deployment setting) or on a
-    supplied ground-truth history. ``label`` (default: the algorithm name)
+    supplied ground-truth history. A setting the algorithm never reads is an
+    error: ``refresh_weights=False`` on any other algorithm, and
+    "ground-truth" where no history window is scored (the static baselines,
+    and pinned dynamic-multihop). ``label`` (default: the algorithm name)
     names the report files, so it must match ``LABEL``.
     """
 
@@ -247,10 +253,21 @@ class EstimatorConfig:
             raise ValueError(f"diffusion_eps must be finite, got {self.diffusion_eps}")
         if self.weights_source not in ("estimates", "ground-truth"):
             raise ValueError(f"unknown weights_source {self.weights_source!r}")
-        if self.label is not None and not LABEL.fullmatch(self.label):
+        topology = ALGORITHMS[self.algorithm].topology
+        if not self.refresh_weights and topology != "multihop":
             raise ValueError(
-                f"label {self.label!r} must match {LABEL.pattern} (it names the report files)"
+                f"{self.algorithm} reads no refresh_weights=False; only dynamic-multihop pins "
+                "its weights"
             )
+        scored = topology != "static" and self.refresh_weights
+        if self.weights_source == "ground-truth" and not scored:
+            pinned = " with refresh_weights=False" if topology == "multihop" else ""
+            raise ValueError(
+                f"{self.algorithm}{pinned} reads no weights_source='ground-truth'; it scores no "
+                "history window"
+            )
+        if self.label is not None:
+            _check_label(self.label)
 
     @property
     def name(self) -> str:
@@ -380,7 +397,6 @@ def _topology_rule(
 
     ``rebuild`` is None when history never changes the topology: for the
     static baselines, and for dynamic-multihop with ``refresh_weights=False``.
-    One rule serves both sgm orderings (see ``ALGORITHMS``).
 
     Every rule scores its window once, through the one (N, N) window kernel
     of ``edge_dynamics``. sgm and dynamic-multihop with the "correlation"
@@ -480,7 +496,7 @@ def run_estimation(
     strictly causal history and re-binds the filter; the no-history
     operator is applied only to the runs without usable history.
     ``refresh_weights`` is read only by dynamic-multihop, whose topology
-    never changes when it is False; the sgm orderings always refresh.
+    never changes when it is False; sgm always refreshes.
     ``ground_truth`` is only consulted when
     ``cfg.weights_source == "ground-truth"``.
 

@@ -211,14 +211,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     window = args.final_window
     summary: dict = {"version": manifest.get("version"), "algorithms": {}, "final_window": window}
     for label, found in curves.items():
-        entry = dict(manifest["results"][label])
-        if "mse" in found:
-            entry["mean_mse"] = _mean(found["mse"])
-            entry["final_window_mean_mse"] = _mean(found["mse"][-window:])
-        if "degree" in found:
-            entry["mean_degree"] = _mean(found["degree"])
-            entry["distinct_degree_values"] = len(set(found["degree"]))
-        summary["algorithms"][label] = entry
+        summary["algorithms"][label] = {
+            **manifest["results"][label],
+            "mean_mse": _mean(found["mse"]),
+            "final_window_mean_mse": _mean(found["mse"][-window:]),
+            "mean_degree": _mean(found["degree"]),
+            "distinct_degree_values": len(set(found["degree"])),
+        }
     out_path = Path(args.out_dir) / "summary.json"
     out_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out_path}")

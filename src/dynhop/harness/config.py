@@ -189,7 +189,7 @@ def resolve_config(raw: dict) -> ResolvedConfig:
         _build(EstimatorConfig, a, f"algorithms[{i}]") for i, a in enumerate(algo_raw)
     )
     try:
-        _check_unique_labels(algorithms)
+        _check_unique_labels([cfg.name for cfg in algorithms])
     except ValueError as err:
         raise ConfigError(f"{err}; set 'label' to disambiguate") from None
     return ResolvedConfig(

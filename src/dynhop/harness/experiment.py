@@ -13,6 +13,7 @@ from .. import __version__
 from .._loadtxt import numeric_table, write_rows
 from ..edge_dynamics import NodeSignalSeries
 from ..estimators import ALGORITHMS, LABEL, EstimatorConfig, ObservationStream, run_estimation
+from ..estimators import _check_label
 from ..graphs import StaticGraph, graph_from_csv
 from .data import (
     DataError,
@@ -89,8 +90,7 @@ def _resolve_dataset(
     return series, graph, splits
 
 
-def _check_unique_labels(algorithms: Sequence[EstimatorConfig]) -> None:
-    labels = [cfg.name for cfg in algorithms]
+def _check_unique_labels(labels: Sequence[str]) -> None:
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ValueError(f"algorithm labels must be unique; repeated: {repeated}")
@@ -118,7 +118,7 @@ def run_experiment(
     an unknown split name. An SNR whose noise scale reaches the estimators'
     divergence guard raises ``DataError`` before any estimation.
     """
-    _check_unique_labels(algorithms)
+    _check_unique_labels([cfg.name for cfg in algorithms])
     _check_split(split)
     series, graph, splits = _resolve_dataset(dataset, graph_build)
     rows = splits.rows(split)
@@ -160,8 +160,14 @@ def write_reports(report: MetricsReport, out_dir: str | Path, config: dict | Non
 
     The manifest captures the fully resolved configuration, the library
     version, and per-algorithm run/divergence counts. Identical inputs
-    produce byte-identical files.
+    produce byte-identical files. Labels name the files, so a label that
+    fails ``LABEL`` or repeats another raises ``ValueError`` before any
+    file is written.
     """
+    labels = [algo.label for algo in report.algorithms]
+    for label in labels:
+        _check_label(label)
+    _check_unique_labels(labels)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -187,9 +193,11 @@ def write_reports(report: MetricsReport, out_dir: str | Path, config: dict | Non
 
 def read_reports(out_dir: str | Path) -> tuple[dict, dict[str, dict[str, list[float]]]]:
     """The manifest that :func:`write_reports` left in ``out_dir`` and, per
-    result label in sorted order, the values of each curve CSV found, keyed
+    result label in sorted order, the values of its two curve CSVs, keyed
     "mse" / "degree". Raises ``DataError`` on a malformed file or a label
-    that would name a file outside ``out_dir``."""
+    that would name a file outside ``out_dir``, and ``OSError`` naming a
+    curve CSV of a listed label that cannot be read (a missing one
+    included)."""
     out = Path(out_dir)
     manifest_path = out / _MANIFEST
     if not manifest_path.exists():
@@ -207,10 +215,9 @@ def read_reports(out_dir: str | Path) -> tuple[dict, dict[str, dict[str, list[fl
     for label in sorted(results):
         if not LABEL.fullmatch(label):
             raise DataError(f"{manifest_path}: label {label!r} must match {LABEL.pattern}")
-        paths = {curve: out / f"{label}_{curve}.csv" for curve in _CURVES}
-        # the value column of each ``t,<column>`` curve CSV written
+        # the value column of each ``t,<column>`` curve CSV
         curves[label] = {
-            c: numeric_table(p, width=2)[1][:, 1].tolist() for c, p in paths.items() if p.exists()
+            c: numeric_table(out / f"{label}_{c}.csv", width=2)[1][:, 1].tolist() for c in _CURVES
         }
     return manifest, curves
 

@@ -224,11 +224,21 @@ OBJECT = "must be a JSON object"
      dmh(step={"kind": "residual-adaptive", "mu": 0.9, "mu_min": 0.8, "mu_max": 3.5}), []),
     ("bad algorithms[0].filter: kind 'ideal-band-limited' reads no coefficients",
      {"algorithms": [{"algorithm": "glms", "filter": {"coefficients": [1.0] * 13}}]}, []),
+    # a setting the algorithm never reads
+    ("bad algorithms[0]: sgm-then-glms reads no refresh_weights=False; only dynamic-multihop "
+     "pins its weights", {"algorithms": [{"algorithm": "sgm-then-glms", "refresh_weights": False}]},
+     []),
+    ("bad algorithms[0]: gsd reads no weights_source='ground-truth'; it scores no history window",
+     {"algorithms": [{"algorithm": "gsd", "weights_source": "ground-truth"}]}, []),
+    ("bad algorithms[0]: dynamic-multihop with refresh_weights=False reads no "
+     "weights_source='ground-truth'; it scores no history window",
+     dmh(refresh_weights=False, weights_source="ground-truth"), []),
 ], ids=["prune", "window", "step", "filter-string", "coefficient-string", "coefficients-number",
         "noise-list", "splits-number", "algorithm-string", "switch-time-string",
         "prune-with-tau", "window-with-window", "step-with-mu", "step-with-mu-min",
         "noise-list-with-seed", "fixed-step-with-mu-max", "adaptive-step-with-mu",
-        "ideal-filter-with-coefficients"])
+        "ideal-filter-with-coefficients", "sgm-with-pinned-weights",
+        "static-with-ground-truth", "pinned-with-ground-truth"])
 def test_malformed_sections_are_config_errors(tmp_path, capsys, message, overrides, flags):
     cfg = run_config(tmp_path, **overrides)
     argv = ["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]
@@ -372,7 +382,7 @@ def test_presets_resolve_to_the_hand_built_specs():
             "dynamic-multihop", filter=filt, step=StepSizeRule.adaptive(mu_min, mu_max),
             hops=6, prune=PruneSpec(0.2, "weight-magnitude"), window=window,
         )]
-        for name in ("glms", "gdlms", "glmp", "gsign", "gsd", "sgm-then-glms", "glms-then-sgm"):
+        for name in ("glms", "gdlms", "glmp", "gsign", "gsd", "sgm-then-glms"):
             extra = {"prune": PruneSpec(0.8, "weight-magnitude")} if "sgm" in name else {}
             algorithms.append(EstimatorConfig(
                 name, filter=filt, step=StepSizeRule.fixed(fixed_mu), window=window, **extra
@@ -754,6 +764,19 @@ def test_report_without_reports_is_data_error(tmp_path, capsys):
     assert main(["report", "--out-dir", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("curve", ["mse", "degree"])
+def test_report_on_a_missing_curve_is_data_error_naming_it(tmp_path, capsys, curve):
+    # every curve the manifest lists must be there: none is skipped
+    out = tmp_path / "reports"
+    assert main(["run", "--config", str(run_config(tmp_path)["path"]), "--out-dir", str(out)]) == 0
+    (out / f"glms_{curve}.csv").unlink()
+    capsys.readouterr()
+    assert main(["report", "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(out / f"glms_{curve}.csv") in err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("text", [
     "a,b,c\n0,1,1.0\n",  # wrong header
     "src,dst,weight\n0,1,1.0\n3,3,1.0\n",  # self-loop
@@ -802,6 +825,7 @@ def test_report_reads_a_manifest_with_a_byte_order_mark(tmp_path):
     manifest = json.dumps({"version": "x", "results": {"glms": {"runs": 1}}})
     (tmp_path / "manifest.json").write_text(manifest, encoding="utf-8-sig")
     (tmp_path / "glms_mse.csv").write_text("t,mse\n61,0.5\n")
+    (tmp_path / "glms_degree.csv").write_text("t,avg_degree\n61,2.0\n")
     assert main(["report", "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["version"] == "x" and summary["algorithms"]["glms"]["mean_mse"] == 0.5

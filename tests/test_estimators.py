@@ -128,7 +128,7 @@ def test_pnorm_nonlinearity():
 
 
 def test_identity_nonlinearity():
-    for algo in ("dynamic-multihop", "glms", "gdlms", "sgm-then-glms", "glms-then-sgm"):
+    for algo in ("dynamic-multihop", "glms", "gdlms", "sgm-then-glms"):
         assert estimators._shaping(EstimatorConfig(algo)) is None
 
 
@@ -250,7 +250,7 @@ def test_glms_full_mask_error_matches_recursion_oracle(rng):
     assert all(b < a for a, b in zip(norms, norms[1:]) if a > 1e-12)
 
 
-LINEAR_ALGOS = ("glms", "gdlms", "dynamic-multihop", "sgm-then-glms", "glms-then-sgm")
+LINEAR_ALGOS = ("glms", "gdlms", "dynamic-multihop", "sgm-then-glms")
 
 
 @pytest.mark.parametrize("algo", LINEAR_ALGOS)
@@ -376,6 +376,18 @@ def test_config_validation():
         EstimatorConfig("glms", hops=0)
     with pytest.raises(ValueError, match="unknown weights_source 'truth'"):
         EstimatorConfig("dynamic-multihop", weights_source="truth")
+    # a setting the algorithm never reads
+    for algo in ("glms", "gsd", "sgm-then-glms"):
+        with pytest.raises(ValueError, match=f"^{algo} reads no refresh_weights=False; only "
+                                             "dynamic-multihop pins its weights$"):
+            EstimatorConfig(algo, refresh_weights=False)
+    for algo, refresh, named in (("glms", True, "glms"), ("gdlms", True, "gdlms"),
+                                 ("dynamic-multihop", False,
+                                  "dynamic-multihop with refresh_weights=False")):
+        with pytest.raises(ValueError, match=f"^{named} reads no weights_source='ground-truth'; "
+                                             "it scores no history window$"):
+            EstimatorConfig(algo, refresh_weights=refresh, weights_source="ground-truth")
+    EstimatorConfig("sgm-then-glms", weights_source="ground-truth")
     with pytest.raises(TypeError, match="latent_weight"):
         EstimatorConfig("dynamic-multihop", latent_weight="score")
 
@@ -406,7 +418,7 @@ def test_trace_counts_latent_candidates_and_survivors(rng):
     assert np.all(latent.latent_survivors <= latent.latent_candidates)
     assert np.array_equal(latent.edge_counts, g.edge_count + latent.latent_survivors)
     assert latent.edge_counts.max() <= 12 * 11 // 2  # sparsity cap N(N-1)/2
-    for algo in ("glms", "sgm-then-glms", "glms-then-sgm"):
+    for algo in ("glms", "sgm-then-glms"):
         other = run_estimation(stream, g, EstimatorConfig(algo, **common))
         assert not other.latent_candidates.any() and not other.latent_survivors.any()
 
@@ -436,7 +448,7 @@ def test_short_stream_dynamic_runs_bind_the_static_graph_once(rng, monkeypatch):
     g = random_graph(rng, 10)
     rows = rng.standard_normal((4, 10))
     stream = ObservationStream(rows, rng.random((4, 10)) < 0.7)
-    for algo in ("dynamic-multihop", "sgm-then-glms", "glms-then-sgm", "glms"):
+    for algo in ("dynamic-multihop", "sgm-then-glms", "glms"):
         binds.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # no latent candidate survives here
@@ -446,23 +458,21 @@ def test_short_stream_dynamic_runs_bind_the_static_graph_once(rng, monkeypatch):
 
 
 def test_steps_without_history_apply_the_static_operator(rng):
-    # until the window fills, the sgm orderings update every run with the
-    # static graph's filter, as glms does; then each run refreshes its own
+    # until the window fills, sgm updates every run with the static graph's
+    # filter, as glms does; then each run refreshes its own
     g = random_graph(rng, 10)
     runs = rng.standard_normal((3, 12, 10))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
     glms = run_estimation(stream, g, EstimatorConfig("glms", window=WindowSpec(8)))
-    twins = []
-    for algo in ("sgm-then-glms", "glms-then-sgm"):
-        trace = run_estimation(stream, g, EstimatorConfig(algo, window=WindowSpec(8)))
-        assert np.array_equal(trace.estimates[:, :8], glms.estimates[:, :8])
-        assert not np.array_equal(trace.estimates[:, 8], glms.estimates[:, 8])
-        twins.append(trace)
-    # both orderings read the history up to t - 1, so they are one estimator
-    # (ALGORITHMS); telling them apart must change this on purpose
-    first, second = twins
-    assert first.estimates.tobytes() == second.estimates.tobytes()
-    assert np.array_equal(first.edge_counts, second.edge_counts)
+    sgm = run_estimation(stream, g, EstimatorConfig("sgm-then-glms", window=WindowSpec(8)))
+    assert np.array_equal(sgm.estimates[:, :8], glms.estimates[:, :8])
+    assert not np.array_equal(sgm.estimates[:, 8], glms.estimates[:, 8])
+
+
+def test_every_algorithm_name_is_its_own_estimator():
+    # two names on one (topology, operator, shaping) point would run one
+    # estimator twice and report it as two baselines
+    assert len(set(ALGORITHMS.values())) == len(ALGORITHMS)
 
 
 def test_sgm_threshold_ignores_the_prune_metric(rng):
@@ -472,15 +482,14 @@ def test_sgm_threshold_ignores_the_prune_metric(rng):
     g = random_graph(rng, 10)
     runs = rng.standard_normal((2, 30, 10))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.8)
-    for algo in ("sgm-then-glms", "glms-then-sgm"):
-        want, got = (
-            run_estimation(stream, g, EstimatorConfig(algo, prune=PruneSpec(0.3, metric),
-                                                      window=WindowSpec(8)))
-            for metric in PRUNE_METRICS
-        )
-        assert got.estimates.tobytes() == want.estimates.tobytes()
-        assert np.array_equal(got.edge_counts, want.edge_counts)
-        assert not np.all(want.edge_counts == g.edge_count)  # the threshold rule ran
+    want, got = (
+        run_estimation(stream, g, EstimatorConfig("sgm-then-glms", prune=PruneSpec(0.3, metric),
+                                                  window=WindowSpec(8)))
+        for metric in PRUNE_METRICS
+    )
+    assert got.estimates.tobytes() == want.estimates.tobytes()
+    assert np.array_equal(got.edge_counts, want.edge_counts)
+    assert not np.all(want.edge_counts == g.edge_count)  # the threshold rule ran
 
 
 def test_ideal_filter_binds_as_configured_at_any_size(rng, monkeypatch):
@@ -607,7 +616,7 @@ def stepwise_reference(stream, g, cfg):
         return merged, (g.edge_count + topo.survivors, topo.candidates, topo.survivors)
 
     def topology(rows):
-        if cfg.algorithm != "dynamic-multihop":  # an sgm ordering
+        if cfg.algorithm != "dynamic-multihop":  # sgm
             corr = window_abs_correlation(rows)
             keep = corr > cfg.prune.threshold
             return np.where(keep, corr, 0.0), (np.count_nonzero(keep) // 2, 0, 0)
@@ -628,7 +637,7 @@ def stepwise_reference(stream, g, cfg):
             return diffusion_operator(laplacian, cfg.diffusion_eps)
         return bind_filter(laplacian, cfg.filter)
 
-    rebinds = cfg.algorithm in ("dynamic-multihop", "sgm-then-glms", "glms-then-sgm")
+    rebinds = cfg.algorithm in ("dynamic-multihop", "sgm-then-glms")
     static_filter = bind(static)
     estimates = np.zeros((steps, n))
     counts = np.zeros((3, steps), dtype=int)
@@ -664,7 +673,6 @@ FIXED = StepSizeRule.fixed(0.5)
     ("dynamic-multihop", PruneSpec(0.005), RULE, True),
     ("dynamic-multihop", PruneSpec(0.015, "correlation"), RULE, True),
     ("sgm-then-glms", PruneSpec(0.6), RULE, False),
-    ("glms-then-sgm", PruneSpec(0.6), RULE, False),
     # the static baselines under a fixed rule: their residual shaping and step
     # size are resolved once per call
     *((static, PruneSpec(0.2), FIXED, False)
@@ -674,8 +682,7 @@ FIXED = StepSizeRule.fixed(0.5)
     ("glms", PruneSpec(0.2), RULE, False),
     ("gsd", PruneSpec(0.2), RULE, False),
 ], ids=["weight-magnitude", "weight-magnitude-survivors", "correlation", "sgm-then-glms",
-        "glms-then-sgm", "glms", "gdlms", "glmp", "gsign", "gsd", "glms-adaptive",
-        "gsd-adaptive"])
+        "glms", "gdlms", "glmp", "gsign", "gsd", "glms-adaptive", "gsd-adaptive"])
 def test_trace_equals_the_step_composed_from_public_pieces(algo, prune, step, survivors, rng):
     g = random_graph(rng, 26, 40)
     truth = rng.standard_normal((60, 26))
@@ -786,8 +793,7 @@ def assert_stack_matches_single_runs(stream, g, cfg, ground_truth=None):
 
 
 def batch_config(algo, **kwargs):
-    prune = {"dynamic-multihop": PruneSpec(0.015, "correlation"),
-             "sgm-then-glms": PruneSpec(0.6), "glms-then-sgm": PruneSpec(0.6)}
+    prune = {"dynamic-multihop": PruneSpec(0.015, "correlation"), "sgm-then-glms": PruneSpec(0.6)}
     kwargs.setdefault("step", StepSizeRule.fixed(0.5))
     return EstimatorConfig(algo, filter=kwargs.pop("filter", FilterSpec(passband_fraction=0.4)),
                            hops=3, prune=prune.get(algo, PruneSpec(0.2)),
@@ -801,7 +807,7 @@ BATCH_CASES = [
     *(pytest.param(batch_config(a, filter=FilterSpec("chebyshev", 0.4, order=6)),
                    id=f"{a}-chebyshev") for a in ("glms", "glmp", "dynamic-multihop")),
     *(pytest.param(batch_config(a, weights_source="ground-truth"), id=f"{a}-ground-truth")
-      for a in ("dynamic-multihop", "glms-then-sgm")),
+      for a in ("dynamic-multihop", "sgm-then-glms")),
     pytest.param(batch_config("dynamic-multihop", refresh_weights=False),
                  id="dynamic-multihop-static-weights"),
 ]

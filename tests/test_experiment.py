@@ -5,7 +5,9 @@ import pytest
 
 from dynhop import EstimatorConfig, FilterSpec, PruneSpec, StepSizeRule, WindowSpec
 from dynhop.harness import (
+    AlgorithmMetrics,
     DatasetSpec,
+    MetricsReport,
     NoiseMaskSpec,
     SplitSpec,
     SyntheticSpec,
@@ -202,6 +204,21 @@ def test_write_reports_layout(tmp_path):
     assert manifest["config"] == {"k": 1}
 
 
+@pytest.mark.parametrize("labels, message", [
+    (["glms", "../escaped"], r"label '\.\./escaped' must match"),
+    (["a", "b", "a"], r"algorithm labels must be unique; repeated: \['a'\]"),
+], ids=["outside-out-dir", "repeated"])
+def test_write_reports_refuses_labels_it_would_misuse(tmp_path, labels, message):
+    # a label names two files: checked before any is written
+    curve = np.ones(3)
+    rep = MetricsReport(np.arange(61, 64), tuple(
+        AlgorithmMetrics(label, curve, curve, runs=1, diverged_runs=0) for label in labels))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        write_reports(rep, out)
+    assert list(tmp_path.rglob("*")) == []
+
+
 # -- preset values ------------------------------------------------------------
 
 def test_brain_preset_protocol_values():
@@ -219,15 +236,15 @@ def test_brain_preset_protocol_values():
     assert dmh["window"] == {"window": 10, "stride": 1}
     fixed = [a for a in cfg["algorithms"] if a["step"]["kind"] == "fixed"]
     assert fixed and all(a["step"]["mu"] == 0.9 for a in fixed)
-    names = [a["algorithm"] for a in cfg["algorithms"]]
-    assert set(names) == {"dynamic-multihop", "glms", "gdlms", "glmp", "gsign", "gsd",
-                          "sgm-then-glms", "glms-then-sgm"}
-    # these entries go into manifest.json: only the sgm orderings carry a
-    # prune, and no static baseline does
+    # each estimator once, in the order of ALGORITHMS
+    for preset in (cfg, stock_preset()):
+        assert [a["algorithm"] for a in preset["algorithms"]] == [
+            "dynamic-multihop", "glms", "gdlms", "glmp", "gsign", "gsd", "sgm-then-glms"]
+    # these entries go into manifest.json: only sgm carries a prune, and no
+    # static baseline does
     pruned = {a["algorithm"]: a["prune"] for a in cfg["algorithms"]
               if "prune" in a and a["algorithm"] != "dynamic-multihop"}
-    assert pruned == {name: {"threshold": 0.8, "metric": "weight-magnitude"}
-                      for name in ("sgm-then-glms", "glms-then-sgm")}
+    assert pruned == {"sgm-then-glms": {"threshold": 0.8, "metric": "weight-magnitude"}}
 
 
 def test_stock_preset_protocol_values():

@@ -88,7 +88,9 @@ def test_ingest_errors_name_the_first_bad_row_in_file_order(tmp_path):
 
 
 def read_curve(path):
+    # every curve the manifest lists is read: give label c a good degree curve
     path.with_name("manifest.json").write_text('{"results": {"c": {}}}')
+    path.with_name("c_degree.csv").write_text("t,avg_degree\n1,2.0\n")
     return read_reports(path.parent)
 
 
