@@ -6,14 +6,11 @@ shaped by a graph operator, scaled by a step size, and added to the running
 estimate. ``ALGORITHMS`` names each algorithm's topology, operator and
 non-linearity.
 
-Every bind of a filter goes through ``bind_filter`` with the configured
-``FilterSpec``, whatever the graph size: kind "ideal-band-limited"
-eigendecomposes every Laplacian it binds to, and kind "chebyshev" is the
-polynomial route (pass fixed ``coefficients`` to keep one response across
-topologies). The diffusion members bind ``diffusion_operator`` instead.
-Both binders, and the ``out=`` contract the loop relies on, live in
-:mod:`dynhop.filters`; ``_bind`` looks them up here, where the benchmark
-traces them.
+Every filter bind goes through ``bind_filter`` with the configured
+``FilterSpec`` at any graph size; the diffusion members bind
+``diffusion_operator``. Both binders, and the ``out=`` contract the loop
+relies on, live in :mod:`dynhop.filters`; ``_bind`` looks them up here,
+where the benchmark traces them.
 
 Divergence (non-finite values, or magnitudes beyond an overflow guard) is
 flagged in the trace; the run keeps going so the blow-up stays visible in
@@ -26,7 +23,8 @@ import math
 import re
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,11 +42,13 @@ from .multihop import PruneSpec, expand_prune_merge
 __all__ = [
     "ALGORITHMS",
     "DIVERGENCE_GUARD",
+    "READS",
     "StepSizeRule",
     "ObservationStream",
     "EstimatorConfig",
     "EstimationTrace",
     "adaptive_mu",
+    "reads",
     "run_estimation",
     "stability_bound",
 ]
@@ -59,9 +59,7 @@ Algorithm = namedtuple("Algorithm", "topology operator shaping")
 #   topology  "static" (the given graph); "multihop" (the static graph plus
 #             the latent multi-hop edges inferred from the estimate history,
 #             re-bound every step); "threshold" (the pairs whose windowed
-#             |correlation| passes the prune threshold, every step; it reads
-#             no prune metric, so "weight-magnitude" thresholds |correlation|
-#             too).
+#             |correlation| passes the prune threshold, every step).
 #   operator  "filter" (the configured spectral filter) or "diffusion" (one
 #             step of I - eps L, ``filters.diffusion_operator``).
 #   shaping   of the residual e: None (identity), "signed-power"
@@ -77,6 +75,20 @@ ALGORITHMS = {
     "gsign": Algorithm("static", "filter", "sign"),
     "gsd": Algorithm("static", "diffusion", "sign"),
     "sgm-then-glms": Algorithm("threshold", "filter", None),
+}
+
+# The EstimatorConfig settings that each axis value reads, as key paths
+# ("prune.threshold" is one field of "prune"); every entry also reads
+# algorithm, step and label, and keeps every other setting at its default.
+# Multihop with refresh_weights=False scores no window, so it reads the
+# "pinned" row: no window, weights source or correlation metric.
+READS = {
+    "multihop": ("hops", "prune", "refresh_weights", "window", "weights_source"),
+    "pinned": ("hops", "prune.threshold", "refresh_weights"),
+    "threshold": ("prune.threshold", "window", "weights_source"),
+    "filter": ("filter",),
+    "diffusion": ("diffusion_eps",),
+    "signed-power": ("p_exponent",),
 }
 
 # labels name report files, so they may not carry path separators or start a
@@ -211,19 +223,13 @@ class ObservationStream:
 class EstimatorConfig:
     """Full description of one estimation algorithm run.
 
-    ``refresh_weights`` is read only by dynamic-multihop: False pins it to
-    the static graph's weights, so its topology is built once per call
-    (useful as a reduction check: hops=1 with static weights must reproduce
-    glms exactly). sgm always refreshes. A surviving latent edge
-    of dynamic-multihop is weighted by its ``prune`` score: its power
-    magnitude, or with the "correlation" metric its endpoints' windowed
-    |correlation|. ``weights_source`` selects whether windowed correlations
-    are computed on the running estimates (deployment setting) or on a
-    supplied ground-truth history. A setting the algorithm never reads is an
-    error: ``refresh_weights=False`` on any other algorithm, and
-    "ground-truth" where no history window is scored (the static baselines,
-    and pinned dynamic-multihop). ``label`` (default: the algorithm name)
-    names the report files, so it must match ``LABEL``.
+    ``refresh_weights=False`` pins dynamic-multihop to the static graph's
+    weights (hops=1 then reproduces glms exactly). A latent edge is weighted
+    by its ``prune`` score: its power magnitude, or the windowed
+    |correlation| of its endpoints on the estimates or, with
+    ``weights_source="ground-truth"``, on a supplied history. A setting that
+    the entry's axes do not read (``READS``) must keep its default.
+    ``label`` (default: the algorithm name) names the report files.
     """
 
     algorithm: str
@@ -243,9 +249,12 @@ class EstimatorConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}"
             )
-        p = self.p_exponent
-        signed_power = ALGORITHMS[self.algorithm].shaping == "signed-power"
-        if signed_power and (p is None or not 1.0 < p <= 2.0):
+        entry = _entry(self.algorithm, self.refresh_weights)
+        for path, get, default in _UNREAD[entry]:
+            if get(self) != default:
+                raise ValueError(f"{entry} reads no {path}, got {get(self)!r}")
+        p = self.p_exponent  # the default where glmp is not the algorithm
+        if p is None or not 1.0 < p <= 2.0:
             raise ValueError(f"glmp exponent must lie in (1, 2], got {p}")
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
@@ -253,25 +262,41 @@ class EstimatorConfig:
             raise ValueError(f"diffusion_eps must be finite, got {self.diffusion_eps}")
         if self.weights_source not in ("estimates", "ground-truth"):
             raise ValueError(f"unknown weights_source {self.weights_source!r}")
-        topology = ALGORITHMS[self.algorithm].topology
-        if not self.refresh_weights and topology != "multihop":
-            raise ValueError(
-                f"{self.algorithm} reads no refresh_weights=False; only dynamic-multihop pins "
-                "its weights"
-            )
-        scored = topology != "static" and self.refresh_weights
-        if self.weights_source == "ground-truth" and not scored:
-            pinned = " with refresh_weights=False" if topology == "multihop" else ""
-            raise ValueError(
-                f"{self.algorithm}{pinned} reads no weights_source='ground-truth'; it scores no "
-                "history window"
-            )
         if self.label is not None:
             _check_label(self.label)
 
     @property
     def name(self) -> str:
         return self.label if self.label is not None else self.algorithm
+
+
+def _unread(axes: Sequence[str | None]) -> tuple[tuple[str, Callable, object], ...]:
+    """(key path, getter, default) of each setting that no axis in ``axes`` reads."""
+    reads = {"algorithm", "step", "label"}.union(*(READS.get(axis, ()) for axis in axes))
+    paths = {f.name: f.default for f in fields(EstimatorConfig)}
+    for name in sorted({path.split(".")[0] for path in reads if "." in path}):  # read in part
+        spec = paths.pop(name)
+        paths.update({f"{name}.{sub.name}": getattr(spec, sub.name) for sub in fields(spec)})
+    return tuple((p, attrgetter(p), value) for p, value in paths.items() if p not in reads)
+
+
+# the settings each entry does not read, keyed by the name its errors give it
+_UNREAD = {name: _unread(axes) for name, axes in ALGORITHMS.items()} | {
+    f"{name} with refresh_weights=False": _unread(("pinned", *axes[1:]))
+    for name, axes in ALGORITHMS.items() if axes.topology == "multihop"
+}
+
+
+def _entry(algorithm: str, refresh_weights: bool) -> str:
+    """The ``_UNREAD`` key of an entry: its algorithm, with the pin of a pinned topology."""
+    pinned = f"{algorithm} with refresh_weights=False"
+    return algorithm if refresh_weights or pinned not in _UNREAD else pinned
+
+
+def reads(algorithm: str, path: str, refresh_weights: bool = True) -> bool:
+    """Whether an entry of ``algorithm`` reads key path ``path``, e.g. "window.window"."""
+    unread = _UNREAD[_entry(algorithm, refresh_weights)]
+    return not any(path == u or path.startswith(f"{u}.") for u, _, _ in unread)
 
 
 @dataclass(frozen=True)
@@ -398,14 +423,11 @@ def _topology_rule(
     ``rebuild`` is None when history never changes the topology: for the
     static baselines, and for dynamic-multihop with ``refresh_weights=False``.
 
-    Every rule scores its window once, through the one (N, N) window kernel
-    of ``edge_dynamics``. sgm and dynamic-multihop with the "correlation"
-    prune metric read every pair: they take the matrix from
-    ``window_abs_correlation``, which gives dynamic-multihop both its
-    base-edge weights and its latent scores. With "weight-magnitude",
-    dynamic-multihop reads only its base-edge weights: it asks
-    ``sliding_abs_correlation`` for the E base edges, which reads them from
-    the same matrix, so the weights have the bits of the correlation rule's.
+    Every rule scores its window once. sgm and dynamic-multihop with the
+    "correlation" metric read every pair from ``window_abs_correlation``
+    (dynamic-multihop its base-edge weights and latent scores). With
+    "weight-magnitude", dynamic-multihop reads only the E base edges from
+    ``sliding_abs_correlation``, which has the bits of the same matrix.
     """
     weights = g.adjacency()
     topology = ALGORITHMS[cfg.algorithm].topology
@@ -455,28 +477,6 @@ def _topology_rule(
     return static, correlation_thresholded
 
 
-def _no_survivor_message(cfg: EstimatorConfig) -> str:
-    """Why a dynamic-multihop run kept no latent edge at any step."""
-    if cfg.refresh_weights:
-        return (
-            f"{cfg.name}: prune threshold {cfg.prune.threshold} ({cfg.prune.metric}) kept none "
-            "of the latent candidates at any step; the run reduces to re-weighted glms"
-        )
-    if cfg.prune.metric == "correlation":
-        # without refreshed weights no window is scored: every latent score is
-        # 0, which no threshold (all are >= 0) lets through
-        return (
-            f"{cfg.name}: refresh_weights=False scores every latent candidate 0 under the "
-            "correlation metric, so none survives whatever the prune threshold; the run "
-            "reduces to glms on the static graph"
-        )
-    return (
-        f"{cfg.name}: prune threshold {cfg.prune.threshold} (weight-magnitude) kept none of "
-        "the latent candidates of the static graph; with refresh_weights=False the run "
-        "reduces to glms on the static graph"
-    )
-
-
 def run_estimation(
     stream: ObservationStream,
     g: StaticGraph,
@@ -495,10 +495,7 @@ def run_estimation(
     history the dynamic family rebuilds that run's topology from its
     strictly causal history and re-binds the filter; the no-history
     operator is applied only to the runs without usable history.
-    ``refresh_weights`` is read only by dynamic-multihop, whose topology
-    never changes when it is False; sgm always refreshes.
-    ``ground_truth`` is only consulted when
-    ``cfg.weights_source == "ground-truth"``.
+    ``ground_truth`` is only consulted when ``weights_source="ground-truth"``.
 
     A step computes only what it reads. What no step changes is resolved
     once per call: the residual shaping (none for the least-squares
@@ -506,17 +503,14 @@ def run_estimation(
     the residual-adaptive rule takes each step's residual norms, each with
     the bits of ``np.linalg.norm``, and sizes each run's step from them.
 
-    The loop owns its buffers: each call allocates one (R, N) residual, one
-    shaped residual (none for the least-squares members, which shape
-    nothing), one filtered residual and the running estimate, and every
-    step overwrites them in place. The bound operator writes into the
-    filtered buffer through its ``out=`` argument; a dynamic algorithm
-    makes one operator call per run, re-bound or no-history, into the
-    run's own row. The scaled step is added to the running estimate,
-    which is then copied into the step's row of the trace. So a static step
-    allocates no array but glmp's ``np.sign`` of the residual. The
-    unobserved mask is built once per call, step-major like the stream
-    of :meth:`ObservationStream.stack`, so each step reads contiguous rows.
+    The loop owns its (R, N) buffers, which every step overwrites: the
+    residual, the shaped residual (none for the least-squares members), the
+    filtered residual, which the bound operator writes through ``out=`` (a
+    dynamic algorithm's one call per run into the run's own row), and the
+    running estimate, copied into the step's row of the trace. So a static
+    step allocates no array but glmp's ``np.sign`` of the residual. The
+    unobserved mask is built once per call, step-major like
+    :meth:`ObservationStream.stack`, so each step reads contiguous rows.
     """
     n = g.node_count
     t_total = stream.steps
@@ -598,7 +592,11 @@ def run_estimation(
     if ALGORITHMS[cfg.algorithm].topology == "multihop" and np.any(
         latent_candidates.any(axis=1) & ~latent_survivors.any(axis=1)
     ):
-        warnings.warn(_no_survivor_message(cfg), stacklevel=2)
+        reduces = "at any step; the run reduces to re-weighted glms" if cfg.refresh_weights else (
+            "of the static graph; with refresh_weights=False the run reduces to glms on the "
+            "static graph")
+        warnings.warn(f"{cfg.name}: prune threshold {cfg.prune.threshold} ({cfg.prune.metric}) "
+                      f"kept none of the latent candidates {reduces}", stacklevel=2)
 
     # a run diverges at its first non-finite estimate or one beyond the
     # guard (NaN fails both comparisons, and each infinity one of them)

@@ -8,8 +8,9 @@ passes nothing, so the spec's own default applies; a bad ``synth`` or
 
 Each ``run`` flag that writes one config key is a row (flag, type, key path)
 of ``NOISE_FLAGS`` or ``ENTRY_FLAGS``, which the parser, its help and
-``_apply_overrides`` read; a flag never repairs a section that is not a JSON
-object. The step flags stay explicit: their target depends on the step kind.
+``_apply_overrides`` read. An entry flag writes only the entries that read
+its key; no flag repairs a section that is not a JSON object. The step
+flags stay explicit: their target depends on the step kind.
 
 Exit codes: 0 success, 2 configuration error (an output directory that is
 a file included), 3 data error (any ``OSError`` included), 4 every single
@@ -26,6 +27,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from ..edge_dynamics import NodeSignalSeries
+from ..estimators import ALGORITHMS, reads
 from ..graphs import graph_to_csv
 from .config import ConfigError, _build, deep_merge, load_config, resolve_config
 from .data import DataError, GraphBuildSpec, build_initial_graph, ingest_csv, series_to_csv
@@ -96,7 +98,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
 
 
 # one row per `run` flag that writes one config key: (flag, type, key path),
-# from the top of the config for NOISE_FLAGS and from each algorithm entry for ENTRY_FLAGS
+# from the top of the config (NOISE_FLAGS) or each entry that reads it (ENTRY_FLAGS)
 NOISE_FLAGS = (
     ("--seed", int, "noise.seed"),
     ("--snr", float, "noise.snr"),
@@ -132,7 +134,9 @@ def _put_flags(section: dict, table, args: argparse.Namespace) -> dict:
 
 
 def _override_algorithm(entry: dict, args: argparse.Namespace) -> dict:
-    entry = _put_flags(entry, ENTRY_FLAGS, args)
+    name, pinned = entry.get("algorithm"), entry.get("refresh_weights") is False
+    if isinstance(name, str) and name in ALGORITHMS:  # else resolve_config rejects the name
+        entry = _put_flags(entry, [f for f in ENTRY_FLAGS if reads(name, f[2], not pinned)], args)
     # the step flags' target depends on the step's kind
     step = {} if entry.get("step") is None else entry["step"]
     kind = step.get("kind", "fixed") if isinstance(step, dict) else None
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--preset", choices=sorted(PRESETS), default=None)
     run.add_argument("--out-dir", default=None)
     # a table flag's value lands at args.<key path>
-    for table, where in ((NOISE_FLAGS, ""), (ENTRY_FLAGS, " in every algorithm entry")):
+    for table, where in ((NOISE_FLAGS, ""), (ENTRY_FLAGS, " in every entry that reads it")):
         for flag, type_, path in table:
             run.add_argument(flag, type=type_, dest=path, metavar=type_.__name__.upper(),
                              help=f"set {path}{where}")

@@ -220,16 +220,14 @@ def expand_prune_merge(
     laplacian = adjacency_laplacian(adjacency)
     normalized = spectral_normalize(laplacian) if hops >= 2 else None
     if normalized is None:  # no hop to expand, or no edge to diffuse along
-        n = adjacency.shape[0]
-        order, magnitude = np.zeros((n, n), dtype=int), np.zeros((n, n))
-    else:
-        order, magnitude = _expand(normalized, base, hops)
-    rows, cols = np.nonzero(order)
-    latent = (scores if correlation else magnitude)[rows, cols]
-    if correlation and not np.all(latent >= 0):  # NaN fails too
+        return LatentTopology(laplacian, 0, np.empty((0, 2), np.intp), np.empty(0, int), np.empty(0))
+    order, magnitude = _expand(normalized, base, hops)
+    latent = order > 0
+    score = scores if correlation else magnitude
+    if correlation and not np.all((score >= 0) | ~latent):  # NaN fails too
         raise ValueError("latent candidate scores must be >= 0")
-    keep = prune_spec.survives(latent)
-    kept_rows, kept_cols, weights = rows[keep], cols[keep], latent[keep]
+    kept_rows, kept_cols = np.nonzero(latent & prune_spec.survives(score))
+    weights = score[kept_rows, kept_cols]
     if kept_rows.size:
         merged = adjacency.copy()
         merged[kept_rows, kept_cols] = merged[kept_cols, kept_rows] = weights
@@ -237,7 +235,7 @@ def expand_prune_merge(
     # else the merged adjacency is the input, and so is its Laplacian
     return LatentTopology(
         laplacian,
-        candidates=rows.size,
+        candidates=int(np.count_nonzero(order)),
         pairs=np.array((kept_rows, kept_cols)).T,  # a cheaper call than np.stack
         orders=order[kept_rows, kept_cols],
         weights=weights,

@@ -18,6 +18,7 @@ from dynhop.harness import cli, experiment
 from dynhop.harness.cli import main
 from dynhop.harness.config import (ConfigError, ResolvedConfig, _reader, _schema, deep_merge,
                                    load_config, resolve_config)
+from dynhop.estimators import reads
 from dynhop.harness.experiment import brain_preset, stock_preset
 
 
@@ -225,26 +226,67 @@ OBJECT = "must be a JSON object"
     ("bad algorithms[0].filter: kind 'ideal-band-limited' reads no coefficients",
      {"algorithms": [{"algorithm": "glms", "filter": {"coefficients": [1.0] * 13}}]}, []),
     # a setting the algorithm never reads
-    ("bad algorithms[0]: sgm-then-glms reads no refresh_weights=False; only dynamic-multihop "
-     "pins its weights", {"algorithms": [{"algorithm": "sgm-then-glms", "refresh_weights": False}]},
-     []),
-    ("bad algorithms[0]: gsd reads no weights_source='ground-truth'; it scores no history window",
+    ("bad algorithms[0]: sgm-then-glms reads no refresh_weights, got False",
+     {"algorithms": [{"algorithm": "sgm-then-glms", "refresh_weights": False}]}, []),
+    ("bad algorithms[0]: gsd reads no weights_source, got 'ground-truth'",
      {"algorithms": [{"algorithm": "gsd", "weights_source": "ground-truth"}]}, []),
-    ("bad algorithms[0]: dynamic-multihop with refresh_weights=False reads no "
-     "weights_source='ground-truth'; it scores no history window",
-     dmh(refresh_weights=False, weights_source="ground-truth"), []),
+    ("bad algorithms[0]: dynamic-multihop with refresh_weights=False reads no weights_source, "
+     "got 'ground-truth'", dmh(refresh_weights=False, weights_source="ground-truth"), []),
+    ("bad algorithms[0]: dynamic-multihop with refresh_weights=False reads no prune.metric, "
+     "got 'correlation'", dmh(refresh_weights=False, prune={"threshold": 0.0,
+                                                           "metric": "correlation"}), []),
+    ("bad algorithms[0]: glms reads no diffusion_eps, got 0.5",
+     {"algorithms": [{"algorithm": "glms", "diffusion_eps": 0.5}]}, []),
 ], ids=["prune", "window", "step", "filter-string", "coefficient-string", "coefficients-number",
         "noise-list", "splits-number", "algorithm-string", "switch-time-string",
         "prune-with-tau", "window-with-window", "step-with-mu", "step-with-mu-min",
         "noise-list-with-seed", "fixed-step-with-mu-max", "adaptive-step-with-mu",
         "ideal-filter-with-coefficients", "sgm-with-pinned-weights",
-        "static-with-ground-truth", "pinned-with-ground-truth"])
+        "static-with-ground-truth", "pinned-with-ground-truth", "pinned-with-correlation",
+        "glms-with-diffusion-eps"])
 def test_malformed_sections_are_config_errors(tmp_path, capsys, message, overrides, flags):
     cfg = run_config(tmp_path, **overrides)
     argv = ["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]
     assert main(argv + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+# per key path of an algorithm entry: its setting, and a JSON value of that
+# setting that differs from the default at that key alone
+KEY_PATHS = {
+    "filter": ("filter", {"passband_fraction": 0.5}),
+    "hops": ("hops", 3),
+    "prune.threshold": ("prune", {"threshold": 0.5}),
+    "prune.metric": ("prune", {"threshold": 0.2, "metric": "correlation"}),
+    "window": ("window", {"window": 5}),
+    "p_exponent": ("p_exponent", 2.0),
+    "diffusion_eps": ("diffusion_eps", 0.5),
+    "refresh_weights": ("refresh_weights", False),
+    "weights_source": ("weights_source", "ground-truth"),
+}
+
+
+@pytest.mark.parametrize("algorithm, pinned", [
+    *((name, False) for name in dynhop.ALGORITHMS), ("dynamic-multihop", True),
+], ids=[*dynhop.ALGORITHMS, "dynamic-multihop-pinned"])
+def test_a_setting_the_entry_does_not_read_exits_2_naming_the_entry(
+        tmp_path, capsys, algorithm, pinned):
+    pin = {"refresh_weights": False} if pinned else {}
+    for path, (setting, value) in KEY_PATHS.items():
+        if setting in pin:
+            continue
+        entry = {"algorithm": algorithm, "label": "tested", **pin, setting: value}
+        cfg = run_config(tmp_path, algorithms=[{"algorithm": "glms"}, entry])
+        if reads(algorithm, path, not pinned):
+            resolve_config(cfg["raw"])  # accepted
+            continue
+        assert main(["run", "--config", str(cfg["path"]), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        named = path if reads(algorithm, setting, not pinned) else setting  # read in part
+        assert err.startswith("config error: bad algorithms[1]: "), (path, err)
+        assert f" reads no {named}, got " in err, (path, err)
+        assert not (tmp_path / "o").exists()
 
 
 def test_config_without_noise_is_config_error_naming_the_section(tmp_path, capsys):
@@ -496,8 +538,9 @@ def test_run_flags_write_what_the_same_config_file_writes(tmp_path):
     manifest = json.loads((flagged / "manifest.json").read_text())
     dmh, glms = manifest["config"]["algorithms"]
     assert manifest["config"]["noise"]["snr"] == 10.0 and manifest["config"]["noise"]["snr_in_db"]
-    assert dmh["hops"] == glms["hops"] == 2
-    assert dmh["window"] == {"window": 6, "stride": 1} and glms["window"] == {"window": 6}
+    # glms reads neither key, so the flags leave its entry alone
+    assert dmh["hops"] == 2 and "hops" not in glms
+    assert dmh["window"] == {"window": 6, "stride": 1} and "window" not in glms
     assert dmh["step"] == {"kind": "residual-adaptive", "mu_min": 0.5, "mu_max": 2.0}
     assert glms["step"] == {"kind": "fixed", "mu": 0.9}  # the bounds leave a fixed step alone
 
@@ -507,6 +550,43 @@ def test_run_flags_write_what_the_same_config_file_writes(tmp_path):
     assert main(["run", "--config", str(written["path"]), "--out-dir", str(direct)]) == 0
     for name in ("dynamic-multihop_mse.csv", "glms_mse.csv", "dynamic-multihop_degree.csv"):
         assert (flagged / name).read_bytes() == (direct / name).read_bytes()
+
+
+def test_entry_flags_write_only_the_entries_that_read_their_key(tmp_path):
+    # under the stock protocol glms reads no hops, prune or window: the flags
+    # leave its preset entry as it is (its window is the default one, which
+    # it does not read) and write all three into dynamic-multihop's
+    data = tmp_path / "data"
+    main(["synth", "--out-dir", str(data), "--steps", "80", "--nodes", "12", "--edges", "16"])
+    overlay = {"dataset": {"series_csv": str(data / "series.csv"),
+                           "splits": {"train": [1, 30], "validation": [31, 40],
+                                      "test": [41, 80]}},
+               "noise": {"runs": 1}}
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps(overlay))
+    flagged = tmp_path / "flagged"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the prune may keep no latent edge here
+        assert main(["run", "--preset", "stock", "--config", str(path), "--out-dir", str(flagged),
+                     "--algo", "glms", "--algo", "dynamic-multihop",
+                     "--hops", "2", "--tau", "0.05", "--window", "6"]) == 0
+    glms, dmh = json.loads((flagged / "manifest.json").read_text())["config"]["algorithms"]
+    preset = {a["algorithm"]: a for a in stock_preset()["algorithms"]}
+    assert glms == preset["glms"] and "hops" not in glms and "prune" not in glms
+    assert dmh == {**preset["dynamic-multihop"], "hops": 2,
+                   "prune": {**preset["dynamic-multihop"]["prune"], "threshold": 0.05},
+                   "window": {"window": 6, "stride": 1}}
+
+    written = tmp_path / "written.json"
+    written.write_text(json.dumps({**deep_merge(stock_preset(), overlay), "algorithms": [glms, dmh]}))
+    direct = tmp_path / "direct"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", "--config", str(written), "--out-dir", str(direct)]) == 0
+    for label in ("glms", "dynamic-multihop"):
+        for curve in ("mse", "degree"):
+            name = f"{label}_{curve}.csv"
+            assert (flagged / name).read_bytes() == (direct / name).read_bytes()
 
 
 def test_run_seed_missing_frac_and_mu_flags(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -136,7 +137,8 @@ def test_pnorm_exponent_validated():
     for p in (2.5, 1.0, 0.5, math.nan, math.inf, None):
         with pytest.raises(ValueError, match=r"glmp exponent must lie in \(1, 2\]"):
             EstimatorConfig("glmp", p_exponent=p)
-        EstimatorConfig("glms", p_exponent=p)  # read by glmp alone
+        with pytest.raises(ValueError, match="^glms reads no p_exponent, got "):
+            EstimatorConfig("glms", p_exponent=p)  # read by glmp alone
 
 
 # -- diffusion operator ------------------------------------------------------------
@@ -258,9 +260,11 @@ def test_linear_algorithms_converge_noiseless(algo, rng):
     g = random_graph(rng, 12)
     truth = bandlimited_vector(g, 0.4, rng)
     stream = constant_stream(truth, 500)
-    cfg = EstimatorConfig(algo, filter=FilterSpec(passband_fraction=0.4),
-                          step=StepSizeRule.fixed(0.9), hops=2,
-                          prune=PruneSpec(0.05), window=WindowSpec(5, 1))
+    # each setting where the algorithm reads it; the filter is the default
+    # 0.4 low-pass, the band of the truth
+    scored = dict(prune=PruneSpec(0.05), window=WindowSpec(5, 1))
+    read = {"dynamic-multihop": dict(hops=2, **scored), "sgm-then-glms": scored}
+    cfg = EstimatorConfig(algo, step=StepSizeRule.fixed(0.9), **read.get(algo, {}))
     trace = run_estimation(stream, g, cfg)
     final_err = np.linalg.norm(trace.estimates[-1] - truth)
     assert final_err < 1e-6
@@ -275,8 +279,9 @@ def test_nonlinear_algorithms_match_update_map_oracle(algo, rng):
     lap = build_laplacian(g)
     truth = bandlimited_vector(g, 0.5, rng)
     stream = constant_stream(truth, 80)
-    cfg = EstimatorConfig(algo, filter=FilterSpec(passband_fraction=0.5),
-                          step=StepSizeRule.fixed(0.2), p_exponent=1.5)
+    # gsd diffuses: it reads no filter
+    filt = {} if algo == "gsd" else dict(filter=FilterSpec(passband_fraction=0.5))
+    cfg = EstimatorConfig(algo, step=StepSizeRule.fixed(0.2), **filt)
     trace = run_estimation(stream, g, cfg)
 
     if algo == "gsd":
@@ -315,8 +320,7 @@ def test_reduction_single_hop_static_weights_equals_glms(rng):
     truth_rows = rng.standard_normal((40, 9))
     mask = rng.random((40, 9)) < 0.8
     stream = ObservationStream(truth_rows, mask)
-    common = dict(filter=FilterSpec(passband_fraction=0.4), step=RULE,
-                  window=WindowSpec(5, 1))
+    common = dict(filter=FilterSpec(passband_fraction=0.4), step=RULE)
     dmh = EstimatorConfig("dynamic-multihop", hops=1, refresh_weights=False,
                           prune=PruneSpec(0.1), **common)
     glms = EstimatorConfig("glms", **common)
@@ -372,24 +376,99 @@ def test_config_validation():
         EstimatorConfig("unknown-algo")
     with pytest.raises(ValueError):
         EstimatorConfig("glmp", p_exponent=2.5)
-    with pytest.raises(ValueError):
-        EstimatorConfig("glms", hops=0)
+    with pytest.raises(ValueError, match="hops must be >= 1"):
+        EstimatorConfig("dynamic-multihop", hops=0)
     with pytest.raises(ValueError, match="unknown weights_source 'truth'"):
         EstimatorConfig("dynamic-multihop", weights_source="truth")
     # a setting the algorithm never reads
     for algo in ("glms", "gsd", "sgm-then-glms"):
-        with pytest.raises(ValueError, match=f"^{algo} reads no refresh_weights=False; only "
-                                             "dynamic-multihop pins its weights$"):
+        with pytest.raises(ValueError, match=f"^{algo} reads no refresh_weights, got False$"):
             EstimatorConfig(algo, refresh_weights=False)
     for algo, refresh, named in (("glms", True, "glms"), ("gdlms", True, "gdlms"),
                                  ("dynamic-multihop", False,
                                   "dynamic-multihop with refresh_weights=False")):
-        with pytest.raises(ValueError, match=f"^{named} reads no weights_source='ground-truth'; "
-                                             "it scores no history window$"):
+        with pytest.raises(ValueError, match=f"^{named} reads no weights_source, "
+                                             "got 'ground-truth'$"):
             EstimatorConfig(algo, refresh_weights=refresh, weights_source="ground-truth")
     EstimatorConfig("sgm-then-glms", weights_source="ground-truth")
+    # pinned weights score no window, so no correlation either: no threshold
+    # could keep a latent edge
+    with pytest.raises(ValueError, match="^dynamic-multihop with refresh_weights=False reads "
+                                         "no prune.metric, got 'correlation'$"):
+        EstimatorConfig("dynamic-multihop", prune=PruneSpec(0.0, "correlation"),
+                        refresh_weights=False)
     with pytest.raises(TypeError, match="latent_weight"):
         EstimatorConfig("dynamic-multihop", latent_weight="score")
+
+
+# the settings, as key paths, that each entry reads besides algorithm, step
+# and label, which every entry reads
+ENTRY_READS = {
+    "dynamic-multihop": {"filter", "hops", "prune.threshold", "prune.metric", "window",
+                         "refresh_weights", "weights_source"},
+    "dynamic-multihop with refresh_weights=False": {"filter", "hops", "prune.threshold",
+                                                    "refresh_weights"},
+    "glms": {"filter"},
+    "gdlms": {"diffusion_eps"},
+    "glmp": {"filter", "p_exponent"},
+    "gsign": {"filter"},
+    "gsd": {"diffusion_eps"},
+    "sgm-then-glms": {"filter", "prune.threshold", "window", "weights_source"},
+}
+# a valid value of each setting other than its default
+NON_DEFAULT = {
+    "filter": FilterSpec(passband_fraction=0.5),
+    "step": StepSizeRule.fixed(0.5),
+    "hops": 3,
+    "prune.threshold": PruneSpec(0.5),
+    "prune.metric": PruneSpec(0.2, "correlation"),
+    "window": WindowSpec(5),
+    "p_exponent": 2.0,
+    "diffusion_eps": 0.5,
+    "refresh_weights": False,
+    "weights_source": "ground-truth",
+    "label": "renamed",
+}
+
+
+def test_the_read_table_covers_every_algorithm_and_setting():
+    assert set(ENTRY_READS) - {"dynamic-multihop with refresh_weights=False"} == set(ALGORITHMS)
+    settings = {f.name: f.default for f in dataclasses.fields(EstimatorConfig)}
+    assert {path.split(".")[0] for path in NON_DEFAULT} == settings.keys() - {"algorithm"}
+    for path, value in NON_DEFAULT.items():
+        assert value != settings[path.split(".")[0]], path
+
+
+@pytest.mark.parametrize("entry, path", [
+    (entry, path) for entry in ENTRY_READS for path in NON_DEFAULT
+    if not (" with " in entry and path == "refresh_weights")  # the pin itself
+])
+def test_a_non_default_setting_is_accepted_exactly_where_it_is_read(entry, path):
+    algorithm, _, pin = entry.partition(" with ")
+    pinned = {"refresh_weights": False} if pin else {}
+    setting = path.split(".")[0]
+    read = path in ENTRY_READS[entry] | {"step", "label"}
+    value = NON_DEFAULT[path]
+    assert estimators.reads(algorithm, path, not pin) == read
+    if read:
+        assert getattr(EstimatorConfig(algorithm, **pinned, **{setting: value}), setting) == value
+    else:
+        # the error names the field where the entry reads the rest of its setting
+        part = any(p.startswith(f"{setting}.") for p in ENTRY_READS[entry])
+        named, got = (path, getattr(value, path.split(".")[1])) if part else (setting, value)
+        message = f"{entry} reads no {named}, got {got!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EstimatorConfig(algorithm, **pinned, **{setting: value})
+
+
+def test_a_key_inside_a_setting_is_read_where_the_setting_is():
+    # the run flags' key paths: --window writes window.window, --tau prune.threshold
+    for entry, paths in ENTRY_READS.items():
+        algorithm, _, pin = entry.partition(" with ")
+        assert estimators.reads(algorithm, "window.window", not pin) == ("window" in paths)
+        assert estimators.reads(algorithm, "window.stride", not pin) == ("window" in paths)
+        assert estimators.reads(algorithm, "prune.threshold", not pin) == (
+            "prune.threshold" in paths)
 
 
 def test_label_must_be_a_plain_file_name():
@@ -423,7 +502,7 @@ def test_trace_counts_latent_candidates_and_survivors(rng):
         assert not other.latent_candidates.any() and not other.latent_survivors.any()
 
 
-def test_dynamic_rebinding_above_exact_size_limit(rng):
+def test_ideal_filter_rebound_at_210_nodes_stays_finite(rng):
     # per-step topology re-binding of the ideal filter stays finite on a
     # graph above 200 nodes
     g = random_graph(rng, 210, 360)
@@ -463,7 +542,7 @@ def test_steps_without_history_apply_the_static_operator(rng):
     g = random_graph(rng, 10)
     runs = rng.standard_normal((3, 12, 10))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
-    glms = run_estimation(stream, g, EstimatorConfig("glms", window=WindowSpec(8)))
+    glms = run_estimation(stream, g, EstimatorConfig("glms"))
     sgm = run_estimation(stream, g, EstimatorConfig("sgm-then-glms", window=WindowSpec(8)))
     assert np.array_equal(sgm.estimates[:, :8], glms.estimates[:, :8])
     assert not np.array_equal(sgm.estimates[:, 8], glms.estimates[:, 8])
@@ -475,21 +554,20 @@ def test_every_algorithm_name_is_its_own_estimator():
     assert len(set(ALGORITHMS.values())) == len(ALGORITHMS)
 
 
-def test_sgm_threshold_ignores_the_prune_metric(rng):
+def test_sgm_threshold_reads_no_prune_metric(rng):
     # the sgm rule keeps the pairs whose windowed |correlation| passes
-    # prune.threshold under either metric name, so the presets' sgm rows,
-    # which name "weight-magnitude", trace the "correlation" rule bit for bit
+    # prune.threshold; a prune metric other than the default names a rule
+    # that sgm never runs, so it is refused
+    with pytest.raises(ValueError,
+                       match="^sgm-then-glms reads no prune.metric, got 'correlation'$"):
+        EstimatorConfig("sgm-then-glms", prune=PruneSpec(0.3, "correlation"))
     g = random_graph(rng, 10)
     runs = rng.standard_normal((2, 30, 10))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.8)
-    want, got = (
-        run_estimation(stream, g, EstimatorConfig("sgm-then-glms", prune=PruneSpec(0.3, metric),
-                                                  window=WindowSpec(8)))
-        for metric in PRUNE_METRICS
-    )
-    assert got.estimates.tobytes() == want.estimates.tobytes()
-    assert np.array_equal(got.edge_counts, want.edge_counts)
-    assert not np.all(want.edge_counts == g.edge_count)  # the threshold rule ran
+    cfg = EstimatorConfig("sgm-then-glms", prune=PruneSpec(0.3), window=WindowSpec(8))
+    assert cfg.prune.metric == PRUNE_METRICS[0]  # the default
+    trace = run_estimation(stream, g, cfg)
+    assert not np.all(trace.edge_counts == g.edge_count)  # the threshold rule ran
 
 
 def test_ideal_filter_binds_as_configured_at_any_size(rng, monkeypatch):
@@ -526,11 +604,12 @@ def test_no_history_topology_is_built_once_per_call(rng, monkeypatch, refresh):
     g = random_graph(rng, 12, 14)
     runs = rng.standard_normal((3, 20, 12))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
-    cfg = EstimatorConfig("dynamic-multihop", step=StepSizeRule.fixed(0.5), hops=3,
-                          prune=PruneSpec(0.015, "correlation"), window=WindowSpec(5, 1),
-                          refresh_weights=refresh)
+    # pinned weights score no window: no window setting, no correlation metric
+    scored = dict(prune=PruneSpec(0.015, "correlation"), window=WindowSpec(5, 1))
+    read = scored if refresh else dict(prune=PruneSpec(0.015), refresh_weights=False)
+    cfg = EstimatorConfig("dynamic-multihop", step=StepSizeRule.fixed(0.5), hops=3, **read)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # static weights keep no latent candidate
+        warnings.simplefilter("ignore")  # the prune may keep no latent candidate
         trace = run_estimation(stream, g, cfg)
     assert not any(trace.diverged)
     assert len(builds) == (1 + 3 * (20 - 5) if refresh else 1)
@@ -555,8 +634,10 @@ def test_one_correlation_pass_per_run_and_step_with_history(algo, rng, monkeypat
     g = random_graph(rng, 12, 14)
     runs = rng.standard_normal((3, 20, 12))
     stream = ObservationStream(runs, rng.random(runs.shape) < 0.7)
-    cfg = EstimatorConfig(algo, step=StepSizeRule.fixed(0.5), hops=3,
-                          prune=PruneSpec(0.015, "correlation"), window=WindowSpec(5, 1))
+    # sgm reads the threshold alone: no hops, no prune metric
+    read = dict(hops=3, prune=PruneSpec(0.015, "correlation")) if algo == "dynamic-multihop" \
+        else dict(prune=PruneSpec(0.015))
+    cfg = EstimatorConfig(algo, step=StepSizeRule.fixed(0.5), window=WindowSpec(5, 1), **read)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = run_estimation(stream, g, cfg)
@@ -749,24 +830,20 @@ def test_prune_that_keeps_nothing_warns(rng):
 
 
 @pytest.mark.parametrize("prune, message", [
-    (PruneSpec(0.0, "correlation"),
-     "dynamic-multihop: refresh_weights=False scores every latent candidate 0 under the "
-     "correlation metric, so none survives whatever the prune threshold; the run reduces "
-     "to glms on the static graph"),
+    # the correlation metric is refused with pinned weights (test_config_validation)
     (PruneSpec(0.99),
      "dynamic-multihop: prune threshold 0.99 (weight-magnitude) kept none of the latent "
      "candidates of the static graph; with refresh_weights=False the run reduces to glms "
      "on the static graph"),
 ])
 def test_static_weights_warning_names_why_no_latent_edge_survives(prune, message, rng):
-    # with refresh_weights=False no window is ever scored: under the
-    # correlation metric every latent score is 0, so the threshold is not
-    # what keeps the candidates out, and no run re-weights its edges
+    # with refresh_weights=False no window is ever scored, so no run
+    # re-weights its edges
     path = StaticGraph(12, tuple((i, i + 1) for i in range(11)))
     rows = rng.standard_normal((30, 12))
     stream = ObservationStream(rows, rng.random(rows.shape) < 0.7)
     cfg = EstimatorConfig("dynamic-multihop", step=StepSizeRule.fixed(0.5), hops=6,
-                          prune=prune, window=WindowSpec(10), refresh_weights=False)
+                          prune=prune, refresh_weights=False)
     with pytest.warns(UserWarning) as record:
         trace = run_estimation(stream, path, cfg)
     assert trace.latent_candidates.all() and not trace.latent_survivors.any()
@@ -793,11 +870,17 @@ def assert_stack_matches_single_runs(stream, g, cfg, ground_truth=None):
 
 
 def batch_config(algo, **kwargs):
-    prune = {"dynamic-multihop": PruneSpec(0.015, "correlation"), "sgm-then-glms": PruneSpec(0.6)}
+    """The batching tests' config: each setting where the algorithm reads it."""
     kwargs.setdefault("step", StepSizeRule.fixed(0.5))
-    return EstimatorConfig(algo, filter=kwargs.pop("filter", FilterSpec(passband_fraction=0.4)),
-                           hops=3, prune=prune.get(algo, PruneSpec(0.2)),
-                           window=WindowSpec(5, 1), **kwargs)
+    topology = ALGORITHMS[algo].topology
+    if topology == "multihop":
+        kwargs.setdefault("hops", 3)
+        kwargs.setdefault("prune", PruneSpec(0.015, "correlation"))
+    if topology == "threshold":
+        kwargs.setdefault("prune", PruneSpec(0.6))
+    if topology != "static" and kwargs.get("refresh_weights", True):
+        kwargs.setdefault("window", WindowSpec(5, 1))
+    return EstimatorConfig(algo, **kwargs)
 
 
 BATCH_CASES = [
@@ -808,7 +891,7 @@ BATCH_CASES = [
                    id=f"{a}-chebyshev") for a in ("glms", "glmp", "dynamic-multihop")),
     *(pytest.param(batch_config(a, weights_source="ground-truth"), id=f"{a}-ground-truth")
       for a in ("dynamic-multihop", "sgm-then-glms")),
-    pytest.param(batch_config("dynamic-multihop", refresh_weights=False),
+    pytest.param(batch_config("dynamic-multihop", refresh_weights=False, prune=PruneSpec(0.015)),
                  id="dynamic-multihop-static-weights"),
 ]
 
